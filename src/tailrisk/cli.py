@@ -35,6 +35,7 @@ from .montecarlo import (
     wasserstein_exact,
 )
 from .risk_core import (
+    _ALPHA_CAP,
     beta_star,
     expected_shortfall,
     expectile,
@@ -71,7 +72,7 @@ def _level(value: float, flag: str = "alpha", lo: float = 0.0, hi: float = 1.0) 
 
 def _expectile_level(value: float, flag: str = "alpha") -> float:
     value = float(value)
-    if not (0.5 <= value < 1.0 - 1e-12):
+    if not (0.5 <= value < _ALPHA_CAP):
         raise _ValidationError(f"--{flag}: expectile level must lie in [0.5, 1), got {value:g}")
     return value
 

@@ -26,8 +26,7 @@ import math
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-
-from . import _special
+from scipy.special import stdtr, stdtrit
 
 
 class EvClassification(NamedTuple):
@@ -47,6 +46,10 @@ class EvClassification(NamedTuple):
     rho: Optional[float]
     auxiliary: Optional[Callable[[float], float]]
     right_endpoint: Optional[float]
+
+
+# uniforms below this are raised to it before the inverse transform
+_U_FLOOR = 2.0 ** -53
 
 
 def _as_float_array(x):
@@ -172,7 +175,7 @@ class Distribution:
             raise ValueError(f"sample size must be >= 1, got {n}")
         rng = np.random.Generator(np.random.PCG64(int(seed)))
         u = rng.random(n)
-        np.maximum(u, 2.0 ** -53, out=u)
+        np.maximum(u, _U_FLOOR, out=u)
         return Sample(self.quantile(u))
 
     def mda(self) -> EvClassification:
@@ -355,8 +358,57 @@ class Pareto(Distribution):
         return Pareto(a=self.a, shift=shift)
 
 
+def _t_log_norm(nu: float) -> float:
+    """log of the t density normalization Gamma((nu+1)/2)/(sqrt(nu pi) Gamma(nu/2))."""
+    return (
+        math.lgamma(0.5 * (nu + 1.0))
+        - math.lgamma(0.5 * nu)
+        - 0.5 * math.log(nu * math.pi)
+    )
+
+
+def _t_density(nu: float, x):
+    return np.exp(_t_log_norm(nu) - 0.5 * (nu + 1.0) * np.log1p(x * x / nu))
+
+
+def _t_lower_tail(nu: float, p, x):
+    """Polish x ~ stdtrit(nu, p) so that stdtr(nu, x) = p, for p below 2^-53.
+
+    There stdtrit drifts (stdtr(nu, x)/p near 9 for nu = 2.1) or returns
+    +inf; the fixed point x <- x (stdtr(nu, x)/p)^(1/nu) contracts at rate
+    O(nu/x^2) on the power-law tail, so a few steps reach full precision.
+    Non-finite starts are replaced by the tail asymptote
+    P[T < x] ~ c nu^((nu-1)/2) |x|^(-nu), c the density's normalization.
+    Where x*x overflows inside stdtr (nu < 2 at the very smallest p) the
+    result is -inf.
+    """
+    log_c = _t_log_norm(nu) + 0.5 * (nu - 1.0) * math.log(nu)
+    x = np.where(np.isfinite(x), x, -np.exp((log_c - np.log(p)) / nu))
+    with np.errstate(invalid="ignore"):  # -inf * 0 once stdtr has underflowed
+        for _ in range(4):
+            f = stdtr(nu, x)
+            x = np.where(f > 0.0, x * (f / p) ** (1.0 / nu), -np.inf)
+    return x
+
+
+def _t_quantile(nu: float, u):
+    """Left quantile of the standard t, inverting the smaller tail probability."""
+    upper = u > 0.5
+    p = np.where(upper, 1.0 - u, u)
+    x = stdtrit(nu, p)
+    deep = p < _U_FLOOR
+    if np.any(deep):
+        x = np.where(deep, _t_lower_tail(nu, p, x), x)
+    return np.where(upper, -x, x)
+
+
 class StudentT(Distribution):
     """Standard Student t with nu > 1 degrees of freedom.
+
+    Backed by ``scipy.special.stdtr`` (CDF) and ``stdtrit`` (quantile, on
+    the smaller tail probability so both tails keep relative accuracy).
+    Below tail probability 2^-53, under the sampler's floor, stdtrit loses
+    precision, so the quantile is polished there against stdtr.
 
     Frechet-type tail with index nu; unshifted, rho = -2 with
     A(x) = nu^2 (nu+1) / ((nu+2) x^2).  A shift s makes the 1/x term
@@ -375,22 +427,21 @@ class StudentT(Distribution):
         self.nu = nu
 
     def _cdf0(self, x):
-        return _special.student_t_cdf_vec(x, self.nu)
+        return stdtr(self.nu, x)
 
     def _quantile0(self, u):
-        return _special.student_t_quantile_vec(u, self.nu)
+        return _t_quantile(self.nu, u)
 
     def _mean0(self):
         return 0.0
 
     def _es0(self, beta):
-        q = _special.student_t_quantile_vec(np.asarray(beta, dtype=float), self.nu)
         nu = self.nu
-        dens = _special.student_t_pdf_vec(q, nu)
-        return dens * (nu + q * q) / ((1.0 - np.asarray(beta)) * (nu - 1.0))
+        q = _t_quantile(nu, beta)
+        return _t_density(nu, q) * (nu + q * q) / ((1.0 - beta) * (nu - 1.0))
 
     def _pdf0(self, x):
-        return _special.student_t_pdf_vec(x, self.nu)
+        return _t_density(self.nu, x)
 
     def _support0(self):
         return -math.inf, math.inf
@@ -556,28 +607,8 @@ class Sample:
 
 
 # ---------------------------------------------------------------------------
-# module-level operation wrappers and parsing
+# parsing
 # ---------------------------------------------------------------------------
-
-def cdf(dist: Distribution, x):
-    return dist.cdf(x)
-
-
-def quantile(dist: Distribution, u):
-    return dist.quantile(u)
-
-
-def es_closed_form(dist: Distribution, beta):
-    return dist.es(beta)
-
-
-def mda_classify(dist: Distribution) -> EvClassification:
-    return dist.mda()
-
-
-def sample(dist: Distribution, n: int, seed: int) -> Sample:
-    return dist.sample(n, seed)
-
 
 _FAMILY_PARAMS = {
     "pareto": ("a",),

@@ -4,8 +4,8 @@ All functionals accept any loss source exposing the common interface from
 :mod:`tailrisk.distributions` (parametric family or empirical sample):
 
 - ``value_at_risk`` — the left quantile;
-- ``expected_shortfall`` — plug-in tail average q + E[(L-q)+]/(1-alpha),
-  which is exact for both parametric and empirical sources;
+- ``expected_shortfall`` — the source's closed-form tail average, exact
+  for both parametric and empirical sources;
 - ``expectile`` — unique root of the first-order condition
   alpha E[(L-m)+] = (1-alpha) E[(L-m)-], solved by Brent's method on the
   analytic bracket [mean, ES_alpha];
@@ -98,24 +98,23 @@ def value_at_risk(src: LossSource, alpha: float) -> float:
 def expected_shortfall(src: LossSource, alpha: float, check: bool = False) -> float:
     """ES_alpha, the average of the worst (1-alpha) fraction of losses.
 
-    Computed by the plug-in formula q_alpha + E[(L-q_alpha)+]/(1-alpha),
-    which agrees exactly with the tail average (1/(1-alpha)) int_alpha^1
-    q(u) du for every law, atoms included.  ``check=True`` re-derives the
-    value from the tail-average definition (adaptive quadrature of the
-    quantile for parametric sources, exact partial sums for empirical
-    ones) and asserts 1e-9 relative agreement.
+    Returns the source's own closed form ``src.es(alpha)``: per-family
+    formulas for parametric sources, exact order statistics and partial
+    sums for empirical ones; both equal the tail average
+    (1/(1-alpha)) int_alpha^1 q(u) du for every law, atoms included.
+    ``check=True`` re-derives the value independently (adaptive
+    quadrature of the quantile for parametric sources, the plug-in
+    q_alpha + E[(L-q_alpha)+]/(1-alpha) for empirical ones) and asserts
+    1e-9 relative agreement.
     """
     _check_es_level(alpha)
-    if alpha == 0.0:
-        val = float(src.mean())
-    else:
-        q = float(src.quantile(alpha))
-        val = q + float(src.eplus(q)) / (1.0 - alpha)
+    val = float(src.es(alpha))
     if check:
-        if isinstance(src, Sample):
-            ref = float(src.es(alpha))
-        elif alpha == 0.0:
+        if alpha == 0.0:
             ref = float(src.mean())
+        elif isinstance(src, Sample):
+            q = float(src.quantile(alpha))
+            ref = q + float(src.eplus(q)) / (1.0 - alpha)
         else:
             # the quantile is singular at u=1 for unbounded families; the
             # extrapolating quadrature handles it but grumbles about
@@ -129,8 +128,8 @@ def expected_shortfall(src: LossSource, alpha: float, check: bool = False) -> fl
             ref = integral / (1.0 - alpha)
         if abs(val - ref) > 1e-9 * (1.0 + abs(val)):
             raise AssertionError(
-                f"expected-shortfall cross-check failed: plug-in {val!r} vs "
-                f"tail average {ref!r} at alpha={alpha}"
+                f"expected-shortfall cross-check failed: closed form {val!r} vs "
+                f"reference {ref!r} at alpha={alpha}"
             )
     return val
 

@@ -1,125 +1,82 @@
-"""Special-function building blocks against scipy references."""
+"""Student t special functions, through StudentT's public methods, against
+scipy references (the hooks are backed by scipy.special.stdtr/stdtrit)."""
 
 import numpy as np
 import pytest
-import scipy.special as sp
 import scipy.stats as st
+from scipy.special import stdtr
 
-from tailrisk._special import (
-    betainc_reg,
-    betainc_reg_vec,
-    lambert_w,
-    log_beta,
-    student_t_cdf,
-    student_t_cdf_vec,
-    student_t_pdf,
-    student_t_pdf_vec,
-    student_t_quantile,
-    student_t_quantile_vec,
-    student_t_sf,
-)
+from tailrisk.distributions import StudentT
 
 NUS = [1.1, 1.5, 2.1, 2.3, 4.0, 9.5, 30.0]
 XS = [-50.0, -7.5, -2.0, -0.3, 0.0, 0.3, 2.0, 7.5, 50.0, 400.0]
 
 
-def test_log_beta_matches_scipy():
-    for a in (0.5, 1.05, 2.0, 7.5, 40.0):
-        for b in (0.5, 1.0, 3.25, 12.0):
-            assert abs(log_beta(a, b) - sp.betaln(a, b)) < 1e-12 * (1 + abs(sp.betaln(a, b)))
-
-
-def test_betainc_reg_matches_scipy():
-    xs = np.linspace(0.0, 1.0, 41)
-    for a in (0.5, 1.05, 2.0, 7.5):
-        for b in (0.5, 1.0, 3.25, 12.0):
-            want = sp.betainc(a, b, xs)
-            got = np.array([betainc_reg(a, b, x) for x in xs])
-            np.testing.assert_allclose(got, want, rtol=5e-14, atol=5e-15)
-            np.testing.assert_allclose(betainc_reg_vec(a, b, xs), want,
-                                       rtol=5e-14, atol=5e-15)
-
-
-def test_betainc_reg_rejects_bad_domain():
-    with pytest.raises(ValueError):
-        betainc_reg(1.0, 1.0, 1.5)
-    with pytest.raises(ValueError):
-        betainc_reg(-1.0, 1.0, 0.5)
-
-
 def test_student_pdf_cdf_sf_match_scipy():
     for nu in NUS:
+        d = StudentT(nu)
         for x in XS:
-            assert abs(student_t_pdf(x, nu) - st.t.pdf(x, nu)) < 1e-13
-            assert abs(student_t_cdf(x, nu) - st.t.cdf(x, nu)) < 1e-13
-            # sf needs relative accuracy far in the tail
+            assert abs(d.density(x) - st.t.pdf(x, nu)) < 1e-13
+            assert abs(d.cdf(x) - st.t.cdf(x, nu)) < 1e-13
+            # the upper tail, read through symmetry, keeps relative accuracy
             want = st.t.sf(x, nu)
-            assert abs(student_t_sf(x, nu) - want) < 1e-12 * (1 + want) or \
-                abs(student_t_sf(x, nu) / want - 1.0) < 1e-10
+            assert abs(d.cdf(-x) / want - 1.0) < 1e-12
 
 
 def test_student_vectorized_agree_with_scalar():
     xs = np.array(XS)
+    us = np.array([1e-20, 1e-8, 0.3, 0.5, 0.7, 1 - 1e-8])
     for nu in NUS:
-        np.testing.assert_allclose(student_t_pdf_vec(xs, nu),
-                                   [student_t_pdf(x, nu) for x in xs], rtol=1e-14)
-        np.testing.assert_allclose(student_t_cdf_vec(xs, nu),
-                                   [student_t_cdf(x, nu) for x in xs], rtol=1e-14)
+        d = StudentT(nu)
+        np.testing.assert_allclose(d.density(xs), [d.density(x) for x in xs], rtol=1e-14)
+        np.testing.assert_allclose(d.cdf(xs), [d.cdf(x) for x in xs], rtol=1e-14)
+        np.testing.assert_allclose(d.quantile(us), [d.quantile(u) for u in us], rtol=1e-14)
 
 
 def test_student_quantile_matches_scipy_and_roundtrips():
     us = np.array([1e-8, 1e-4, 0.05, 0.3, 0.5, 0.7, 0.95, 0.9999, 1 - 1e-8])
     for nu in NUS:
-        want = st.t.ppf(us, nu)
-        got = np.array([student_t_quantile(u, nu) for u in us])
-        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
-        np.testing.assert_allclose(student_t_quantile_vec(us, nu), got, rtol=1e-14)
-        back = np.array([student_t_cdf(q, nu) for q in got])
-        np.testing.assert_allclose(back, us, rtol=1e-11, atol=1e-16)
+        d = StudentT(nu)
+        got = d.quantile(us)
+        np.testing.assert_allclose(got, st.t.ppf(us, nu), rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(d.cdf(got), us, rtol=1e-11, atol=1e-16)
 
 
 def test_student_quantile_median_and_symmetry():
     for nu in NUS:
-        assert student_t_quantile(0.5, nu) == 0.0
-        assert abs(student_t_quantile(0.25, nu) + student_t_quantile(0.75, nu)) < 1e-12
+        d = StudentT(nu)
+        assert d.quantile(0.5) == 0.0
+        assert abs(d.quantile(0.25) + d.quantile(0.75)) < 1e-12
 
 
 def test_student_cdf_increment_near_median():
-    # cdf(x) - 1/2 must keep relative accuracy for tiny x; a naive
-    # nu/(nu+x^2) beta argument rounds to 1 and loses it
+    # cdf(x) - 1/2 must keep relative accuracy for tiny x
     for nu in NUS:
+        d = StudentT(nu)
         c = st.t.pdf(0.0, nu)
         for x in (1e-9, 1e-7, 1e-4):
-            inc = student_t_cdf(x, nu) - 0.5
+            inc = d.cdf(x) - 0.5
             assert abs(inc - c * x) < 1e-6 * c * x + 1e-22
-            assert abs(student_t_cdf(-x, nu) + student_t_cdf(x, nu) - 1.0) < 3e-16
+            assert abs(d.cdf(-x) + d.cdf(x) - 1.0) < 3e-16
 
 
 def test_student_quantile_rejects_endpoints():
     for u in (0.0, 1.0, -0.2, 1.3):
         with pytest.raises(ValueError):
-            student_t_quantile(u, 2.1)
+            StudentT(2.1).quantile(u)
 
 
-def test_lambert_w_matches_scipy():
-    ys = np.concatenate([
-        np.linspace(-1 / np.e + 1e-9, 0.0, 25),
-        np.geomspace(1e-12, 1e6, 40),
-    ])
-    for y in ys:
-        want = float(sp.lambertw(y).real)
-        # W has a sqrt singularity at -1/e; scale the tolerance by the
-        # local conditioning there instead of pretending 1e-12 is possible
-        cond = 1.0 / np.sqrt(max(y + 1 / np.e, 1e-9))
-        assert abs(lambert_w(y) - want) < 1e-12 * (1 + abs(want)) * max(cond, 1.0)
-
-
-def test_lambert_w_identity():
-    for w in (-0.9, -0.5, 0.0, 0.3, 1.0, 4.0, 10.0):
-        y = w * np.exp(w)
-        assert abs(lambert_w(y) - w) < 1e-12 * (1 + abs(w))
-
-
-def test_lambert_w_rejects_below_branch_point():
-    with pytest.raises(ValueError):
-        lambert_w(-1.0)
+@pytest.mark.parametrize("nu,kmax", [
+    (1.1, 170), (1.5, 231), (2.1, 300), (2.3, 300), (4.0, 300), (9.5, 300), (30.0, 300),
+])
+def test_student_deep_tail_roundtrip(nu, kmax):
+    # past kmax for nu < 2 the square of the quantile overflows inside
+    # stdtr itself, so no double quantile can round-trip there
+    d = StudentT(nu)
+    p = 10.0 ** -np.arange(1, kmax + 1, dtype=float)
+    q = d.quantile(p)
+    assert np.isfinite(q).all()
+    np.testing.assert_array_less(np.abs(stdtr(nu, q) / p - 1.0), 1e-12)
+    # upper tail: 1 - u is exact for u > 1/2
+    u = 1.0 - p[:15]
+    np.testing.assert_array_less(np.abs(stdtr(nu, -d.quantile(u)) / (1.0 - u) - 1.0), 1e-12)
