@@ -24,12 +24,12 @@ an assumption on the data that cannot be verified from finite scenarios.
 from __future__ import annotations
 
 import csv
-import math
+import io
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .distributions import Sample
+from .distributions import Sample, order_index
 from .risk_core import _check_expectile_level, _check_var_level, expectile
 
 
@@ -60,46 +60,87 @@ class Portfolio:
     @classmethod
     def from_csv(cls, path) -> "Portfolio":
         """Read scenarios from CSV: one row per scenario, one column per
-        component; a single leading header row is allowed and skipped."""
-        rows = []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            for lineno, cells in enumerate(reader):
-                cells = [c.strip() for c in cells if c.strip() != ""]
-                if not cells:
-                    continue
-                try:
-                    rows.append([float(c) for c in cells])
-                except ValueError:
-                    if lineno == 0 and not rows:
-                        continue  # header row
-                    raise ValueError(
-                        f"non-numeric portfolio data at line {lineno + 1} of {path}"
-                    ) from None
-        if not rows:
+        component; a single leading header row is allowed and skipped.
+
+        Cells may be quoted and padded with spaces; empty lines are skipped.
+        An empty cell is an error (``1,,2`` or a trailing comma): this is
+        deliberately stricter than earlier versions, which dropped empty
+        cells and so shifted the later values of the row one column left.
+        A line holding only spaces is a row of one empty cell.
+        """
+        with open(path) as fh:
+            text = fh.read()
+        first, _, rest = text.partition("\n")
+        cells = [c.strip() for c in next(csv.reader([first]), [])]
+        header = not _numeric(cells)
+        data = rest if header else text
+        if not data.strip():
             raise ValueError(f"no scenario rows found in {path}")
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
-            raise ValueError(f"ragged rows in {path}: expected {width} columns")
-        return cls(rows)
+        try:
+            arr = np.loadtxt(io.StringIO(data), delimiter=",", quotechar='"',
+                             comments=None, ndmin=2)
+        except ValueError as exc:
+            _diagnose_csv(data.splitlines(), 2 if header else 1, path, exc)
+        return cls(arr)
 
     def __repr__(self):
         return f"<Portfolio n={self.n} d={self.d}>"
 
 
+def _numeric(cells) -> bool:
+    """True when every non-empty cell parses as a float."""
+    try:
+        for c in cells:
+            if c:
+                float(c)
+    except ValueError:
+        return False
+    return True
+
+
+def _diagnose_csv(lines, first_lineno, path, exc):
+    """Raise a ValueError naming the line ``np.loadtxt`` could not read.
+
+    Only diagnoses: every path raises, so input that ``np.loadtxt``
+    rejected is never accepted.
+    """
+    width = None
+    ragged = False
+    for lineno, line in enumerate(lines, first_lineno):
+        if not line:
+            continue
+        cells = [c.strip() for c in next(csv.reader([line]))]
+        if "" in cells:
+            raise ValueError(f"empty cell at line {lineno} of {path}")
+        if not _numeric(cells):
+            raise ValueError(f"non-numeric portfolio data at line {lineno} of {path}")
+        if width is None:
+            width = len(cells)
+        ragged = ragged or len(cells) != width
+    if ragged:
+        raise ValueError(f"ragged rows in {path}: expected {width} columns")
+    raise ValueError(f"unreadable portfolio data in {path}: {exc}")
+
+
 def es_euler(p: Portfolio, alpha: float) -> np.ndarray:
     """ES contributions: componentwise mean over the strict tail event
     {total > empirical q_alpha}.  Scenarios tied with the quantile are
-    excluded by the strict inequality."""
+    excluded by the strict inequality.
+
+    q_alpha is the same order statistic as ``Sample(p.total).quantile``,
+    found by selection rather than a sort.
+    """
     _check_var_level(alpha)
-    q = Sample(p.total).quantile(alpha)
+    i = int(order_index(p.n, alpha))
+    q = float(np.partition(p.total, i - 1)[i - 1])
     mask = p.total > q
-    if not mask.any():
+    count = np.count_nonzero(mask)
+    if count == 0:
         raise ValueError(
             f"tail event {{total > q_alpha}} is empty at alpha={alpha} "
             f"(quantile {q:g} ties the sample maximum)"
         )
-    return p.components[mask].mean(axis=0)
+    return mask.astype(float) @ p.components / count
 
 
 def expectile_euler(p: Portfolio, alpha: float, check: bool = True) -> np.ndarray:
@@ -107,23 +148,23 @@ def expectile_euler(p: Portfolio, alpha: float, check: bool = True) -> np.ndarra
 
     Ties with the expectile root are classified as <= within 1e-12
     absolute tolerance.  ``check=True`` re-derives every contribution
-    through the ES-combination form and asserts 1e-9 agreement.
+    through the ES-combination form and asserts 1e-9 agreement; its column
+    means come from their own reduction over all rows.
     """
     _check_expectile_level(alpha)
-    total = Sample(p.total)
-    e = expectile(total, alpha)
+    e = expectile(Sample(p.total), alpha)
     le = p.total <= e + 1e-12
     n = p.n
-    n_le = int(le.sum())
-    body = p.components[le].sum(axis=0) / n
-    tail = p.components[~le].sum(axis=0) / n
+    n_le = int(np.count_nonzero(le))
+    body_w = le.astype(float)
+    body = body_w @ p.components / n
+    tail = (1.0 - body_w) @ p.components / n
     den = alpha + (1.0 - 2.0 * alpha) * (n_le / n)
     contrib = (alpha * tail + (1.0 - alpha) * body) / den
     if check and 0 < n_le < n:
-        b = n_le / n
         w = (1.0 - alpha) / den
-        es_contrib = p.components[~le].mean(axis=0)
-        means = p.components.mean(axis=0)
+        es_contrib = tail * (n / (n - n_le))
+        means = np.ones(n) @ p.components / n
         alt = (1.0 - w) * es_contrib + w * means
         scale = 1.0 + np.abs(contrib)
         if np.any(np.abs(alt - contrib) > 1e-9 * scale):

@@ -158,14 +158,14 @@ def _cmd_allocate(args) -> str:
     if args.measure == "expectile":
         alpha = _expectile_level(args.alpha)
         contrib = expectile_euler(p, alpha, check=not args.no_check)
-        total = expectile(Sample(p.total), alpha)
     else:
         alpha = _level(args.alpha)
         contrib = es_euler(p, alpha)
-        total = expected_shortfall(Sample(p.total), alpha)
     if args.out:
         rows = [(k + 1, c) for k, c in enumerate(contrib)]
         return render_csv(["component", "contribution"], rows)
+    measure = expectile if args.measure == "expectile" else expected_shortfall
+    total = measure(Sample(p.total), alpha)
     lines = [f"{args.measure} contributions at alpha={alpha:g} over {p.n} scenarios:"]
     for k, c in enumerate(contrib):
         lines.append(f"  component {k + 1}: {c:.4f}")

@@ -518,6 +518,14 @@ class TwoPoint(Distribution):
         return TwoPoint(self.x1, self.x2, self.p, shift=shift)
 
 
+def order_index(n: int, u):
+    """Smallest i with i/n >= u (1-based, clipped to [1, n]): the order
+    statistic of the left empirical quantile, robust to fp noise in n*u."""
+    nu = n * np.asarray(u, dtype=float)
+    i = np.ceil(nu * (1.0 - 1e-14)).astype(np.int64)
+    return np.clip(i, 1, n)
+
+
 class Sample:
     """Empirical distribution over observed values.
 
@@ -550,17 +558,11 @@ class Sample:
     def mean(self) -> float:
         return float(self._suffix[0] / self.n)
 
-    def _index(self, u):
-        """Smallest i with i/n >= u (1-based), robust to fp noise in n*u."""
-        nu = self.n * np.asarray(u, dtype=float)
-        i = np.ceil(nu * (1.0 - 1e-14)).astype(np.int64)
-        return np.clip(i, 1, self.n)
-
     def quantile(self, u):
         ua = _as_float_array(u)
         if np.any((ua <= 0.0) | (ua > 1.0)):
             raise ValueError("empirical quantile level must lie in (0, 1]")
-        out = self.values[self._index(ua) - 1]
+        out = self.values[order_index(self.n, ua) - 1]
         return float(out) if _scalar_in(u) else out
 
     def cdf(self, x):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from tailrisk import allocation, distributions
 from tailrisk.allocation import (
     Portfolio,
     es_euler,
@@ -111,6 +112,25 @@ def test_es_contributions_sum_to_strict_tail_mean():
     assert abs(c.sum() - total[tail].mean()) < 1e-9
 
 
+@pytest.mark.parametrize("n", [1000, 2000, 4000])
+@pytest.mark.parametrize("alpha", [0.7, 0.95, 0.975, 0.999])
+def test_es_contributions_match_sample_quantile(n, alpha):
+    # alpha is no binary fraction, so n * alpha is an integer only up to
+    # rounding: the selected order statistic must be Sample.quantile's
+    rng = np.random.default_rng(n)
+    comp = rng.standard_normal((n, 3)) * [1.0, 2.0, 0.5]
+    p = Portfolio(comp)
+    tail = p.total > Sample(p.total).quantile(alpha)
+    want = comp[tail].mean(axis=0)
+    np.testing.assert_allclose(es_euler(p, alpha), want, rtol=1e-12, atol=0.0)
+    assert tail.sum() == n - distributions.order_index(n, alpha)
+
+
+def test_es_and_sample_share_one_order_index():
+    assert allocation.order_index is distributions.order_index
+    assert not hasattr(Sample, "_index")
+
+
 # --------------------------------------------------------------- ratios
 
 def test_asymptotic_constant_values():
@@ -171,3 +191,34 @@ def test_from_csv_reports_offending_line(tmp_path):
     bad.write_text("1,2\n3,x\n")
     with pytest.raises(ValueError, match="line 2"):
         Portfolio.from_csv(bad)
+
+
+@pytest.mark.parametrize("text, want", [
+    ('"1.5","2"\n"3","4.25"\n', [[1.5, 2.0], [3.0, 4.25]]),
+    (" 1 , 2 \n3 ,  4\n", [[1.0, 2.0], [3.0, 4.0]]),
+    ("c1,c2\r\n1,2\r\n3,4\r\n", [[1.0, 2.0], [3.0, 4.0]]),
+    ("1,2\n\n3,4\n\n\n5,6\n", [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),
+    ("c1,c2,c3\n1,2,3\n", [[1.0, 2.0, 3.0]]),
+    ("loss\n1\n2.5\n4\n", [[1.0], [2.5], [4.0]]),
+])
+def test_from_csv_accepted_layouts(tmp_path, text, want):
+    path = tmp_path / "port.csv"
+    path.write_bytes(text.encode())
+    got = Portfolio.from_csv(path).components
+    assert got.shape == np.shape(want)
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("text, match", [
+    ("c1,c2\n", "no scenario rows"),
+    ("c1,c2\n\n\n", "no scenario rows"),
+    ("1,2\n3,inf\n", "must be finite"),
+    ("1,2\n3,,4\n", "empty cell at line 2"),
+    ("1,2,\n3,4,\n", "empty cell at line 1"),
+    ("c1,c2\n1,2\n3,4\n5,\n", "empty cell at line 4"),
+])
+def test_from_csv_rejects(tmp_path, text, match):
+    path = tmp_path / "port.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=match):
+        Portfolio.from_csv(path)

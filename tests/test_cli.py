@@ -116,6 +116,9 @@ def test_allocate_rejects_bad_csv(tmp_path, capsys):
     path.write_text("0,0\n1\n")
     code, _, err = run(capsys, ["allocate", "--csv", str(path), "--alpha", "0.7"])
     assert code == 2 and "ragged" in err
+    path.write_text("0,0\n1,,2\n")
+    code, _, err = run(capsys, ["allocate", "--csv", str(path), "--alpha", "0.7"])
+    assert code == 2 and "--csv:" in err and "empty cell at line 2" in err
     code, _, err = run(capsys, ["allocate", "--csv", str(tmp_path / "nope.csv"),
                                 "--alpha", "0.7"])
     assert code == 2 and "--csv:" in err
