@@ -8,6 +8,7 @@ plugs it into the extreme-expectile estimator.
 """
 
 from tailrisk.asymptotics import (
+    exact_ratio,
     extreme_expectile_estimate,
     frechet_first_order_constant,
     gumbel_relation,
@@ -16,7 +17,7 @@ from tailrisk.asymptotics import (
 )
 from tailrisk.distributions import Pareto, PowerBeta, StudentT
 from tailrisk.montecarlo import figure_series
-from tailrisk.risk_core import expectile, expected_shortfall
+from tailrisk.risk_core import expectile
 
 
 def main():
@@ -38,8 +39,7 @@ def main():
     print()
     d = StudentT(2.3)
     r2 = ratio_expansion(d, 0.999, order=2)
-    c = d.centered()
-    exact = expectile(c, 0.999) / expected_shortfall(c, 0.999)
+    exact = exact_ratio(d, 0.999)
     print(f"{d.label} at alpha=0.999: second order {r2.value:.6f}, exact {exact:.6f}")
 
     print()

@@ -29,6 +29,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from .asymptotics import frechet_first_order_constant
 from .distributions import Sample, order_index
 from .risk_core import _check_expectile_level, _check_var_level, expectile
 
@@ -66,9 +67,10 @@ class Portfolio:
         An empty cell is an error (``1,,2`` or a trailing comma): this is
         deliberately stricter than earlier versions, which dropped empty
         cells and so shifted the later values of the row one column left.
-        A line holding only spaces is a row of one empty cell.
+        A line holding only spaces is a row of one empty cell.  The file is
+        read as UTF-8; a leading byte-order mark is dropped.
         """
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
         first, _, rest = text.partition("\n")
         cells = [c.strip() for c in next(csv.reader([first]), [])]
@@ -199,10 +201,7 @@ def euler_asymptotic_ratio(
     that constant for convergence inspection.  Degenerate tails at large
     alpha are reported per row rather than raised.
     """
-    eta = float(eta)
-    if not (eta > 1.0):
-        raise ValueError(f"asymptotic ratio needs tail index eta > 1, got {eta}")
-    constant = (eta - 1.0) ** ((eta - 1.0) / eta) / eta
+    constant = frechet_first_order_constant(eta)
     rows = []
     for a in alphas:
         try:

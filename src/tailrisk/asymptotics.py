@@ -19,8 +19,9 @@ in the same two quantitative flavours.
 
 Second-order formulas consume the auxiliary function *value* at the
 relevant quantile, so they stay usable with estimated inputs; the
-``ratio_expansion`` convenience wires a known distribution through its
-own classification.  Frechet expansions are expansions of the *centered*
+``ratio_expansion`` and ``beta_star_expansion`` conveniences wire a known
+distribution through its own classification, and ``exact_ratio`` gives
+the exact value that ``ratio_expansion`` approximates.  Frechet expansions are expansions of the *centered*
 ratio e(L - E[L])/ES(L - E[L]); Weibull gap ratios are location-invariant
 in their inputs and are computed for the raw variable.
 """
@@ -28,11 +29,12 @@ in their inputs and are computed for the raw variable.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .distributions import Distribution, Sample
+from .risk_core import expected_shortfall, expectile
 
 __all__ = [
     "ExpansionResult",
@@ -46,6 +48,8 @@ __all__ = [
     "hill_estimator",
     "extreme_expectile_estimate",
     "ratio_expansion",
+    "beta_star_expansion",
+    "exact_ratio",
 ]
 
 
@@ -76,6 +80,29 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
+def _frechet_rho(eta: float, rho: float) -> Tuple[float, float]:
+    """Validated Frechet second-order parameter, as (rho, eta - rho - 1)."""
+    rho = float(rho)
+    if rho > 0.0:
+        raise ValueError(f"second-order parameter rho must be <= 0, got {rho}")
+    denom = eta - rho - 1.0
+    if denom == 0.0:
+        raise ValueError(f"degenerate combination eta - rho - 1 = 0 (eta={eta}, rho={rho})")
+    return rho, denom
+
+
+def _endpoint_inputs(xhat: float, q_alpha: float, mean: float) -> Tuple[float, float, float]:
+    """(xhat, q_alpha, mean) as floats, with q_alpha and mean below xhat."""
+    xhat, q_alpha, mean = float(xhat), float(q_alpha), float(mean)
+    if not (q_alpha < xhat):
+        raise ValueError(
+            f"quantile {q_alpha} must lie strictly below the right endpoint {xhat}"
+        )
+    if not (mean < xhat):
+        raise ValueError(f"mean {mean} must lie strictly below the right endpoint {xhat}")
+    return xhat, q_alpha, mean
+
+
 def frechet_first_order_constant(eta: float) -> float:
     """Limit of e_alpha/ES_alpha for a tail index eta > 1."""
     eta = float(eta)
@@ -93,14 +120,9 @@ def frechet_second_order_coefficient(eta: float, rho: float) -> float:
     eta = float(eta)
     if not (eta > 1.0):
         raise ValueError(f"second-order coefficient needs eta > 1, got {eta}")
-    rho = float(rho)
-    if rho > 0.0:
-        raise ValueError(f"second-order parameter rho must be <= 0, got {rho}")
+    rho, denom = _frechet_rho(eta, rho)
     if rho == 0.0:
         return (math.log(eta - 1.0) + 1.0 / (eta - 1.0)) / eta
-    denom = eta - rho - 1.0
-    if denom == 0.0:
-        raise ValueError(f"degenerate combination eta - rho - 1 = 0 (eta={eta}, rho={rho})")
     return (eta - 1.0) / (rho * eta) * (1.0 - (eta - 1.0) ** (-rho / eta)) / denom
 
 
@@ -150,12 +172,7 @@ def frechet_beta_star_ratio(
         return ExpansionResult(1, lead, 0.0, lead, alpha)
     if rho is None:
         raise ValueError("second-order expansion needs rho (got None); use order=1")
-    rho = float(rho)
-    if rho > 0.0:
-        raise ValueError(f"second-order parameter rho must be <= 0, got {rho}")
-    denom = eta - rho - 1.0
-    if denom == 0.0:
-        raise ValueError(f"degenerate combination eta - rho - 1 = 0 (eta={eta}, rho={rho})")
+    rho, denom = _frechet_rho(eta, rho)
     lead = (eta - 1.0) / (2.0 * alpha - 1.0)
     corr = -((eta - 1.0) ** (-rho / eta) / denom) * float(a_at_q)
     return ExpansionResult(2, lead, corr, lead * (1.0 + corr), alpha)
@@ -183,15 +200,7 @@ def weibull_ratio(
     eta = float(eta)
     if not (eta > 0.0):
         raise ValueError(f"endpoint gap expansion needs eta > 0, got {eta}")
-    xhat = float(xhat)
-    q_alpha = float(q_alpha)
-    mean = float(mean)
-    if not (q_alpha < xhat):
-        raise ValueError(
-            f"quantile {q_alpha} must lie strictly below the right endpoint {xhat}"
-        )
-    if not (mean < xhat):
-        raise ValueError(f"mean {mean} must lie strictly below the right endpoint {xhat}")
+    xhat, q_alpha, mean = _endpoint_inputs(xhat, q_alpha, mean)
     c_eta = ((xhat - mean) * (eta + 1.0)) ** (1.0 / (eta + 1.0))
     lead = (
         eta
@@ -229,15 +238,7 @@ def weibull_beta_star_ratio(
     eta = float(eta)
     if not (eta > 0.0):
         raise ValueError(f"endpoint level ratio needs eta > 0, got {eta}")
-    xhat = float(xhat)
-    q_alpha = float(q_alpha)
-    mean = float(mean)
-    if not (q_alpha < xhat):
-        raise ValueError(
-            f"quantile {q_alpha} must lie strictly below the right endpoint {xhat}"
-        )
-    if not (mean < xhat):
-        raise ValueError(f"mean {mean} must lie strictly below the right endpoint {xhat}")
+    xhat, q_alpha, mean = _endpoint_inputs(xhat, q_alpha, mean)
     return ((xhat - mean) * (eta + 1.0) / (xhat - q_alpha)) ** (eta / (eta + 1.0))
 
 
@@ -304,6 +305,31 @@ def extreme_expectile_estimate(
     return (eta_hat - 1.0) ** (-1.0 / eta_hat) * sample.quantile(alpha)
 
 
+def _centered_tail(dist: Distribution, alpha: float, order: int):
+    """(eta, rho, A(q_alpha)) of the centered law of a Frechet-class ``dist``.
+
+    At first order only eta is used: rho comes back None and A as 0.0.
+    """
+    centered = dist.centered()
+    ccls = centered.mda()
+    if order == 1:
+        return ccls.eta, None, 0.0
+    if ccls.rho is None:
+        raise ValueError(f"{dist.label} has no second-order tail parametrization; use order=1")
+    return ccls.eta, ccls.rho, float(ccls.auxiliary(centered.quantile(alpha)))
+
+
+def _polynomial_class(dist: Distribution):
+    """``dist.mda()``, refusing the Gumbel class, which has no ratio expansion."""
+    cls = dist.mda()
+    if cls.mda == "gumbel":
+        raise ValueError(
+            f"{dist.label} has a light (Gumbel-type) tail: no polynomial ratio "
+            "expansion exists; see gumbel_relation() for the qualitative statement"
+        )
+    return cls
+
+
 def ratio_expansion(dist: Distribution, alpha: float, order: int = 2) -> ExpansionResult:
     """Evaluate the ratio expansion matching ``dist``'s extreme-value class.
 
@@ -316,33 +342,53 @@ def ratio_expansion(dist: Distribution, alpha: float, order: int = 2) -> Expansi
     """
     alpha = _check_alpha(alpha)
     order = _check_order(order)
-    cls = dist.mda()
+    cls = _polynomial_class(dist)
+    if cls.mda == "frechet":
+        eta, rho, a_val = _centered_tail(dist, alpha, order)
+        return frechet_ratio(eta, rho, a_val, alpha, order=order)
+    xhat = cls.right_endpoint
+    q = dist.quantile(alpha)
+    mean = dist.mean()
+    if order == 1:
+        return weibull_ratio(cls.eta, None, xhat, mean, q, 0.0, alpha, order=1)
+    if cls.rho is None:
+        raise ValueError(f"{dist.label} has no second-order tail parametrization; use order=1")
+    a0 = float(cls.auxiliary((xhat - q) ** (-cls.eta / (cls.eta + 1.0))))
+    return weibull_ratio(cls.eta, cls.rho, xhat, mean, q, a0, alpha, order=2)
+
+
+def beta_star_expansion(dist: Distribution, alpha: float, order: int = 2) -> ExpansionResult:
+    """Evaluate the level-ratio expansion of (1 - beta*)/(1 - alpha) for
+    ``dist``'s extreme-value class.
+
+    Frechet class: ``frechet_beta_star_ratio`` with the centered law's
+    tail parameters, as in ``ratio_expansion``.  Weibull class: only the
+    leading order is known, so the result has ``order == 1`` whatever
+    order was asked for.  Gumbel class: raises.
+    """
+    alpha = _check_alpha(alpha)
+    order = _check_order(order)
+    cls = _polynomial_class(dist)
+    if cls.mda == "frechet":
+        eta, rho, a_val = _centered_tail(dist, alpha, order)
+        return frechet_beta_star_ratio(eta, rho, a_val, alpha, order=order)
+    lead = weibull_beta_star_ratio(
+        cls.eta, cls.right_endpoint, dist.quantile(alpha), alpha, mean=dist.mean()
+    )
+    return ExpansionResult(1, lead, 0.0, lead, alpha)
+
+
+def exact_ratio(dist: Distribution, alpha: float) -> float:
+    """The exact value that ``ratio_expansion`` approximates.
+
+    Frechet class: e_alpha/ES_alpha of the centered law.  Weibull class:
+    the endpoint gap ratio (xhat - ES_alpha)/(xhat - e_alpha) of the raw
+    variable.  Gumbel class: raises, as ``ratio_expansion`` does.
+    """
+    alpha = _check_alpha(alpha)
+    cls = _polynomial_class(dist)
     if cls.mda == "frechet":
         centered = dist.centered()
-        ccls = centered.mda()
-        if order == 1:
-            return frechet_ratio(ccls.eta, None, 0.0, alpha, order=1)
-        if ccls.rho is None:
-            raise ValueError(
-                f"{dist.label} has no second-order tail parametrization; use order=1"
-            )
-        q = centered.quantile(alpha)
-        a_val = float(ccls.auxiliary(q))
-        return frechet_ratio(ccls.eta, ccls.rho, a_val, alpha, order=2)
-    if cls.mda == "weibull":
-        xhat = cls.right_endpoint
-        q = dist.quantile(alpha)
-        mean = dist.mean()
-        if order == 2 and cls.rho is not None:
-            target = (xhat - q) ** (-cls.eta / (cls.eta + 1.0))
-            a0 = float(cls.auxiliary(target))
-            return weibull_ratio(cls.eta, cls.rho, xhat, mean, q, a0, alpha, order=2)
-        if order == 2:
-            raise ValueError(
-                f"{dist.label} has no second-order tail parametrization; use order=1"
-            )
-        return weibull_ratio(cls.eta, None, xhat, mean, q, 0.0, alpha, order=1)
-    raise ValueError(
-        f"{dist.label} has a light (Gumbel-type) tail: no polynomial ratio "
-        "expansion exists; see gumbel_relation() for the qualitative statement"
-    )
+        return expectile(centered, alpha) / expected_shortfall(centered, alpha)
+    xhat = cls.right_endpoint
+    return (xhat - expected_shortfall(dist, alpha)) / (xhat - expectile(dist, alpha))

@@ -17,13 +17,14 @@ from typing import Optional
 import numpy as np
 
 from .allocation import Portfolio, es_euler, expectile_euler
-from .asymptotics import (
-    frechet_beta_star_ratio,
-    gumbel_relation,
-    ratio_expansion,
-    weibull_beta_star_ratio,
+from .asymptotics import beta_star_expansion, exact_ratio, gumbel_relation, ratio_expansion
+from .concentration import (
+    density_bound,
+    parse_tail_class,
+    sample_size,
+    size_ratio_curve,
+    var_sample_size,
 )
-from .concentration import parse_tail_class, sample_size, size_ratio_curve, var_sample_size
 from .distributions import Sample, parse_distribution
 from .montecarlo import (
     SimulationConfig,
@@ -182,66 +183,35 @@ def _cmd_allocate(args) -> str:
 def _cmd_asympt(args) -> str:
     dist = _dist(args.dist)
     alpha = _expectile_level(args.alpha)
-    cls_name = dist.mda().mda if _has_mda(dist) else None
-    if cls_name is None:
-        raise _ValidationError(f"--dist: {dist.label} has no tail classification")
+    try:
+        cls_name = dist.mda().mda
+    except (ValueError, NotImplementedError):
+        raise _ValidationError(f"--dist: {dist.label} has no tail classification") from None
     if cls_name == "gumbel":
         relation = gumbel_relation(satisfies_second_order=dist.family == "exp")
         return (
             f"{dist.label}: light (Gumbel-type) tail; expectile and ES are "
             f"{relation} as alpha -> 1 (no polynomial expansion)\n"
         )
-    lines = [f"{dist.label}: {cls_name}-type tail"]
     if args.target == "ratio":
         res = ratio_expansion(dist, alpha, order=args.order)
-        if cls_name == "frechet":
-            centered = dist.centered()
-            exact = expectile(centered, alpha) / expected_shortfall(centered, alpha)
-            lines.append(f"target: centered expectile/ES ratio at alpha={alpha:g}")
-        else:
-            xhat = dist.mda().right_endpoint
-            exact = (xhat - expected_shortfall(dist, alpha)) / (xhat - expectile(dist, alpha))
-            lines.append(f"target: endpoint gap ratio (xhat-ES)/(xhat-e) at alpha={alpha:g}")
+        exact = exact_ratio(dist, alpha)
+        target = ("centered expectile/ES ratio" if cls_name == "frechet"
+                  else "endpoint gap ratio (xhat-ES)/(xhat-e)")
+    else:
+        res = beta_star_expansion(dist, alpha, order=args.order)
+        exact = (1.0 - beta_star(dist, alpha).point) / (1.0 - alpha)
+        target = "level ratio (1-beta*)/(1-alpha)"
+    lines = [f"{dist.label}: {cls_name}-type tail", f"target: {target} at alpha={alpha:g}"]
+    if args.target == "beta-star" and cls_name == "weibull":
+        lines.append(f"leading-order value {res.value:.4f}")
+    else:
         lines.append(
             f"order {res.order}: leading {res.leading:.4f}, correction {res.correction:.4f},"
             f" value {res.value:.4f}"
         )
-        lines.append(f"exact {exact:.4f}, |error| {abs(res.value - exact):.2e}")
-    else:
-        bs = beta_star(dist, alpha)
-        exact = (1.0 - bs.point) / (1.0 - alpha)
-        if cls_name == "frechet":
-            centered = dist.centered()
-            ccls = centered.mda()
-            if args.order == 2 and ccls.rho is None:
-                raise ValueError(
-                    f"{dist.label} has no second-order tail parametrization; use --order 1"
-                )
-            a_val = 0.0 if args.order == 1 else float(ccls.auxiliary(centered.quantile(alpha)))
-            res = frechet_beta_star_ratio(ccls.eta, ccls.rho, a_val, alpha, order=args.order)
-            lines.append(f"target: level ratio (1-beta*)/(1-alpha) at alpha={alpha:g}")
-            lines.append(
-                f"order {res.order}: leading {res.leading:.4f}, correction {res.correction:.4f},"
-                f" value {res.value:.4f}"
-            )
-            lines.append(f"exact {exact:.4f}, |error| {abs(res.value - exact):.2e}")
-        else:
-            cls = dist.mda()
-            approx = weibull_beta_star_ratio(
-                cls.eta, cls.right_endpoint, dist.quantile(alpha), alpha, mean=dist.mean()
-            )
-            lines.append(f"target: level ratio (1-beta*)/(1-alpha) at alpha={alpha:g}")
-            lines.append(f"leading-order value {approx:.4f}")
-            lines.append(f"exact {exact:.4f}, |error| {abs(approx - exact):.2e}")
+    lines.append(f"exact {exact:.4f}, |error| {abs(res.value - exact):.2e}")
     return "\n".join(lines) + "\n"
-
-
-def _has_mda(dist) -> bool:
-    try:
-        dist.mda()
-        return True
-    except (ValueError, NotImplementedError):
-        return False
 
 
 def _cmd_sample_size(args) -> str:
@@ -272,19 +242,11 @@ def _cmd_sample_size(args) -> str:
         if delta <= 0:
             raise _ValidationError(f"--delta-alpha: must be positive, got {delta:g}")
     elif dist is not None:
-        q = dist.quantile(alpha)
         try:
-            delta = float(dist.density(q + args.delta_offset))
-        except NotImplementedError:
-            raise _ValidationError(
-                f"--dist: {dist.label} has no density; pass --delta-alpha"
-            ) from None
+            delta = density_bound(dist, alpha, args.delta_offset)
+        except ValueError as exc:
+            raise _ValidationError(str(exc)) from None
         delta_note = f"{dist.label} density at q+{args.delta_offset:g}"
-        if delta <= 0:
-            raise _ValidationError(
-                f"--delta-offset: density vanishes at q_alpha + {args.delta_offset:g}; "
-                "pass --delta-alpha or a smaller offset"
-            )
     else:
         delta, delta_note = 1.0, "default"
     try:
@@ -307,10 +269,7 @@ def _cmd_table(args) -> str:
     dist = _dist(args.dist)
     alphas = tuple(_float_list(args.alphas, "alphas"))
     ns = tuple(_int_list(args.ns, "ns"))
-    reps = int(args.replications)
-    if reps < 1:
-        raise _ValidationError(f"--replications: must be >= 1, got {reps}")
-    cfg = SimulationConfig(dist, alphas, ns, seed=args.seed, vs=args.vs, replications=reps)
+    cfg = SimulationConfig(dist, alphas, ns, args.seed, args.vs, args.replications)
     try:
         rows = ratio_table(cfg)
     except ValueError as exc:
@@ -331,18 +290,11 @@ def _cmd_figure(args) -> str:
     if not (lo < hi):
         raise _ValidationError(f"--alpha-min: {lo:g} must be below --alpha-max {hi:g}")
     grid = list(np.linspace(lo, hi, args.points))
-    if kind == "weibull-beta":
-        if args.a is None:
-            raise _ValidationError("--a: required for kind weibull-beta")
-        header, rows = figure_series("weibull-beta", a=args.a, alphas=grid)
-    elif kind == "frechet-pareto":
-        if args.a is None:
-            raise _ValidationError("--a: required for kind frechet-pareto")
-        header, rows = figure_series("frechet-pareto", a=args.a, alphas=grid)
-    else:
-        if args.nu is None:
-            raise _ValidationError("--nu: required for kind frechet-student")
-        header, rows = figure_series("frechet-student", nu=args.nu, alphas=grid)
+    param = "nu" if kind == "frechet-student" else "a"
+    value = getattr(args, param)
+    if value is None:
+        raise _ValidationError(f"--{param}: required for kind {kind}")
+    header, rows = figure_series(kind, alphas=grid, **{param: value})
     return render_csv(header, rows)
 
 

@@ -40,6 +40,7 @@ __all__ = [
     "deviation_bound",
     "sample_size",
     "var_sample_size",
+    "density_bound",
     "SampleSizeReport",
     "size_ratio_curve",
 ]
@@ -298,6 +299,27 @@ def var_sample_size(delta_alpha: float, gamma: float, eps: float) -> int:
     return max(1, int(math.ceil(raw)))
 
 
+def density_bound(dist: Distribution, alpha: float, offset: float = 1.0) -> float:
+    """The density bound delta_alpha: the model density at q_alpha + offset.
+
+    The offset keeps the bound valid on a neighbourhood past the quantile
+    rather than at the point itself.  Raises when the model has no
+    density or the density vanishes there.
+    """
+    offset = float(offset)
+    q = dist.quantile(alpha)
+    try:
+        dens = float(dist.density(q + offset))
+    except NotImplementedError:
+        raise ValueError(f"{dist.label} has no density: pass delta_alpha explicitly") from None
+    if not (dens > 0.0):
+        raise ValueError(
+            f"density vanishes at q_{alpha:g} + {offset:g} = {q + offset:g} "
+            f"for {dist.label}; choose a smaller delta_offset"
+        )
+    return dens
+
+
 class SampleSizeReport(NamedTuple):
     """Planning sizes for one level, with every input that shaped them."""
 
@@ -323,29 +345,14 @@ def size_ratio_curve(
     delta_offset: float = 1.0,
 ) -> list:
     """Sample-size reports along a level grid, with delta_alpha taken
-    from the model density at q_alpha + delta_offset.
+    from ``density_bound(dist, alpha, delta_offset)``.
 
-    The offset keeps the density bound valid on a neighbourhood past the
-    quantile rather than at the point itself.  Requires a continuous
-    model with a density.
+    Requires a continuous model with a density.
     """
     rows = []
-    delta_offset = float(delta_offset)
     for a in alphas:
         a = float(a)
-        q = dist.quantile(a)
-        try:
-            dens = dist.density(q + delta_offset)
-        except NotImplementedError:
-            raise ValueError(
-                f"{dist.label} has no density: pass delta_alpha explicitly"
-            ) from None
-        dens = float(dens)
-        if not (dens > 0.0):
-            raise ValueError(
-                f"density vanishes at q_{a:g} + {delta_offset:g} = {q + delta_offset:g} "
-                f"for {dist.label}; choose a smaller delta_offset"
-            )
+        dens = density_bound(dist, a, delta_offset)
         n_var = var_sample_size(dens, gamma, eps)
         n_es = sample_size(tc, gamma, eps, a, "es")
         n_exp = sample_size(tc, gamma, eps, a, "expectile")

@@ -17,7 +17,7 @@ jumps).  The exact form backs the deviation inequalities
 theorems and are asserted as such in the tests.
 
 Figure series emit exact/first-order/second-order curve data as CSV-able
-rows so the anyone can replot the asymptotic-accuracy pictures.
+rows so anyone can replot the asymptotic-accuracy pictures.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 from . import risk_core
-from .asymptotics import ratio_expansion
+from .asymptotics import exact_ratio, ratio_expansion
 from .distributions import Distribution, PowerBeta, Pareto, Sample, StudentT
 from .risk_core import distortion_curves, expected_shortfall, expectile, value_at_risk
 
@@ -310,37 +310,21 @@ def figure_series(kind: str, **params):
         t, phi, mix = distortion_curves(alpha, points)
         return ["t", "phi", "phi_mix"], list(zip(t, phi, mix))
 
-    if kind == "weibull-beta":
-        a = float(params.pop("a"))
-        alphas = _alpha_grid(params.pop("alphas"))
-        if params:
-            raise ValueError(f"unexpected parameters for kind 'weibull-beta': {sorted(params)}")
-        dist = PowerBeta(a)
-        rows = []
-        for al in alphas:
-            e = expectile(dist, al)
-            es = expected_shortfall(dist, al)
-            exact = (1.0 - e) / (1.0 - es)
-            first = ratio_expansion(dist, al, order=1)
-            second = ratio_expansion(dist, al, order=2)
-            rows.append((al, exact, 1.0 / first.value, 1.0 / second.value))
-        return ["alpha", "exact", "first_order", "second_order"], rows
-
-    if kind in ("frechet-pareto", "frechet-student"):
-        if kind == "frechet-pareto":
-            dist = Pareto(float(params.pop("a")))
-        else:
+    if kind in ("weibull-beta", "frechet-pareto", "frechet-student"):
+        if kind == "frechet-student":
             dist = StudentT(float(params.pop("nu")))
+        else:
+            dist = (PowerBeta if kind == "weibull-beta" else Pareto)(float(params.pop("a")))
         alphas = _alpha_grid(params.pop("alphas"))
         if params:
             raise ValueError(f"unexpected parameters for kind {kind!r}: {sorted(params)}")
-        centered = dist.centered()
         rows = []
         for al in alphas:
-            exact = expectile(centered, al) / expected_shortfall(centered, al)
-            first = ratio_expansion(dist, al, order=1)
-            second = ratio_expansion(dist, al, order=2)
-            rows.append((al, exact, first.value, second.value))
+            values = [exact_ratio(dist, al), ratio_expansion(dist, al, order=1).value,
+                      ratio_expansion(dist, al, order=2).value]
+            if kind == "weibull-beta":
+                values = [1.0 / v for v in values]
+            rows.append((al, *values))
         return ["alpha", "exact", "first_order", "second_order"], rows
 
     raise ValueError(

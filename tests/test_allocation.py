@@ -200,6 +200,8 @@ def test_from_csv_reports_offending_line(tmp_path):
     ("1,2\n\n3,4\n\n\n5,6\n", [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),
     ("c1,c2,c3\n1,2,3\n", [[1.0, 2.0, 3.0]]),
     ("loss\n1\n2.5\n4\n", [[1.0], [2.5], [4.0]]),
+    ("\ufeff1,2\n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
+    ("\ufeffc1,c2\n1,2\n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
 ])
 def test_from_csv_accepted_layouts(tmp_path, text, want):
     path = tmp_path / "port.csv"

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from tailrisk.asymptotics import (
+    beta_star_expansion,
+    exact_ratio,
     extreme_expectile_estimate,
     frechet_beta_star_ratio,
     frechet_first_order_constant,
@@ -150,6 +152,43 @@ def test_weibull_beta_star_uniform_within_ten_percent():
     approx = weibull_beta_star_ratio(1.0, 1.0, d.quantile(alpha), alpha,
                                      mean=d.mean())
     assert abs(approx / exact - 1) < 0.10
+
+
+def test_beta_star_expansion_matches_manual_frechet_call():
+    d = Pareto(2.3)
+    alpha = 0.995
+    c = d.centered()
+    ccls = c.mda()
+    a_val = ccls.auxiliary(c.quantile(alpha))
+    manual = frechet_beta_star_ratio(ccls.eta, ccls.rho, a_val, alpha, order=2)
+    assert beta_star_expansion(d, alpha, order=2) == manual
+    manual1 = frechet_beta_star_ratio(ccls.eta, None, 0.0, alpha, order=1)
+    assert beta_star_expansion(d, alpha, order=1) == manual1
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_beta_star_expansion_weibull_is_leading_order_only(order):
+    d = Uniform01()
+    alpha = 0.99
+    res = beta_star_expansion(d, alpha, order=order)
+    want = weibull_beta_star_ratio(1.0, 1.0, d.quantile(alpha), alpha, mean=d.mean())
+    assert res.order == 1 and res.correction == 0.0
+    assert res.leading == res.value == want
+
+
+def test_beta_star_expansion_gumbel_raises():
+    with pytest.raises(ValueError, match="gumbel_relation"):
+        beta_star_expansion(Exponential(), 0.99)
+
+
+def test_exact_ratio_matches_inline_formulas():
+    for d in (Pareto(2.3), StudentT(2.9)):
+        assert exact_ratio(d, 0.995) == _exact_centered_ratio(d, 0.995)
+    d = PowerBeta(2.0)
+    gap = (1 - expected_shortfall(d, 0.995)) / (1 - expectile(d, 0.995))
+    assert exact_ratio(d, 0.995) == gap
+    with pytest.raises(ValueError, match="gumbel_relation"):
+        exact_ratio(Exponential(), 0.99)
 
 
 # -------------------------------------------------------------- weibull

@@ -194,6 +194,20 @@ def test_table_out_file_roundtrip(tmp_path, capsys):
     assert dest.read_text() == direct
 
 
+@pytest.mark.parametrize("argv, fragment", [
+    (["sample-size", "--tail", "poly:q=3,s=2.5", "--gamma", "0.05", "--eps", "0.1",
+      "--alpha", "0.9", "--dist", "twopoint:x1=0,x2=1,p=0.5"], "has no density"),
+    (["sample-size", "--tail", "poly:q=3,s=2.5", "--gamma", "0.05", "--eps", "0.1",
+      "--alpha", "0.9", "--dist", "uniform"], "density vanishes"),
+    (["table", "--dist", "exp", "--alphas", "0.9", "--ns", "10",
+      "--replications", "0"], "replications"),
+], ids=["no-density", "density-vanishes", "zero-replications"])
+def test_invalid_model_inputs_exit_2(capsys, argv, fragment):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and fragment in err
+
+
 def test_table_validation(capsys):
     code, _, err = run(capsys, ["table", "--dist", "exp", "--alphas", "0.9,x",
                                 "--ns", "100"])
@@ -233,6 +247,33 @@ def test_asympt_beta_star_target(capsys):
                                 "--target", "beta-star"])
     assert code == 0
     assert "level ratio (1-beta*)/(1-alpha)" in out
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["--dist", "pareto:a=2.3", "--alpha", "0.995"],
+     "pareto:a=2.3: frechet-type tail\n"
+     "target: centered expectile/ES ratio at alpha=0.995\n"
+     "order 2: leading 0.5021, correction -0.0147, value 0.4947\n"
+     "exact 0.4978, |error| 3.11e-03\n"),
+    (["--dist", "student:nu=2.3", "--alpha", "0.999", "--target", "beta-star"],
+     "student:nu=2.3: frechet-type tail\n"
+     "target: level ratio (1-beta*)/(1-alpha) at alpha=0.999\n"
+     "order 2: leading 1.3026, correction -0.0058, value 1.2950\n"
+     "exact 1.2951, |error| 7.59e-05\n"),
+    (["--dist", "uniform", "--alpha", "0.99", "--target", "beta-star"],
+     "uniform: weibull-type tail\n"
+     "target: level ratio (1-beta*)/(1-alpha) at alpha=0.99\n"
+     "leading-order value 10.0000\n"
+     "exact 9.1325, |error| 8.67e-01\n"),
+    (["--dist", "power:a=1.1", "--alpha", "0.99"],
+     "power:a=1.1: weibull-type tail\n"
+     "target: endpoint gap ratio (xhat-ES)/(xhat-e) at alpha=0.99\n"
+     "order 2: leading 0.0484, correction 0.0962, value 0.0530\n"
+     "exact 0.0533, |error| 2.91e-04\n"),
+], ids=["pareto-ratio", "student-beta-star", "uniform-beta-star", "power-ratio"])
+def test_asympt_full_stdout(capsys, argv, want):
+    code, out, err = run(capsys, ["asympt"] + argv)
+    assert (code, out, err) == (0, want, "")
 
 
 # ---------------------------------------------------------------- figure

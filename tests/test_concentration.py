@@ -8,6 +8,7 @@ from tailrisk.concentration import (
     ExpMoment,
     PolyMoment,
     SubExpMoment,
+    density_bound,
     deviation_bound,
     parse_tail_class,
     sample_size,
@@ -248,6 +249,12 @@ def test_delta_offset_changes_density_bound():
                                 0.05, 0.1, (0.9,), delta_offset=5.0)
     assert rows_near[0].delta_alpha > rows_far[0].delta_alpha
     assert rows_near[0].n_var < rows_far[0].n_var
+
+
+def test_density_bound_is_density_past_quantile():
+    d = Pareto(2.1)
+    for offset in (0.1, 1.0, 5.0):
+        assert density_bound(d, 0.9, offset) == d.density(d.quantile(0.9) + offset)
 
 
 def test_uniform_density_vanishes_past_support():
