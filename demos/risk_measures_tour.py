@@ -6,7 +6,7 @@ chain, and the tail level beta* at which a mixture of ES and the mean
 reproduces the expectile exactly.
 """
 
-from tailrisk.distributions import Pareto, StudentT, Exponential, TwoPoint, parse_distribution
+from tailrisk.distributions import Pareto, TwoPoint, parse_distribution
 from tailrisk.risk_core import (
     beta_star,
     expectile,

@@ -15,7 +15,7 @@ from tailrisk.asymptotics import (
     hill_estimator,
     ratio_expansion,
 )
-from tailrisk.distributions import Pareto, PowerBeta, StudentT
+from tailrisk.distributions import Pareto, StudentT
 from tailrisk.montecarlo import figure_series
 from tailrisk.risk_core import expectile
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Sequence
 
 from .distributions import Distribution
 

@@ -8,13 +8,12 @@ from the master seed by a documented SplitMix64 chain so any cell can be
 reproduced in isolation and adding replications never reshuffles earlier
 draws.
 
-The Wasserstein helpers compute the order-1 distance between an
-empirical law and a model, w = int_0^1 |q_n(u) - q(u)| du, both by
-quadrature (uniform grid plus geometric tail refinement) and exactly
-(piecewise integration of the model quantile between the empirical
-jumps).  The exact form backs the deviation inequalities
-|ES_n - ES| <= w/(1-alpha) and |e_n - e| <= alpha w/(1-alpha), which are
-theorems and are asserted as such in the tests.
+``wasserstein_exact`` computes the order-1 distance between an empirical
+law and a model, w = int_0^1 |q_n(u) - q(u)| du, in closed form: the
+model quantile is integrated exactly between the empirical jumps.  It
+backs the deviation inequalities |ES_n - ES| <= w/(1-alpha) and
+|e_n - e| <= alpha w/(1-alpha), which are theorems and are asserted as
+such in the tests.
 
 Figure series emit exact/first-order/second-order curve data as CSV-able
 rows so anyone can replot the asymptotic-accuracy pictures.
@@ -23,13 +22,10 @@ rows so anyone can replot the asymptotic-accuracy pictures.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional, Sequence, Tuple, Union
+from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz
-
-from . import risk_core
 from .asymptotics import exact_ratio, ratio_expansion
 from .distributions import Distribution, PowerBeta, Pareto, Sample, StudentT
 from .risk_core import distortion_curves, expected_shortfall, expectile, value_at_risk
@@ -42,7 +38,6 @@ __all__ = [
     "ratio_table",
     "ratio_table_csv",
     "wasserstein_exact",
-    "wasserstein_empirical",
     "figure_series",
     "render_csv",
 ]
@@ -225,52 +220,6 @@ def wasserstein_exact(s: Sample, dist: Distribution) -> float:
     )
     total = float(np.sum(area))
     return max(total, 0.0)
-
-
-_TAIL_FLOOR = 1.2e-13  # keeps 1 - u strictly below 1 in floats
-_TAIL_RATIO = 2.0 ** 0.25  # quarter-octave spacing in the tails
-
-
-def wasserstein_empirical(
-    s: Sample,
-    dist: Distribution,
-    grid: int = 2000,
-    full_output: bool = False,
-) -> Union[float, Tuple[float, float]]:
-    """Quadrature estimate of the order-1 distance.
-
-    Trapezoid rule on a uniform u-grid, augmented by geometric
-    (quarter-octave) refinement in both tails from the uniform node
-    spacing down to ~1.2e-13, so the regularly-varying blow-up of heavy-
-    tail quantiles never spans a single wide panel.  ``full_output`` adds
-    an error estimate combining the resolution difference against a
-    half-density grid with closed-form bounds on the truncated tail mass.
-    """
-    grid = int(grid)
-    if grid < 100:
-        raise ValueError(f"quadrature grid must have at least 100 points, got {grid}")
-    h = 1.0 / (grid + 1)
-    steps = int(math.ceil(math.log(h / _TAIL_FLOOR) / math.log(_TAIL_RATIO)))
-    tail = h * _TAIL_RATIO ** -np.arange(1.0, steps + 1.0)
-    u = np.concatenate([tail[::-1], np.linspace(h, 1.0 - h, grid), 1.0 - tail])
-    g = np.abs(s.quantile(u) - dist.quantile(u))
-    value = float(_trapezoid(g, u))
-    if not full_output:
-        return value
-    coarse = float(_trapezoid(g[::2], u[::2]))
-    resolution = abs(value - coarse)
-    u_lo = float(u[0])
-    u_hi = float(u[-1])
-    mu = dist.mean()
-    lower_model = abs(mu - (1.0 - u_lo) * dist.es(u_lo))
-    upper_model = abs((1.0 - u_hi) * dist.es(u_hi))
-    truncation = (
-        lower_model
-        + u_lo * abs(s.min())
-        + upper_model
-        + (1.0 - u_hi) * abs(s.max())
-    )
-    return value, resolution + truncation
 
 
 def _alpha_grid(alphas: Sequence[float]) -> list:

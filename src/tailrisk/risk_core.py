@@ -21,7 +21,6 @@ All functionals accept any loss source exposing the common interface from
 
 from __future__ import annotations
 
-import math
 import warnings
 from typing import NamedTuple, Union
 
@@ -150,7 +149,8 @@ def expectile(src: LossSource, alpha: float) -> float:
 
     Bracketed by [mean, ES_alpha] (always valid for alpha >= 1/2) and
     solved with Brent's method to 1e-12 absolute for empirical sources,
-    1e-10 for parametric ones.  At alpha = 1/2 returns the mean exactly.
+    1e-10 for parametric ones, both relative to the bracket's magnitude
+    once it lies below 1.  At alpha = 1/2 returns the mean exactly.
     """
     _check_expectile_level(alpha)
     mu = float(src.mean())
@@ -166,7 +166,7 @@ def expectile(src: LossSource, alpha: float) -> float:
         return mu
     if g(hi) >= 0.0:
         return hi
-    xtol = 1e-12 if isinstance(src, Sample) else 1e-10
+    xtol = (1e-12 if isinstance(src, Sample) else 1e-10) * min(1.0, max(abs(mu), abs(hi)))
     return float(brentq(g, mu, hi, xtol=xtol, rtol=8.9e-16, maxiter=200))
 
 

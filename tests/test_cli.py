@@ -40,12 +40,15 @@ def test_out_of_range_level_exits_2(capsys):
     assert code == 0
 
 
-def test_computation_failure_exits_1(capsys):
-    # no second-order tail data exists for the uniform law
-    code, _, err = run(capsys, ["asympt", "--dist", "uniform", "--alpha", "0.99",
-                                "--order", "2"])
-    assert code == 1
-    assert "use order=1" in err
+def test_computation_failure_exits_1(tmp_path, capsys):
+    # valid input, but the strict tail event the ES contributions average
+    # is empty: the 0.9-quantile ties the largest total loss
+    path = tmp_path / "scen.csv"
+    path.write_text("1,1\n1,1\n2,2\n")
+    code, out, err = run(capsys, ["allocate", "--csv", str(path), "--alpha", "0.9",
+                                  "--measure", "es"])
+    assert code == 1 and out == ""
+    assert "ties the sample maximum" in err
 
 
 # ------------------------------------------------------------------ risk
@@ -201,7 +204,14 @@ def test_table_out_file_roundtrip(tmp_path, capsys):
       "--alpha", "0.9", "--dist", "uniform"], "density vanishes"),
     (["table", "--dist", "exp", "--alphas", "0.9", "--ns", "10",
       "--replications", "0"], "replications"),
-], ids=["no-density", "density-vanishes", "zero-replications"])
+    (["asympt", "--dist", "uniform", "--alpha", "0.99"], "--order: "),
+    (["figure", "--kind", "frechet-pareto", "--a", "0.9"], "--a: "),
+    (["figure", "--kind", "frechet-student", "--nu", "0.9"], "--nu: "),
+    (["figure", "--kind", "weibull-beta", "--a", "-1"], "--a: "),
+    (["figure", "--kind", "weibull-beta", "--a", "1"], "--a: "),
+], ids=["no-density", "density-vanishes", "zero-replications", "second-order-missing",
+        "pareto-infinite-mean", "student-infinite-mean", "power-negative-shape",
+        "power-uniform-shape"])
 def test_invalid_model_inputs_exit_2(capsys, argv, fragment):
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
@@ -313,5 +323,11 @@ def test_figure_pareto_curves(capsys):
 def test_wasserstein_report(capsys):
     code, out, _ = run(capsys, ["wasserstein", "--dist", "exp", "--n", "200"])
     assert code == 0
-    assert "exact = " in out
-    assert out.count("<= bound") == 2
+    assert out == (
+        "w(sample n=200, exp) exact = 0.0519974\n"
+        "es deviation at alpha=0.99: 0.640517 <= bound 5.19974\n"
+        "expectile deviation at alpha=0.99: 0.178644 <= bound 5.14774\n"
+    )
+    # the quadrature estimate and its --grid option are gone
+    code, out, _ = run(capsys, ["wasserstein", "--dist", "exp", "--n", "200", "--grid", "2000"])
+    assert code == 2 and out == ""

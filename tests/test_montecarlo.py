@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.special import stdtr
 
 from tailrisk.distributions import (
     Exponential,
@@ -20,7 +22,6 @@ from tailrisk.montecarlo import (
     ratio_table_csv,
     render_csv,
     splitmix64,
-    wasserstein_empirical,
     wasserstein_exact,
 )
 from tailrisk.risk_core import expectile, expected_shortfall, value_at_risk
@@ -132,28 +133,49 @@ def test_two_point_distance_by_hand():
     s = Sample(np.array([0.0, 0.0, 1.0, 1.0]))
     d = TwoPoint(0.0, 1.0, 0.75)
     assert abs(wasserstein_exact(s, d) - 0.25) < 1e-12
-    assert abs(wasserstein_empirical(s, d) - 0.25) < 5e-3
     d = TwoPoint(0.0, 1.0, 0.25)
     assert abs(wasserstein_exact(s, d) - 0.25) < 1e-12
 
 
+def _w1_reference(values, cdf, sf, lower):
+    """int |F_n(x) - F(x)| dx by adaptive quadrature in x.
+
+    One piece per gap between consecutive distinct order statistics, where
+    F_n is constant, plus int F below the sample minimum and int (1 - F)
+    above its maximum.  Shares nothing with ``wasserstein_exact``, which
+    integrates quantiles in u through the model's ES.
+    """
+    z, counts = np.unique(values, return_counts=True)
+    level = np.cumsum(counts) / len(values)
+    opts = dict(epsabs=0.0, epsrel=1e-13, limit=200)
+    total = quad(cdf, lower, z[0], **opts)[0] if lower < z[0] else 0.0
+    for a, b, c in zip(z[:-1], z[1:], level[:-1]):
+        total += quad(lambda x: abs(c - cdf(x)), a, b, **opts)[0]
+    return total + quad(sf, z[-1], np.inf, **opts)[0]
+
+
+# (model, cdf, survival function, lower end of the support), the CDFs in
+# closed form or straight from scipy.special
+W1_MODELS = (
+    (Pareto(2.1), lambda x: -np.expm1(-2.1 * np.log1p(x)), lambda x: (1.0 + x) ** -2.1, 0.0),
+    (Exponential(), lambda x: -np.expm1(-x), lambda x: np.exp(-x), 0.0),
+    (Uniform01(), lambda x: min(x, 1.0), lambda x: max(1.0 - x, 0.0), 0.0),
+    (StudentT(2.3), lambda x: stdtr(2.3, x), lambda x: stdtr(2.3, -x), -np.inf),
+)
+
+
 def test_exact_matches_fine_quadrature():
-    for dist in (Pareto(2.1), Exponential(), Uniform01(), StudentT(2.3)):
-        smp = dist.sample(500, seed=9)
-        wx = wasserstein_exact(smp, dist)
-        wq = wasserstein_empirical(smp, dist, grid=100_000)
-        assert abs(wx - wq) / wx < 1e-3
-        # default grid is coarser but still in the neighbourhood
-        assert abs(wx - wasserstein_empirical(smp, dist)) / wx < 0.05
-
-
-def test_full_output_reports_positive_error_estimate():
-    smp = Pareto(2.1).sample(500, seed=9)
-    value, err = wasserstein_empirical(smp, Pareto(2.1), full_output=True)
-    assert err > 0.0
-    assert value == pytest.approx(wasserstein_empirical(smp, Pareto(2.1)), rel=1e-15)
-    with pytest.raises(ValueError, match="at least 100"):
-        wasserstein_empirical(smp, Pareto(2.1), grid=50)
+    for dist, cdf, sf, lower in W1_MODELS:
+        for n in (20, 200):
+            smp = dist.sample(n, seed=9)
+            want = _w1_reference(smp.values, cdf, sf, lower)
+            assert wasserstein_exact(smp, dist) == pytest.approx(want, rel=1e-8, abs=0.0)
+    # ties in the sample; the model's atoms sit on sample points
+    smp = Sample(np.array([0.0, 0.0, 1.0, 1.0, 1.0, 2.0]))
+    d = TwoPoint(0.0, 2.0, 0.5)
+    want = _w1_reference(smp.values, d.cdf, lambda x: 1.0 - d.cdf(x), 0.0)
+    assert want == pytest.approx(0.5, rel=1e-12)
+    assert wasserstein_exact(smp, d) == pytest.approx(0.5, rel=1e-12)
 
 
 def test_self_distance_shrinks_with_sample_size():
@@ -179,6 +201,29 @@ def test_risk_gaps_bounded_by_distance():
                 if e_gap > alpha / (1.0 - alpha) * w + 1e-12:
                     viol += 1
     assert viol == 0
+
+
+def test_deviation_bounds_on_tied_and_scaled_losses():
+    # the printed bounds |ES_n - ES| <= w/(1-alpha) and
+    # |e_n - e| <= alpha w/(1-alpha) on 0/s samples (every value tied)
+    # against the two-point model, at every scale; the slack is relative,
+    # so small scales cannot pass on it alone
+    rng = np.random.default_rng(0)
+    hits = [rng.random(8) < 0.3 for _ in range(20)]
+    viol = []
+    for s in (1e-15, 1e-13, 1e-10, 1e-5, 1.0, 1e5, 1e10, 1e15):
+        model = TwoPoint(0.0, s, 0.75)
+        for h in hits:
+            smp = Sample(s * h)
+            w = wasserstein_exact(smp, model)
+            for alpha in (0.5, 0.6, 0.75, 0.9, 0.99):
+                for name, measure, lip in (("es", expected_shortfall, 1.0),
+                                           ("expectile", expectile, alpha)):
+                    got, want = measure(smp, alpha), measure(model, alpha)
+                    slack = 1e-12 * max(abs(got), abs(want))
+                    if abs(got - want) > lip * w / (1.0 - alpha) + slack:
+                        viol.append((name, s, alpha, got, want, w))
+    assert viol == []
 
 
 # -------------------------------------------------------- figure series

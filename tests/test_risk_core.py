@@ -140,6 +140,12 @@ def test_two_point_expectile_anchor():
     assert abs(expected_shortfall(d, 4.0 / 9.0) - 0.9) < 1e-12
 
 
+@pytest.mark.parametrize("s", [10.0 ** k for k in range(-15, 16)])
+def test_expectile_is_scale_free(s):
+    # 0.6 * 0.25 (s - e) = 0.4 * 0.75 e gives e = s/3 at every magnitude
+    assert expectile(TwoPoint(0.0, s, 0.75), 0.6) / s == pytest.approx(1.0 / 3.0, rel=1e-12)
+
+
 # ---------------------------------------------------------------- oce
 
 def test_oce_matches_es_mixture():
