@@ -148,14 +148,17 @@ def es_euler(p: Portfolio, alpha: float) -> np.ndarray:
 def expectile_euler(p: Portfolio, alpha: float, check: bool = True) -> np.ndarray:
     """Expectile contributions via the weighted tail/body average.
 
-    Ties with the expectile root are classified as <= within 1e-12
-    absolute tolerance.  ``check=True`` re-derives every contribution
-    through the ES-combination form and asserts 1e-9 agreement; its column
-    means come from their own reduction over all rows.
+    The body is {total <= e}, with no tolerance: a scenario tied with the
+    root e adds nothing to either side of the first-order condition, so
+    full allocation holds whichever side it is put on.  ``check=True``
+    asserts full allocation, sum(contrib) = e to 1e-12 relative to
+    sum |contrib|, and re-derives every contribution through the
+    ES-combination form to 1e-9; its column means come from their own
+    reduction over all rows.
     """
     _check_expectile_level(alpha)
     e = expectile(Sample(p.total), alpha)
-    le = p.total <= e + 1e-12
+    le = p.total <= e
     n = p.n
     n_le = int(np.count_nonzero(le))
     body_w = le.astype(float)
@@ -163,6 +166,13 @@ def expectile_euler(p: Portfolio, alpha: float, check: bool = True) -> np.ndarra
     tail = (1.0 - body_w) @ p.components / n
     den = alpha + (1.0 - 2.0 * alpha) * (n_le / n)
     contrib = (alpha * tail + (1.0 - alpha) * body) / den
+    if check:
+        total = float(np.sum(contrib))
+        if abs(total - e) > 1e-12 * float(np.sum(np.abs(contrib))):
+            raise AssertionError(
+                f"expectile full allocation failed: contributions sum to {total!r}, "
+                f"portfolio expectile {e!r} at alpha={alpha}"
+            )
     if check and 0 < n_le < n:
         w = (1.0 - alpha) / den
         es_contrib = tail * (n / (n - n_le))

@@ -358,7 +358,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", required=True, help="scenario file: one row per scenario")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--measure", choices=("expectile", "es"), default="expectile")
-    p.add_argument("--no-check", action="store_true", help="skip the combination cross-check")
+    p.add_argument("--no-check", action="store_true",
+                   help="skip the full-allocation and combination cross-checks")
     p.set_defaults(func=_cmd_allocate)
 
     p = sub.add_parser("asympt", help="tail expansion vs the exact value")

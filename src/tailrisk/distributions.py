@@ -226,7 +226,8 @@ class PowerBeta(Distribution):
 
     def _es0(self, beta):
         a = self.a
-        return a * (1.0 - beta ** ((a + 1.0) / a)) / ((1.0 - beta) * (a + 1.0))
+        # 1 - beta^k as -expm1(k log beta): no cancellation as beta -> 1
+        return a * -np.expm1((a + 1.0) / a * np.log(beta)) / ((1.0 - beta) * (a + 1.0))
 
     def _pdf0(self, x):
         x = np.asarray(x)

@@ -7,8 +7,9 @@ All functionals accept any loss source exposing the common interface from
 - ``expected_shortfall`` — the source's closed-form tail average, exact
   for both parametric and empirical sources;
 - ``expectile`` — unique root of the first-order condition
-  alpha E[(L-m)+] = (1-alpha) E[(L-m)-], solved by Brent's method on the
-  analytic bracket [mean, ES_alpha];
+  alpha E[(L-m)+] = (1-alpha) E[(L-m)-]: for parametric sources by Newton's
+  method started at the ES lower bound, for samples by one linear solve
+  on the segment between order statistics that holds the root;
 - ``oce`` — the optimized certainty equivalent of a piecewise-linear
   utility, evaluated through its expected-shortfall representation;
 - ``expectile_bounds`` / ``beta_star`` / ``expectile_from_es`` — the exact
@@ -25,8 +26,6 @@ import warnings
 from typing import NamedTuple, Union
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
-from scipy.optimize import brentq
 
 from .distributions import Distribution, Sample, TwoPoint
 
@@ -115,6 +114,10 @@ def expected_shortfall(src: LossSource, alpha: float, check: bool = False) -> fl
             q = float(src.quantile(alpha))
             ref = q + float(src.eplus(q)) / (1.0 - alpha)
         else:
+            # imported on use: scipy.integrate takes about as long to import
+            # as the rest of the package
+            from scipy.integrate import IntegrationWarning, quad
+
             # the quantile is singular at u=1 for unbounded families; the
             # extrapolating quadrature handles it but grumbles about
             # roundoff near machine tolerance, so check abserr ourselves
@@ -134,23 +137,39 @@ def expected_shortfall(src: LossSource, alpha: float, check: bool = False) -> fl
 
 
 def foc_residual(src: LossSource, alpha: float, m: float) -> float:
-    """g(m) = (2 alpha - 1) E[(L-m)+] + (1-alpha)(E[L] - m].
+    """g(m) = (2 alpha - 1) E[(L-m)+] + (1-alpha)(E[L] - m).
 
-    The expectile is the unique root of g; g is continuous and strictly
-    decreasing for alpha > 1/2.
+    The expectile is the unique root of g; g is continuous, convex and
+    strictly decreasing for alpha > 1/2, with right derivative
+    g'(m) = -(2 alpha - 1)(1 - F(m)) - (1 - alpha).
     """
     return (2.0 * alpha - 1.0) * float(src.eplus(m)) + (1.0 - alpha) * (
         float(src.mean()) - m
     )
 
 
+# Newton stops once a step moves the iterate by at most this many ulps of
+# the problem's magnitude max(|m|, |E[L]|); g itself is not resolved finer
+_STEP_ULPS = 4.0 * float(np.finfo(float).eps)
+# relative bracket width below which the chord through an overshoot is
+# exact to working precision (its error is quadratic in the width)
+_CHORD_WIDTH = float(np.sqrt(np.finfo(float).eps))
+# Newton steps before falling back to bisection, and the bisection budget
+_NEWTON_STEPS = 60
+_BISECTION_STEPS = 200
+
+
 def expectile(src: LossSource, alpha: float) -> float:
     """The alpha-expectile, root of the asymmetric-mean first-order condition.
 
-    Bracketed by [mean, ES_alpha] (always valid for alpha >= 1/2) and
-    solved with Brent's method to 1e-12 absolute for empirical sources,
-    1e-10 for parametric ones, both relative to the bracket's magnitude
-    once it lies below 1.  At alpha = 1/2 returns the mean exactly.
+    Parametric sources: Newton's method on the convex, decreasing residual
+    g (``foc_residual``), started at the lower bound
+    (1 - w) ES_alpha + w E[L], w = 1/(2 alpha), so the iterates climb
+    monotonically to the root; it stops on a step of a few ulps, and falls
+    back to bisection inside [mean, ES_alpha] if rounding ever breaks the
+    monotone climb.  Samples: g is linear between order statistics, so a
+    binary search finds the segment holding the root and one linear
+    equation gives it exactly.  At alpha = 1/2 returns the mean exactly.
     """
     _check_expectile_level(alpha)
     mu = float(src.mean())
@@ -158,16 +177,87 @@ def expectile(src: LossSource, alpha: float) -> float:
         return mu
     if _is_constant(src):
         return float(src.support()[0])
+    if isinstance(src, Sample):
+        return _segment_root(src, alpha)
     hi = expected_shortfall(src, alpha)
     if not hi > mu:
         return mu
-    g = lambda m: foc_residual(src, alpha, m)
-    if g(mu) <= 0.0:
-        return mu
-    if g(hi) >= 0.0:
-        return hi
-    xtol = (1e-12 if isinstance(src, Sample) else 1e-10) * min(1.0, max(abs(mu), abs(hi)))
-    return float(brentq(g, mu, hi, xtol=xtol, rtol=8.9e-16, maxiter=200))
+    return _newton_root(src, alpha, mu, hi)
+
+
+def _newton_root(src: Distribution, alpha: float, mu: float, hi: float) -> float:
+    """Root of g in [mu, hi] for a parametric source; hi = ES_alpha."""
+    lo = _combination(hi, mu, alpha, alpha)
+    g_lo = foc_residual(src, alpha, lo)
+    if not g_lo > 0.0:  # rounding put the bound at or past the root
+        lo = mu
+        g_lo = foc_residual(src, alpha, lo)
+        if not g_lo > 0.0:
+            return mu
+    for _ in range(_NEWTON_STEPS):
+        # g is convex, so the tangent at lo meets zero at or left of the root
+        m = lo + g_lo / _slope(src, alpha, lo)
+        tol = _STEP_ULPS * max(abs(m), abs(mu))
+        if m - lo <= tol:
+            return m
+        if m >= hi:
+            break
+        g_m = foc_residual(src, alpha, m)
+        if g_m > 0.0:
+            lo, g_lo = m, g_m
+            continue
+        if g_m == 0.0:
+            return m
+        # rounding overshoot: the root lies in [lo, m], at or right of the
+        # tangent's zero at m (convexity) and at or left of the chord's zero;
+        # return the chord's once g is linear on [lo, m] to working precision
+        # or the tangent bounds the root within a few ulps
+        chord = lo + g_lo * ((m - lo) / (g_lo - g_m))
+        if m - lo <= _CHORD_WIDTH * max(abs(m), abs(mu)):
+            return chord
+        if m + g_m / _slope(src, alpha, m) >= m - tol:
+            return chord
+        hi = m
+        break
+    for _ in range(_BISECTION_STEPS):
+        m = 0.5 * (lo + hi)
+        if not lo < m < hi:
+            break
+        if foc_residual(src, alpha, m) > 0.0:
+            lo = m
+        else:
+            hi = m
+    return 0.5 * (lo + hi)
+
+
+def _slope(src: Distribution, alpha: float, m: float) -> float:
+    """-g'(m) for ``foc_residual``, from one CDF evaluation (right derivative
+    at atoms, a subgradient of the convex g)."""
+    return (2.0 * alpha - 1.0) * (1.0 - float(src.cdf(m))) + (1.0 - alpha)
+
+
+def _segment_root(src: Sample, alpha: float) -> float:
+    """Exact root of g for a non-constant sample.
+
+    At an order statistic x_k, n g(x_k) = (2 alpha - 1)(S_{k+1} - (n-k-1) x_k)
+    + (1 - alpha)(S_0 - n x_k), with S_j the suffix sums; it decreases in k,
+    is positive at the minimum and non-positive at the maximum.  Between the
+    last positive knot and the next one the losses above m are fixed, so
+    g is linear there and its zero is one division.
+    """
+    x, s, n = src.values, src._suffix, src.n
+    a1, a0 = 2.0 * alpha - 1.0, 1.0 - alpha
+    lo, hi = 0, n - 1
+    while hi - lo > 1:
+        k = (lo + hi) // 2
+        xk = x[k]
+        if a1 * (s[k + 1] - (n - k - 1) * xk) + a0 * (s[0] - n * xk) > 0.0:
+            lo = k
+        else:
+            hi = k
+    # on [x_lo, x_hi] the losses above m are x[hi:]
+    m = (a1 * s[hi] + a0 * s[0]) / (a1 * (n - hi) + a0 * n)
+    return float(min(max(m, x[lo]), x[hi]))
 
 
 def oce(src: LossSource, a: float, b: float = 0.0, check: bool = False) -> float:
@@ -369,6 +459,8 @@ def distortion_value(src: LossSource, d: DistortionSpec) -> float:
         levels = [0.0, src.p, 1.0]
         atoms = [src.x1 + src.shift, src.x2 + src.shift]
         return _distortion_exact_atomic(d, levels, atoms)
+    from scipy.integrate import IntegrationWarning, quad
+
     val = 0.0
     err = 0.0
     with warnings.catch_warnings():

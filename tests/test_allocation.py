@@ -70,6 +70,31 @@ def test_full_allocation_random_portfolios():
         assert abs(contrib.sum() - total) < 1e-9 * (1 + abs(total))
 
 
+@pytest.mark.parametrize("scale", [10.0 ** k for k in range(-15, 16, 2)])
+def test_expectile_full_allocation_at_any_scale(scale):
+    # an absolute tie tolerance would put every scenario in the body once
+    # the losses fall below it, and the contributions would miss e
+    comp = np.random.default_rng(0).pareto(2.1, size=(2000, 3))
+    p = Portfolio(comp * scale)
+    for a in (0.6, 0.9, 0.99):
+        contrib = expectile_euler(p, a, check=True)
+        assert contrib.sum() == pytest.approx(expectile(Sample(p.total), a), rel=1e-12)
+        unscaled = expectile_euler(Portfolio(comp), a, check=False)
+        np.testing.assert_allclose(contrib / scale, unscaled, rtol=1e-12, atol=0.0)
+
+
+def test_expectile_check_asserts_full_allocation(monkeypatch):
+    # both forms the cross-check compares share the body/tail split, so only
+    # the sum against the portfolio expectile sees a root that is off
+    comp = np.random.default_rng(0).pareto(2.1, size=(200, 2))
+    p = Portfolio(comp)
+    expectile_euler(p, 0.9, check=True)
+    monkeypatch.setattr(allocation, "expectile", lambda s, a: expectile(s, a) * (1.0 + 1e-9))
+    with pytest.raises(AssertionError, match="full allocation"):
+        expectile_euler(p, 0.9, check=True)
+    expectile_euler(p, 0.9, check=False)
+
+
 def test_single_component_self_allocation():
     rng = np.random.default_rng(2)
     v = rng.standard_exponential(150)

@@ -1,12 +1,15 @@
-"""No module under src/tailrisk/ or demos/ imports a name it never uses.
+"""What importing tailrisk loads, and no unused imports in its modules.
 
-No linter runs on this code base, so this scan stands in for the
+No linter runs on this code base, so the scan below stands in for the
 unused-import rule: every name an ``import`` binds must be read somewhere
 in the same module.  Names re-exported through ``__all__`` and
 ``from __future__`` imports are exempt.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -59,3 +62,16 @@ def test_scan_flags_unused_and_spares_used_names():
 @pytest.mark.parametrize("path", MODULES, ids=[f"{p.parent.name}/{p.name}" for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_import_loads_neither_optimize_nor_integrate():
+    # every CLI process pays for what `import tailrisk` loads; quadrature
+    # is imported where it is used
+    code = (
+        "import sys, tailrisk; "
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

@@ -1,10 +1,15 @@
 """Expectile, ES, VaR: closed forms, frozen references and properties."""
 
+import gc
+from fractions import Fraction
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st_h
 from scipy.special import lambertw
 
+from tailrisk import risk_core
 from tailrisk.distributions import (
     Exponential,
     Pareto,
@@ -91,6 +96,105 @@ def test_pareto2_expectile_closed_form():
     for a in ALPHA_GRID_50:
         want = np.sqrt(a * (1 - a)) / (1 - a)
         assert abs(expectile(d, a) - want) <= 1e-9 * (1 + want)
+
+
+# levels down to tail probability 1e-10, where an absolute solver
+# tolerance would show; the references are evaluated at the binary alpha
+SOLVER_LEVELS = [0.6, 0.9, 0.99, 0.999, 1 - 1e-4, 1 - 1e-6, 1 - 1e-8, 1 - 1e-10]
+
+
+def _uniform_exact(a):
+    return (mpmath.sqrt(a * (1 - a)) - a) / (1 - 2 * a)
+
+
+def _exponential_exact(a):
+    return 1 + mpmath.lambertw((2 * a - 1) / ((1 - a) * mpmath.e)).real
+
+
+def _pareto2_exact(a):
+    return mpmath.sqrt(a * (1 - a)) / (1 - a)
+
+
+@pytest.mark.parametrize("alpha", SOLVER_LEVELS)
+@pytest.mark.parametrize("dist, exact", [
+    (Uniform01(), _uniform_exact),
+    (Exponential(), _exponential_exact),
+    (Pareto(2.0), _pareto2_exact),
+], ids=["uniform", "exp", "pareto2"])
+def test_expectile_solver_matches_closed_form_to_1e13(dist, exact, alpha):
+    with mpmath.workdps(40):
+        want = exact(mpmath.mpf(alpha))
+        assert abs(expectile(dist, alpha) / want - 1) <= 1e-13
+
+
+def _segment_roots_exact(values, alpha):
+    """Every zero of the first-order condition, solved segment by segment in
+    rational arithmetic: on (u_j, u_{j+1}) the losses above m are those
+    >= u_{j+1}, so g is linear there."""
+    xs = [Fraction(v) for v in values]
+    a, n = Fraction(alpha), len(xs)
+    mean = sum(xs) / n
+    distinct = sorted(set(xs))
+    roots = []
+    for lo, hi in zip(distinct, distinct[1:]):
+        above = [x for x in xs if x >= hi]
+        # (2a-1)(sum(above) - k m)/n + (1-a)(mean - m) = 0
+        m = ((2 * a - 1) * sum(above) / n + (1 - a) * mean) / (
+            (2 * a - 1) * len(above) / n + (1 - a))
+        if lo <= m <= hi:
+            roots.append(m)
+    return roots
+
+
+TIED_SAMPLES = [
+    [0.0, 0.0, 1.0, 1.0, 1.0, 2.0],
+    [0.0, 1.0, 1.0, 6.0],
+    [3.0, -1.5, 3.0, 0.25, 3.0, -1.5, 7.0],
+    list(np.random.default_rng(3).integers(0, 4, size=40).astype(float)),
+    list(np.random.default_rng(4).pareto(2.1, size=50) * 1e-13),
+]
+
+
+@pytest.mark.parametrize("values", TIED_SAMPLES, ids=range(len(TIED_SAMPLES)))
+def test_sample_expectile_is_exact_segment_root(values):
+    for a in (0.5 + 1e-9, 0.6, 0.7, 0.75, 0.9, 0.99, 1 - 1e-10):
+        roots = _segment_roots_exact(values, a)
+        assert len(set(roots)) == 1
+        want = roots[0]
+        got = expectile(Sample(values), a)
+        assert abs(Fraction(got) - want) <= 4 * np.finfo(float).eps * abs(want)
+
+
+def test_expectile_leaves_no_reference_cycle():
+    # a solver whose objective sits in a cycle keeps the Sample it closes
+    # over alive until the cyclic collector runs
+    gc.collect()
+    gc.disable()
+    try:
+        expectile(Sample(np.random.default_rng(1).standard_normal(1000)), 0.9)
+        expectile(StudentT(2.3), 0.99)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_newton_overshoot_falls_back_to_bisection(monkeypatch):
+    # a slope at half its value doubles each Newton step, so the iterate
+    # lands past the root with a wide bracket and bisection finishes
+    want = {(d.label, a): expectile(d, a) for d in (Pareto(2.1), StudentT(2.3), Exponential())
+            for a in (0.6, 0.99, 1 - 1e-8)}
+    slope = risk_core._slope
+    monkeypatch.setattr(risk_core, "_slope", lambda src, a, m: 0.5 * slope(src, a, m))
+    for d in (Pareto(2.1), StudentT(2.3), Exponential()):
+        for a in (0.6, 0.99, 1 - 1e-8):
+            assert expectile(d, a) == pytest.approx(want[d.label, a], rel=1e-14)
+
+
+def test_newton_start_past_root_restarts_from_mean(monkeypatch):
+    want = expectile(Pareto(2.1), 0.99)
+    # a start at ES_alpha lies right of the root, where g < 0
+    monkeypatch.setattr(risk_core, "_combination", lambda es_val, mu, alpha, beta: es_val)
+    assert expectile(Pareto(2.1), 0.99) == pytest.approx(want, rel=1e-14)
 
 
 def test_expectile_at_half_is_mean():
