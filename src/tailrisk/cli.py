@@ -6,11 +6,17 @@ expansions, sample-size planning, simulation ratio tables, figure data,
 and Wasserstein diagnostics.  Human summaries print at 4 decimals; CSV
 output carries 12 significant digits.  Exit codes: 0 on success, 2 for
 invalid inputs, 1 for computation failures.
+
+The argument parser is built once per process, on the first ``main``
+call, so ``main(argv)`` may be called repeatedly in one process (the
+tests and ``bench/`` do this) and each call prints what a fresh process
+would; importing the module builds nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional
 
@@ -73,7 +79,9 @@ def _level(value: float, flag: str = "alpha", lo: float = 0.0, hi: float = 1.0) 
 def _expectile_level(value: float, flag: str = "alpha") -> float:
     value = float(value)
     if not (0.5 <= value < _ALPHA_CAP):
-        raise _ValidationError(f"--{flag}: expectile level must lie in [0.5, 1), got {value:g}")
+        raise _ValidationError(
+            f"--{flag}: expectile level must lie in [0.5, 1 - 1e-12), got {value!r}"
+        )
     return value
 
 
@@ -107,9 +115,8 @@ def _cmd_risk(args) -> str:
     lines = []
     if args.measure == "expectile":
         alpha = _expectile_level(args.alpha)
-        value = expectile(dist, alpha)
-        lines.append(f"expectile[{dist.label}] alpha={alpha:g} = {value:.4f}")
         bs = beta_star(dist, alpha)
+        lines.append(f"expectile[{dist.label}] alpha={alpha:g} = {bs.expectile:.4f}")
         lines.append(
             f"beta* interval [{bs.lower:.4f}, {bs.upper:.4f}], point {bs.point:.4f}"
         )
@@ -315,6 +322,8 @@ def _cmd_wasserstein(args) -> str:
     n = int(args.n)
     if n < 1:
         raise _ValidationError(f"--n: must be >= 1, got {n}")
+    if args.seed < 0:
+        raise _ValidationError(f"--seed: must be >= 0, got {args.seed}")
     alpha = _expectile_level(args.alpha)
     s = dist.sample(n, seed=args.seed)
     w_exact = wasserstein_exact(s, dist)
@@ -329,6 +338,7 @@ def _cmd_wasserstein(args) -> str:
     )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tailrisk",
@@ -413,6 +423,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list] = None) -> int:
+    """Run one ``tailrisk`` command line and return its exit code.
+
+    ``argv`` defaults to ``sys.argv[1:]``.  The parser is built on the
+    first call and reused after it; parsing keeps no state on it, so
+    repeated calls in one process behave like separate processes.
+    """
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -1,9 +1,11 @@
 """Command-line interface: outputs, exit codes, file round-trips."""
 
+import argparse
 import math
 
 import pytest
 
+from tailrisk import risk_core
 from tailrisk.cli import main
 
 
@@ -40,6 +42,15 @@ def test_out_of_range_level_exits_2(capsys):
     assert code == 0
 
 
+def test_expectile_level_error_shows_value_and_cap(capsys):
+    # the value is printed in full and the bound is the real cap 1 - 1e-12
+    code, out, err = run(capsys, ["risk", "--dist", "pareto:a=2.1",
+                                  "--alpha", "0.999999999999"])
+    assert (code, out) == (2, "")
+    assert err == ("error: --alpha: expectile level must lie in [0.5, 1 - 1e-12),"
+                   " got 0.999999999999\n")
+
+
 def test_computation_failure_exits_1(tmp_path, capsys):
     # valid input, but the strict tail event the ES contributions average
     # is empty: the 0.9-quantile ties the largest total loss
@@ -58,6 +69,20 @@ def test_expectile_at_half_is_the_mean(capsys):
     assert code == 0
     assert "expectile[exp] alpha=0.5 = 1.0000" in out
     assert "beta*" in out
+
+
+def test_risk_expectile_solves_its_root_once(monkeypatch, capsys):
+    calls = []
+    solve = risk_core._newton_root
+
+    def counting_solve(*args):
+        calls.append(args[1])
+        return solve(*args)
+
+    monkeypatch.setattr(risk_core, "_newton_root", counting_solve)
+    code, out, _ = run(capsys, ["risk", "--dist", "student:nu=2.3", "--alpha", "0.99"])
+    assert code == 0 and out.startswith("expectile[student:nu=2.3] alpha=0.99 = ")
+    assert calls == [0.99]
 
 
 def test_es_and_var_closed_forms(capsys):
@@ -209,9 +234,11 @@ def test_table_out_file_roundtrip(tmp_path, capsys):
     (["figure", "--kind", "frechet-student", "--nu", "0.9"], "--nu: "),
     (["figure", "--kind", "weibull-beta", "--a", "-1"], "--a: "),
     (["figure", "--kind", "weibull-beta", "--a", "1"], "--a: "),
+    (["wasserstein", "--dist", "exp", "--n", "200", "--seed", "-3"],
+     "--seed: must be >= 0, got -3"),
 ], ids=["no-density", "density-vanishes", "zero-replications", "second-order-missing",
         "pareto-infinite-mean", "student-infinite-mean", "power-negative-shape",
-        "power-uniform-shape"])
+        "power-uniform-shape", "wasserstein-negative-seed"])
 def test_invalid_model_inputs_exit_2(capsys, argv, fragment):
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
@@ -331,3 +358,52 @@ def test_wasserstein_report(capsys):
     # the quadrature estimate and its --grid option are gone
     code, out, _ = run(capsys, ["wasserstein", "--dist", "exp", "--n", "200", "--grid", "2000"])
     assert code == 2 and out == ""
+
+
+# ---------------------------------------------------------- parser reuse
+
+def test_main_builds_no_parser_after_the_first_call(monkeypatch, capsys):
+    assert main(["risk", "--dist", "exp", "--alpha", "0.9"]) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in (["bounds", "--dist", "pareto:a=2", "--alpha", "0.9"],
+                 ["beta-star", "--dist", "exp", "--alpha", "0.9"],
+                 ["sample-size", "--tail", "poly:q=3,s=2.5", "--gamma", "0.05",
+                  "--eps", "0.1", "--alpha", "0.99"]):
+        assert main(argv) == 0
+    assert built == []
+
+
+OUT = "<out>"
+SAMPLE_SIZE_ARGS = ["sample-size", "--tail", "poly:q=2.05,s=2.01", "--gamma", "0.05",
+                    "--eps", "0.1"]
+
+
+@pytest.mark.parametrize("earlier, earlier_code, later", [
+    (["bounds", "--dist", "pareto:a=2", "--alpha", "0.9", "--beta", "0.8"], 0,
+     ["bounds", "--dist", "pareto:a=2", "--alpha", "0.9"]),
+    (TABLE_ARGS + ["--out", OUT], 0, TABLE_ARGS),
+    (SAMPLE_SIZE_ARGS + ["--alphas", "0.9,0.99", "--dist", "pareto:a=2.1"], 0,
+     SAMPLE_SIZE_ARGS + ["--alpha", "0.99"]),
+    (["risk", "--dist", "exp"], 2, ["risk", "--dist", "exp", "--alpha", "0.9"]),
+], ids=["beta-then-default", "out-then-stdout", "grid-then-single-level",
+        "usage-error-then-valid"])
+def test_repeated_main_calls_share_no_state(tmp_path, capsys, earlier, earlier_code, later):
+    # an option set by one call must not leak into a later call that omits it:
+    # the later call prints what it printed when made first
+    dest = tmp_path / "out.csv"
+    earlier = [str(dest) if a == OUT else a for a in earlier]
+    want = run(capsys, later)
+    assert want[0] == 0 and want[1] and want[2] == ""
+    code, out, err = run(capsys, earlier)
+    assert code == earlier_code
+    assert (out == "") == ("--out" in earlier or earlier_code != 0)
+    assert run(capsys, later) == want
+    if dest.exists():
+        assert dest.read_text() == want[1]
