@@ -306,9 +306,11 @@ def expectile_bounds(src: LossSource, alpha: float, beta: float) -> Bounds:
     if not (0.0 < beta < 1.0):
         raise ValueError(f"bound level beta must lie in (0, 1), got {beta}")
     mu = float(src.mean())
-    lower = _combination(expected_shortfall(src, beta), mu, alpha, beta)
+    es_beta = expected_shortfall(src, beta)
+    lower = _combination(es_beta, mu, alpha, beta)
+    es_alpha = es_beta if beta == alpha else expected_shortfall(src, alpha)
     wu = (1.0 - alpha) / alpha
-    upper = (1.0 - wu) * expected_shortfall(src, alpha) + wu * mu
+    upper = (1.0 - wu) * es_alpha + wu * mu
     es_cap = expected_shortfall(src, (2.0 * alpha - 1.0) / alpha)
     return Bounds(lower, upper, es_cap)
 

@@ -360,6 +360,17 @@ def test_wasserstein_report(capsys):
     assert code == 2 and out == ""
 
 
+def test_wasserstein_report_heavy_tailed_large_sample(capsys):
+    code, out, _ = run(capsys, ["wasserstein", "--dist", "student:nu=2.3",
+                                "--n", "100000", "--seed", "1"])
+    assert code == 0
+    assert out == (
+        "w(sample n=100000, student:nu=2.3) exact = 0.0167633\n"
+        "es deviation at alpha=0.99: 0.479234 <= bound 1.67633\n"
+        "expectile deviation at alpha=0.99: 0.214499 <= bound 1.65957\n"
+    )
+
+
 # ---------------------------------------------------------- parser reuse
 
 def test_main_builds_no_parser_after_the_first_call(monkeypatch, capsys):

@@ -8,6 +8,7 @@ from scipy.special import stdtr
 from tailrisk.distributions import (
     Exponential,
     Pareto,
+    PowerBeta,
     Sample,
     StudentT,
     TwoPoint,
@@ -154,19 +155,33 @@ def _w1_reference(values, cdf, sf, lower):
     return total + quad(sf, z[-1], np.inf, **opts)[0]
 
 
+def _pareto_cdf(x):
+    return -np.expm1(-2.1 * np.log1p(x)) if x > 0.0 else 0.0
+
+
+def _pareto_sf(x):
+    return (1.0 + x) ** -2.1 if x > 0.0 else 1.0
+
+
+def _power_cdf(x):
+    return min(max(x, 0.0), 1.0) ** 1.1
+
+
 # (model, cdf, survival function, lower end of the support), the CDFs in
-# closed form or straight from scipy.special
+# closed form or straight from scipy.special, valid (clipped to [0, 1])
+# outside the support too
 W1_MODELS = (
-    (Pareto(2.1), lambda x: -np.expm1(-2.1 * np.log1p(x)), lambda x: (1.0 + x) ** -2.1, 0.0),
+    (Pareto(2.1), _pareto_cdf, _pareto_sf, 0.0),
     (Exponential(), lambda x: -np.expm1(-x), lambda x: np.exp(-x), 0.0),
-    (Uniform01(), lambda x: min(x, 1.0), lambda x: max(1.0 - x, 0.0), 0.0),
+    (Uniform01(), lambda x: min(max(x, 0.0), 1.0), lambda x: min(max(1.0 - x, 0.0), 1.0), 0.0),
     (StudentT(2.3), lambda x: stdtr(2.3, x), lambda x: stdtr(2.3, -x), -np.inf),
+    (PowerBeta(1.1), _power_cdf, lambda x: 1.0 - _power_cdf(x), 0.0),
 )
 
 
 def test_exact_matches_fine_quadrature():
     for dist, cdf, sf, lower in W1_MODELS:
-        for n in (20, 200):
+        for n in (1, 20, 200):
             smp = dist.sample(n, seed=9)
             want = _w1_reference(smp.values, cdf, sf, lower)
             assert wasserstein_exact(smp, dist) == pytest.approx(want, rel=1e-8, abs=0.0)
@@ -176,6 +191,49 @@ def test_exact_matches_fine_quadrature():
     want = _w1_reference(smp.values, d.cdf, lambda x: 1.0 - d.cdf(x), 0.0)
     assert want == pytest.approx(0.5, rel=1e-12)
     assert wasserstein_exact(smp, d) == pytest.approx(0.5, rel=1e-12)
+
+
+def test_exact_matches_quadrature_over_many_runs():
+    # at n = 5000 the sample crosses the model hundreds of times, so the
+    # sum runs over many same-side runs and crossing blocks
+    for dist, cdf, sf, lower in (W1_MODELS[0], W1_MODELS[3]):
+        smp = dist.sample(5000, seed=4)
+        want = _w1_reference(smp.values, cdf, sf, lower)
+        assert wasserstein_exact(smp, dist) == pytest.approx(want, rel=1e-8, abs=0.0)
+
+
+def test_exact_with_sample_points_outside_the_support():
+    # below the support F = 0, above it F = 1: whole blocks on one side,
+    # including the last block, whose right edge carries E(1) = 0
+    uniform, pareto = W1_MODELS[2], W1_MODELS[0]
+    for (dist, cdf, sf, lower), values in (
+        (uniform, [-0.2, 1.5]),
+        (pareto, [-0.5, -0.1, 0.3, 2.0]),
+        (pareto, [-2.0, -1.0]),
+    ):
+        smp = Sample(np.array(values))
+        want = _w1_reference(smp.values, cdf, sf, lower)
+        assert wasserstein_exact(smp, dist) == pytest.approx(want, rel=1e-8, abs=0.0)
+    # by hand: int_0^1/2 (u + 0.2) du + int_1/2^1 (1.5 - u) du
+    assert wasserstein_exact(Sample(np.array([-0.2, 1.5])), Uniform01()) == pytest.approx(0.6)
+
+
+def test_exact_asks_es_only_at_run_boundaries_and_crossings():
+    # ES is needed where the sample changes side or crosses the model,
+    # not at every block edge and split point (2n levels)
+    d = StudentT(2.3)
+    es = d.es
+    asked = []
+
+    def counting_es(beta):
+        asked.append(np.size(beta))
+        return es(beta)
+
+    d.es = counting_es
+    n = 100_000
+    smp = d.sample(n, seed=1)
+    wasserstein_exact(smp, d)
+    assert 0 < sum(asked) < n / 20
 
 
 def test_self_distance_shrinks_with_sample_size():

@@ -354,6 +354,24 @@ def test_bounds_two_point_upper_value():
     assert b.upper > expectile(TwoPoint(0.0, 1.0, 0.5), 0.9)
 
 
+def test_bounds_at_beta_alpha_evaluate_es_alpha_once(monkeypatch):
+    # lower and upper share ES_alpha when beta == alpha; es_cap needs
+    # ES_{(2 alpha - 1)/alpha}
+    levels = []
+    es = risk_core.expected_shortfall
+
+    def counting_es(src, beta, **kwargs):
+        levels.append(beta)
+        return es(src, beta, **kwargs)
+
+    monkeypatch.setattr(risk_core, "expected_shortfall", counting_es)
+    d = StudentT(2.3)
+    b = expectile_bounds(d, 0.99, 0.99)
+    assert levels == [0.99, pytest.approx(0.98 / 0.99, rel=1e-15)]
+    wu = (1.0 - 0.99) / 0.99
+    assert b.upper == (1.0 - wu) * es(d, 0.99) + wu * d.mean()
+
+
 # ----------------------------------------------------------- distortion
 
 def test_distortion_phi_shape():
