@@ -145,7 +145,9 @@ def es_euler(p: Portfolio, alpha: float) -> np.ndarray:
     return mask.astype(float) @ p.components / count
 
 
-def expectile_euler(p: Portfolio, alpha: float, check: bool = True) -> np.ndarray:
+def expectile_euler(
+    p: Portfolio, alpha: float, check: bool = True, full_output: bool = False
+):
     """Expectile contributions via the weighted tail/body average.
 
     The body is {total <= e}, with no tolerance: a scenario tied with the
@@ -154,7 +156,8 @@ def expectile_euler(p: Portfolio, alpha: float, check: bool = True) -> np.ndarra
     asserts full allocation, sum(contrib) = e to 1e-12 relative to
     sum |contrib|, and re-derives every contribution through the
     ES-combination form to 1e-9; its column means come from their own
-    reduction over all rows.
+    reduction over all rows.  ``full_output=True`` returns
+    ``(contributions, e)``, with e the portfolio expectile they allocate.
     """
     _check_expectile_level(alpha)
     e = expectile(Sample(p.total), alpha)
@@ -184,7 +187,7 @@ def expectile_euler(p: Portfolio, alpha: float, check: bool = True) -> np.ndarra
                 "expectile allocation cross-check failed: weighted average "
                 f"{contrib!r} vs ES-combination {alt!r} at alpha={alpha}"
             )
-    return contrib
+    return (contrib, e) if full_output else contrib
 
 
 class AsymptoticRatioRow(NamedTuple):

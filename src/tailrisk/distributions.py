@@ -18,6 +18,15 @@ on the source kind.
 
 Sampling is inverse-transform only, driven by numpy's PCG64 generator, so
 a (family, n, seed) triple reproduces bit-identical samples.
+
+Scalar contract of the parametric families: ``cdf``, ``prob_lt``,
+``quantile``, ``es``, ``eplus`` and ``density`` take a scalar (a Python or
+numpy number, or a 0-d array) as one Python float and return a ``float``.
+A scalar passes the same validation as an array (the same levels raise the
+same ``ValueError``, NaN included) and gives the same bits as the matching
+element of the array call: both run the one family formula, written with
+numpy ufuncs (``np.power``, not ``**``, whose scalar form may round
+differently from the array loop).
 """
 
 from __future__ import annotations
@@ -58,6 +67,18 @@ def _as_float_array(x):
 
 def _scalar_in(x) -> bool:
     return np.ndim(x) == 0
+
+
+def _scalar(x) -> Optional[float]:
+    """x as a Python float when it is a scalar (a Python or numpy number or
+    a 0-d array), else None."""
+    if isinstance(x, (float, int)) or np.ndim(x) == 0:
+        return float(x)
+    return None
+
+
+_QUANTILE_LEVEL = "quantile level u must lie strictly in (0, 1)"
+_ES_LEVEL = "expected-shortfall level must lie in [0, 1)"
 
 
 class Distribution:
@@ -101,10 +122,16 @@ class Distribution:
         return ""
 
     # --- public interface -----------------------------------------------
+    def _at(self, hook, x):
+        """hook(x - shift): a float for a scalar x, else an array."""
+        s = _scalar(x)
+        if s is not None:
+            return float(hook(s - self.shift))
+        return hook(_as_float_array(x) - self.shift)
+
     def cdf(self, x):
         """P[L <= x]."""
-        out = self._cdf0(_as_float_array(x) - self.shift)
-        return float(out) if _scalar_in(x) else out
+        return self._at(self._cdf0, x)
 
     def prob_lt(self, x):
         """P[L < x]; equals the CDF for the continuous families."""
@@ -112,11 +139,15 @@ class Distribution:
 
     def quantile(self, u):
         """Left quantile q(u) = inf{m : F(m) >= u}, 0 < u < 1."""
+        s = _scalar(u)
+        if s is not None:
+            if s <= 0.0 or s >= 1.0:
+                raise ValueError(_QUANTILE_LEVEL)
+            return float(self._quantile0(s)) + self.shift
         ua = _as_float_array(u)
         if np.any((ua <= 0.0) | (ua >= 1.0)):
-            raise ValueError("quantile level u must lie strictly in (0, 1)")
-        out = self._quantile0(ua) + self.shift
-        return float(out) if _scalar_in(u) else out
+            raise ValueError(_QUANTILE_LEVEL)
+        return self._quantile0(ua) + self.shift
 
     def mean(self) -> float:
         return self._mean0() + self.shift
@@ -126,13 +157,16 @@ class Distribution:
 
         Closed form per family; beta in [0, 1).  es(0) is the mean exactly.
         """
+        s = _scalar(beta)
+        if s is not None:
+            if s < 0.0 or s >= 1.0:
+                raise ValueError(_ES_LEVEL)
+            if s == 0.0:
+                return self.mean()
+            return float(self._es0(s)) + self.shift
         ba = _as_float_array(beta)
         if np.any((ba < 0.0) | (ba >= 1.0)):
-            raise ValueError("expected-shortfall level must lie in [0, 1)")
-        if _scalar_in(beta):
-            if ba == 0.0:
-                return self.mean()
-            return float(self._es0(ba)) + self.shift
+            raise ValueError(_ES_LEVEL)
         zero = ba == 0.0
         safe = np.where(zero, 0.5, ba)
         out = self._es0(safe) + self.shift
@@ -146,18 +180,21 @@ class Distribution:
         Uses the tail identity E[(L-m)+] = (1-F(m)) (ES_{F(m)} - m), which
         is exact for every law, including atoms and m outside the support.
         """
-        m = float(m)
+        return self._cdf_eplus(float(m))[1]
+
+    def _cdf_eplus(self, m: float):
+        """(F(m), E[(L - m)+]) from one CDF evaluation; the tail identity
+        of ``eplus``, with the F(m) it used."""
         u = self.cdf(m)
         if u >= 1.0:
-            return 0.0
+            return u, 0.0
         if u <= 0.0:
-            return self.mean() - m
-        return (1.0 - u) * (self.es(u) - m)
+            return u, self.mean() - m
+        return u, (1.0 - u) * (self.es(u) - m)
 
     def density(self, x):
         """Density f(x) (defined for the continuous families)."""
-        out = self._pdf0(_as_float_array(x) - self.shift)
-        return float(out) if _scalar_in(x) else out
+        return self._at(self._pdf0, x)
 
     def support(self):
         lo, hi = self._support0()
@@ -216,10 +253,10 @@ class PowerBeta(Distribution):
         self.a = a
 
     def _cdf0(self, x):
-        return np.clip(x, 0.0, 1.0) ** self.a
+        return np.power(np.minimum(np.maximum(x, 0.0), 1.0), self.a)
 
     def _quantile0(self, u):
-        return u ** (1.0 / self.a)
+        return np.power(u, 1.0 / self.a)
 
     def _mean0(self):
         return self.a / (self.a + 1.0)
@@ -230,10 +267,9 @@ class PowerBeta(Distribution):
         return a * -np.expm1((a + 1.0) / a * np.log(beta)) / ((1.0 - beta) * (a + 1.0))
 
     def _pdf0(self, x):
-        x = np.asarray(x)
         inside = (x >= 0.0) & (x <= 1.0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            val = self.a * np.where(inside, x, 1.0) ** (self.a - 1.0)
+            val = self.a * np.power(np.where(inside, x, 1.0), self.a - 1.0)
         return np.where(inside, val, 0.0)
 
     def _support0(self):
@@ -274,8 +310,7 @@ class Exponential(Distribution):
     family = "exp"
 
     def _cdf0(self, x):
-        x = np.asarray(x)
-        return np.where(x > 0.0, -np.expm1(-np.where(x > 0.0, x, 0.0)), 0.0)
+        return -np.expm1(-np.maximum(x, 0.0))
 
     def _quantile0(self, u):
         return -np.log1p(-u)
@@ -287,8 +322,7 @@ class Exponential(Distribution):
         return 1.0 - np.log1p(-beta)
 
     def _pdf0(self, x):
-        x = np.asarray(x)
-        return np.where(x >= 0.0, np.exp(-np.where(x >= 0.0, x, 0.0)), 0.0)
+        return np.where(x >= 0.0, np.exp(-np.maximum(x, 0.0)), 0.0)
 
     def _support0(self):
         return 0.0, math.inf
@@ -321,25 +355,21 @@ class Pareto(Distribution):
         self.a = a
 
     def _cdf0(self, x):
-        x = np.asarray(x)
-        pos = x > 0.0
-        return np.where(pos, 1.0 - (1.0 + np.where(pos, x, 0.0)) ** -self.a, 0.0)
+        return 1.0 - np.power(1.0 + np.maximum(x, 0.0), -self.a)
 
     def _quantile0(self, u):
-        return (1.0 - u) ** (-1.0 / self.a) - 1.0
+        return np.power(1.0 - u, -1.0 / self.a) - 1.0
 
     def _mean0(self):
         return 1.0 / (self.a - 1.0)
 
     def _es0(self, beta):
         a = self.a
-        return a / (a - 1.0) * (1.0 - beta) ** (-1.0 / a) - 1.0
+        return a / (a - 1.0) * np.power(1.0 - beta, -1.0 / a) - 1.0
 
     def _pdf0(self, x):
-        x = np.asarray(x)
-        pos = x >= 0.0
         return np.where(
-            pos, self.a * (1.0 + np.where(pos, x, 0.0)) ** -(self.a + 1.0), 0.0
+            x >= 0.0, self.a * np.power(1.0 + np.maximum(x, 0.0), -(self.a + 1.0)), 0.0
         )
 
     def _support0(self):
@@ -388,19 +418,20 @@ def _t_lower_tail(nu: float, p, x):
     with np.errstate(invalid="ignore"):  # -inf * 0 once stdtr has underflowed
         for _ in range(4):
             f = stdtr(nu, x)
-            x = np.where(f > 0.0, x * (f / p) ** (1.0 / nu), -np.inf)
+            x = np.where(f > 0.0, x * np.power(f / p, 1.0 / nu), -np.inf)
     return x
 
 
 def _t_quantile(nu: float, u):
     """Left quantile of the standard t, inverting the smaller tail probability."""
-    upper = u > 0.5
-    p = np.where(upper, 1.0 - u, u)
+    p = np.minimum(u, 1.0 - u)
     x = stdtrit(nu, p)
     deep = p < _U_FLOOR
-    if np.any(deep):
+    if np.count_nonzero(deep):
         x = np.where(deep, _t_lower_tail(nu, p, x), x)
-    return np.where(upper, -x, x)
+    # x <= 0 is the quantile at p; above the median symmetry gives -x, and
+    # a product with -1.0 is exact
+    return x * (1.0 - 2.0 * (u > 0.5))
 
 
 class StudentT(Distribution):
@@ -442,7 +473,9 @@ class StudentT(Distribution):
         return _t_density(nu, q) * (nu + q * q) / ((1.0 - beta) * (nu - 1.0))
 
     def _pdf0(self, x):
-        return _t_density(self.nu, x)
+        # x * x overflows past |x| ~ 1e154, where the density is 0 anyway
+        with np.errstate(over="ignore"):
+            return _t_density(self.nu, x)
 
     def _support0(self):
         return -math.inf, math.inf
@@ -480,13 +513,17 @@ class TwoPoint(Distribution):
         self.x1, self.x2, self.p = x1, x2, p
 
     def _cdf0(self, x):
-        x = np.asarray(x)
-        return np.where(x >= self.x2, 1.0, np.where(x >= self.x1, self.p, 0.0))
+        return self._steps(x >= self.x1, x >= self.x2)
 
     def prob_lt(self, x):
-        xs = _as_float_array(x) - self.shift
-        out = np.where(xs > self.x2, 1.0, np.where(xs > self.x1, self.p, 0.0))
-        return float(out) if _scalar_in(x) else out
+        return self._at(self._prob_lt0, x)
+
+    def _prob_lt0(self, x):
+        return self._steps(x > self.x1, x > self.x2)
+
+    def _steps(self, past_x1, past_x2):
+        """p past x1 and 1 past x2 (p < 1), from the two indicators."""
+        return np.maximum(self.p * past_x1, past_x2)
 
     def _quantile0(self, u):
         return np.where(u <= self.p, self.x1, self.x2)
@@ -495,11 +532,10 @@ class TwoPoint(Distribution):
         return self.p * self.x1 + (1.0 - self.p) * self.x2
 
     def _es0(self, beta):
-        beta = np.asarray(beta, dtype=float)
-        below = beta < self.p
-        safe = np.where(below, beta, 0.0)
-        mixed = ((self.p - safe) * self.x1 + (1.0 - self.p) * self.x2) / (1.0 - safe)
-        return np.where(below, mixed, self.x2)
+        # below p the atom at x1 is split; min(beta, p) keeps 1 - b > 0
+        b = np.minimum(beta, self.p)
+        mixed = ((self.p - b) * self.x1 + (1.0 - self.p) * self.x2) / (1.0 - b)
+        return np.where(beta < self.p, mixed, self.x2)
 
     def _pdf0(self, x):
         raise NotImplementedError("two-point law has no density")
@@ -535,7 +571,8 @@ class Sample:
 
     - ``quantile(u)``: left quantile, the ceil(n u)-th order statistic;
     - ``es(beta)``: exact tail average
-      [(i/n - beta) x_(i) + sum_{j>i} x_(j)/n] / (1-beta) with i = ceil(n beta);
+      [(i/n - beta) x_(i) + sum_{j>i} x_(j)/n] / (1-beta) with i = ceil(n beta),
+      evaluated as x_(i) + sum_{j>i} (x_(j) - x_(i)) / (n (1-beta));
     - ``eplus(m)``: exact partial mean sum (x_j - m)+ / n.
 
     Values are sorted ascending on construction; suffix sums are cached.
@@ -577,14 +614,18 @@ class Sample:
     def es(self, beta):
         ba = _as_float_array(beta)
         if np.any((ba < 0.0) | (ba >= 1.0)):
-            raise ValueError("expected-shortfall level must lie in [0, 1)")
+            raise ValueError(_ES_LEVEL)
         n = self.n
         i = np.clip(np.ceil(ba * n).astype(np.int64), 0, n)
-        # at beta = i/n exactly the partial-width term vanishes, so an
-        # off-by-one from fp noise in n*beta changes nothing
-        partial = (i / n - ba) * self.values[np.maximum(i, 1) - 1]
-        partial = np.where(i >= 1, partial, 0.0)
-        out = (partial + self._suffix[i] / n) / (1.0 - ba)
+        # the tail average as x_(i) plus the mean excess over it: the excess
+        # sum_{j>i} (x_(j) - x_(i)) is >= 0 and only the rounding of the
+        # suffix sum can push it below, so a tail of ties gives x_(i) exactly
+        # and ES >= VaR holds in floating point.  At beta = i/n exactly both
+        # neighbouring i give the same value, so an off-by-one from fp noise
+        # in n*beta changes nothing.
+        x = self.values[np.maximum(i, 1) - 1]
+        excess = np.maximum(self._suffix[i] - (n - i) * x, 0.0)
+        out = np.where(i >= 1, x + excess / (n * (1.0 - ba)), self._suffix[0] / n)
         return float(out) if _scalar_in(beta) else out
 
     def eplus(self, m):

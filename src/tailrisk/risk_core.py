@@ -143,9 +143,12 @@ def foc_residual(src: LossSource, alpha: float, m: float) -> float:
     strictly decreasing for alpha > 1/2, with right derivative
     g'(m) = -(2 alpha - 1)(1 - F(m)) - (1 - alpha).
     """
-    return (2.0 * alpha - 1.0) * float(src.eplus(m)) + (1.0 - alpha) * (
-        float(src.mean()) - m
-    )
+    return _residual(alpha, float(src.mean()), m, float(src.eplus(m)))
+
+
+def _residual(alpha: float, mu: float, m: float, eplus: float) -> float:
+    """g(m) from E[L] = mu and E[(L-m)+] = eplus."""
+    return (2.0 * alpha - 1.0) * eplus + (1.0 - alpha) * (mu - m)
 
 
 # Newton stops once a step moves the iterate by at most this many ulps of
@@ -165,7 +168,8 @@ def expectile(src: LossSource, alpha: float) -> float:
     Parametric sources: Newton's method on the convex, decreasing residual
     g (``foc_residual``), started at the lower bound
     (1 - w) ES_alpha + w E[L], w = 1/(2 alpha), so the iterates climb
-    monotonically to the root; it stops on a step of a few ulps, and falls
+    monotonically to the root; each step evaluates the CDF once, for g and
+    its slope alike.  It stops on a step of a few ulps, and falls
     back to bisection inside [mean, ES_alpha] if rounding ever breaks the
     monotone climb.  Samples: g is linear between order statistics, so a
     binary search finds the segment holding the root and one linear
@@ -188,23 +192,23 @@ def expectile(src: LossSource, alpha: float) -> float:
 def _newton_root(src: Distribution, alpha: float, mu: float, hi: float) -> float:
     """Root of g in [mu, hi] for a parametric source; hi = ES_alpha."""
     lo = _combination(hi, mu, alpha, alpha)
-    g_lo = foc_residual(src, alpha, lo)
+    g_lo, s_lo = _residual_and_slope(src, alpha, mu, lo)
     if not g_lo > 0.0:  # rounding put the bound at or past the root
         lo = mu
-        g_lo = foc_residual(src, alpha, lo)
+        g_lo, s_lo = _residual_and_slope(src, alpha, mu, lo)
         if not g_lo > 0.0:
             return mu
     for _ in range(_NEWTON_STEPS):
         # g is convex, so the tangent at lo meets zero at or left of the root
-        m = lo + g_lo / _slope(src, alpha, lo)
+        m = lo + g_lo / s_lo
         tol = _STEP_ULPS * max(abs(m), abs(mu))
         if m - lo <= tol:
             return m
         if m >= hi:
             break
-        g_m = foc_residual(src, alpha, m)
+        g_m, s_m = _residual_and_slope(src, alpha, mu, m)
         if g_m > 0.0:
-            lo, g_lo = m, g_m
+            lo, g_lo, s_lo = m, g_m, s_m
             continue
         if g_m == 0.0:
             return m
@@ -215,7 +219,7 @@ def _newton_root(src: Distribution, alpha: float, mu: float, hi: float) -> float
         chord = lo + g_lo * ((m - lo) / (g_lo - g_m))
         if m - lo <= _CHORD_WIDTH * max(abs(m), abs(mu)):
             return chord
-        if m + g_m / _slope(src, alpha, m) >= m - tol:
+        if m + g_m / s_m >= m - tol:
             return chord
         hi = m
         break
@@ -230,10 +234,17 @@ def _newton_root(src: Distribution, alpha: float, mu: float, hi: float) -> float
     return 0.5 * (lo + hi)
 
 
-def _slope(src: Distribution, alpha: float, m: float) -> float:
-    """-g'(m) for ``foc_residual``, from one CDF evaluation (right derivative
-    at atoms, a subgradient of the convex g)."""
-    return (2.0 * alpha - 1.0) * (1.0 - float(src.cdf(m))) + (1.0 - alpha)
+def _residual_and_slope(src: Distribution, alpha: float, mu: float, m: float):
+    """g(m) and -g'(m) from one CDF evaluation: the F(m) behind the tail
+    identity for E[(L-m)+] also gives the slope."""
+    u, eplus = src._cdf_eplus(m)
+    return _residual(alpha, mu, m, eplus), _slope(alpha, u)
+
+
+def _slope(alpha: float, u: float) -> float:
+    """-g'(m) for ``foc_residual`` from u = F(m) (the right derivative at
+    atoms, a subgradient of the convex g)."""
+    return (2.0 * alpha - 1.0) * (1.0 - u) + (1.0 - alpha)
 
 
 def _segment_root(src: Sample, alpha: float) -> float:

@@ -139,6 +139,27 @@ def test_allocate_csv_output(tmp_path, capsys):
     assert dest.read_text() == "component,contribution\n1,1.5\n2,1.5\n"
 
 
+@pytest.mark.parametrize("out", [False, True])
+def test_allocate_solves_the_portfolio_expectile_once(tmp_path, capsys, monkeypatch, out):
+    # the summary line reuses the root the contributions allocate
+    path = tmp_path / "scen.csv"
+    path.write_text(PORTFOLIO)
+    calls = []
+    segment_root = risk_core._segment_root
+    monkeypatch.setattr(risk_core, "_segment_root",
+                        lambda src, alpha: calls.append(alpha) or segment_root(src, alpha))
+    argv = ["allocate", "--csv", str(path), "--alpha", "0.95"]
+    if out:
+        argv += ["--out", str(tmp_path / "contrib.csv")]
+    code, stdout, _ = run(capsys, argv)
+    assert (code, calls) == (0, [0.95])
+    assert stdout == ("" if out else
+                      "expectile contributions at alpha=0.95 over 4 scenarios:\n"
+                      "  component 1: 2.6364\n"
+                      "  component 2: 2.6364\n"
+                      "  sum = 5.2727 (portfolio expectile = 5.2727)\n")
+
+
 def test_allocate_rejects_bad_csv(tmp_path, capsys):
     path = tmp_path / "scen.csv"
     path.write_text("0,0\n1\n")

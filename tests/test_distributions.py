@@ -1,5 +1,8 @@
 """Parametric families, empirical samples and the text parser."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -261,3 +264,144 @@ def test_two_point_validation():
         TwoPoint(1.0, 0.0, 0.5)  # needs x1 < x2
     with pytest.raises(ValueError):
         TwoPoint(0.0, 1.0, 1.5)
+
+
+# ------------------------------------------------- scalar/array parity
+
+PARITY_FAMILIES = [
+    base.with_shift(shift)
+    for base in (Pareto(2.1), StudentT(2.3), PowerBeta(1.1), PowerBeta(0.5),
+                 Uniform01(), Exponential(), TwoPoint(-1.0, 2.5, 0.3))
+    for shift in (0.0, -0.75)
+]
+PARITY_LEVELS = [1e-300, 1e-20, 2.0 ** -60, 2.0 ** -53, 1e-9, 0.3, 0.5, 0.9, 0.99,
+                 1 - 1e-10, 1 - 2.0 ** -53, float("nan")]
+BAD_QUANTILE_LEVELS = [0.0, -0.0, 1.0, -0.5, 1.5, float("inf"), float("-inf")]
+BAD_ES_LEVELS = [-1e-300, -0.5, 1.0, 1.5, float("inf"), float("-inf")]
+
+
+def _parity_points(dist):
+    """Points inside the support, on its edges, outside it and at +-inf."""
+    lo, hi = dist.support()
+    pts = [float("-inf"), -1e300, 1e300, float("inf"), float("nan"), -0.0, dist.shift]
+    pts += [float(dist.quantile(u)) for u in (1e-12, 0.3, 0.5, 0.9, 1 - 1e-9)]
+    for edge in (lo, hi):
+        if np.isfinite(edge):
+            pts += [edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf),
+                    edge - 1.0, edge + 1.0]
+    return pts
+
+
+def _same_bits(a, b):
+    if np.isnan(a) or np.isnan(b):
+        return bool(np.isnan(a) and np.isnan(b))
+    return a == b and np.signbit(a) == np.signbit(b)
+
+
+def _check_parity(method, args):
+    want = method(np.array(args))
+    assert isinstance(want, np.ndarray) and want.shape == (len(args),)
+    for k, x in enumerate(args):
+        # a Python float, a numpy scalar and a 0-d array are all scalars
+        for scalar in (x, np.float64(x), np.asarray(x)):
+            got = method(scalar)
+            assert type(got) is float, (method.__name__, x)
+            assert _same_bits(got, want[k]), (method.__name__, x, got, want[k])
+
+
+@pytest.mark.parametrize("dist", PARITY_FAMILIES, ids=lambda d: d.label)
+def test_scalar_call_matches_array_element_bit_for_bit(dist):
+    points = _parity_points(dist)
+    _check_parity(dist.cdf, points)
+    _check_parity(dist.prob_lt, points)
+    _check_parity(dist.quantile, PARITY_LEVELS)
+    _check_parity(dist.es, [0.0, -0.0] + PARITY_LEVELS)
+    if dist.continuous:
+        _check_parity(dist.density, points)
+    # eplus takes scalars only: the tail identity on the array results
+    finite = [x for x in points if np.isfinite(x)]
+    u = dist.cdf(np.array(finite))
+    es_u = dist.es(np.where((u > 0.0) & (u < 1.0), u, 0.5))
+    for k, m in enumerate(finite):
+        if u[k] >= 1.0:
+            want = 0.0
+        elif u[k] <= 0.0:
+            want = dist.mean() - m
+        else:
+            want = (1.0 - u[k]) * (es_u[k] - m)
+        for scalar in (m, np.float64(m), np.asarray(m)):
+            got = dist.eplus(scalar)
+            assert type(got) is float and _same_bits(got, want), (m, got, want)
+
+
+@pytest.mark.parametrize("dist", PARITY_FAMILIES, ids=lambda d: d.label)
+def test_invalid_levels_raise_the_same_error_as_scalar_or_array(dist):
+    for method, bad in ((dist.quantile, BAD_QUANTILE_LEVELS), (dist.es, BAD_ES_LEVELS)):
+        for level in bad:
+            messages = set()
+            for arg in (level, np.float64(level), np.array([0.5, level])):
+                with pytest.raises(ValueError) as exc:
+                    method(arg)
+                messages.add(str(exc.value))
+            assert len(messages) == 1, (method.__name__, level, messages)
+
+
+# ------------------------------------------- empirical ES, exactly
+
+def _exact_es(xs, suffix, beta):
+    """The tail average at level beta of the sorted sample ``xs`` (exact
+    rationals, ``suffix[i]`` = sum of xs[i:]), in exact arithmetic."""
+    n, b = len(xs), Fraction(beta)
+    i = math.ceil(n * b)
+    partial = (Fraction(i, n) - b) * xs[i - 1] if i else 0
+    return (partial + suffix[i] / n) / (1 - b)
+
+
+def _es_samples():
+    rng = np.random.default_rng(11)
+    yield pytest.param(np.r_[np.zeros(990), np.ones(10)], id="ten 1s in 1000")
+    yield pytest.param(rng.integers(0, 3, 97).astype(float), id="atoms")
+    yield pytest.param(np.r_[rng.standard_normal(40), np.full(9, 0.1)], id="tied tail")
+    for scale in (1e-15, 1e-5, 1.0, 1e5, 1e15):
+        yield pytest.param(scale * Pareto(2.1).sample(200, seed=4).values,
+                           id=f"pareto x {scale:g}")
+        yield pytest.param(scale * np.round(rng.standard_normal(150), 1),
+                           id=f"signed ties x {scale:g}")
+
+
+def _es_levels(n):
+    rng = np.random.default_rng(n)
+    grid = [k / n for k in range(n)]
+    near = [np.nextafter(k / n, d) for k in range(1, n) for d in (0.0, 1.0)]
+    return [0.0, 1e-300] + grid + near + list(rng.random(50)) + [0.99, 1 - 1e-12]
+
+
+@pytest.mark.parametrize("values", list(_es_samples()))
+def test_sample_es_matches_exact_rational_evaluation(values):
+    s = Sample(values)
+    levels = _es_levels(s.n)
+    got_all = s.es(np.array(levels))
+    eps = np.finfo(float).eps
+    xs = [Fraction(float(v)) for v in s.values]
+    suffix = [Fraction(0)] * (s.n + 1)
+    for j in range(s.n - 1, -1, -1):
+        suffix[j] = suffix[j + 1] + xs[j]
+    for k, beta in enumerate(levels):
+        got = s.es(beta)
+        assert got == got_all[k]
+        want = _exact_es(xs, suffix, beta)
+        # relative to the tail's magnitude: the suffix sum carries n roundings
+        i = max(math.ceil(s.n * Fraction(beta)), 1)
+        scale = float(np.max(np.abs(s.values[i - 1:])))
+        assert abs(Fraction(got) - want) <= 4 * s.n * eps * scale, (beta, got, float(want))
+        if beta > 0.0:
+            assert got >= s.quantile(beta), (beta, got, s.quantile(beta))
+
+
+def test_sample_es_of_a_flat_tail_is_the_tie_value():
+    # 1 - beta rounds (1 - 0.99 = 0.010000000000000009), but a tail of ties
+    # averages to the tie value exactly, as twopoint samples do
+    for c in (1.0, 0.75, 3 * 2.0 ** -40, 2.0 ** 50):
+        s = Sample(np.r_[np.full(900, -7.0), np.full(100, c)])
+        for beta in (0.9 + 1e-9, 0.95, 0.99, 0.999):
+            assert s.es(beta) == c

@@ -184,10 +184,27 @@ def test_newton_overshoot_falls_back_to_bisection(monkeypatch):
     want = {(d.label, a): expectile(d, a) for d in (Pareto(2.1), StudentT(2.3), Exponential())
             for a in (0.6, 0.99, 1 - 1e-8)}
     slope = risk_core._slope
-    monkeypatch.setattr(risk_core, "_slope", lambda src, a, m: 0.5 * slope(src, a, m))
+    monkeypatch.setattr(risk_core, "_slope", lambda a, u: 0.5 * slope(a, u))
     for d in (Pareto(2.1), StudentT(2.3), Exponential()):
         for a in (0.6, 0.99, 1 - 1e-8):
             assert expectile(d, a) == pytest.approx(want[d.label, a], rel=1e-14)
+
+
+@pytest.mark.parametrize("dist", [StudentT(2.3), Pareto(2.1), Exponential()], ids=repr)
+@pytest.mark.parametrize("alpha", [0.9, 0.99, 1 - 1e-6])
+def test_newton_evaluates_the_cdf_once_per_residual(monkeypatch, dist, alpha):
+    # each residual g(m) needs ES at u = F(m), after the one ES_alpha of the
+    # start; the slope -g'(m) reuses that u, so the CDF runs once per residual
+    counts = {"_cdf0": 0, "_es0": 0}
+    for hook in counts:
+        def counting(self, x, hook=hook, fn=getattr(type(dist), hook)):
+            counts[hook] += 1
+            return fn(self, x)
+        monkeypatch.setattr(type(dist), hook, counting)
+    expectile(dist, alpha)
+    residuals = counts["_es0"] - 1
+    assert residuals >= 2
+    assert counts["_cdf0"] == residuals
 
 
 def test_newton_start_past_root_restarts_from_mean(monkeypatch):
