@@ -16,6 +16,15 @@ convex combination (1-w) ES_{b}(L_k|L) + w E[L_k] with b = P[L <= e] and
 w = (1-alpha)/(alpha + (1-2 alpha) b) — re-verified at runtime when
 ``check=True``.
 
+Neither allocation sorts all n scenario totals (the expectile does only
+when rounding puts its bracket's lower end on the root).  Each costs one
+selection (``np.partition``) of the totals plus work proportional to the
+tail: the rows above the threshold are gathered and summed by a
+matrix-vector product.  The expectile sorts only the totals above the
+paper's lower bound (1 - w) ES_alpha + w E[L], w = 1/(2 alpha) (the b =
+alpha case above), about 1.3 (1 - alpha) n of them for heavy tails, and
+adds one reduction over all rows for the column means.
+
 Only empirical (scenario) portfolios are supported; the asymptotic ratio
 helper additionally assumes the components have heavy Frechet-type tails,
 an assumption on the data that cannot be verified from finite scenarios.
@@ -25,13 +34,20 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .asymptotics import frechet_first_order_constant
-from .distributions import Sample, order_index
-from .risk_core import _check_expectile_level, _check_var_level, expectile
+from .distributions import empirical_es, order_index, suffix_sums
+from .risk_core import (
+    _check_expectile_level,
+    _check_var_level,
+    _combination,
+    _residual,
+    _segment_root,
+)
 
 
 class Portfolio:
@@ -130,19 +146,58 @@ def es_euler(p: Portfolio, alpha: float) -> np.ndarray:
     excluded by the strict inequality.
 
     q_alpha is the same order statistic as ``Sample(p.total).quantile``,
-    found by selection rather than a sort.
+    found by selection rather than a sort; the rows above it are gathered
+    and summed by one matrix-vector product, so past the selection the cost
+    is proportional to the tail, about (1 - alpha) n rows.
     """
     _check_var_level(alpha)
     i = int(order_index(p.n, alpha))
     q = float(np.partition(p.total, i - 1)[i - 1])
-    mask = p.total > q
-    count = np.count_nonzero(mask)
-    if count == 0:
+    rows = np.flatnonzero(p.total > q)
+    if rows.size == 0:
         raise ValueError(
             f"tail event {{total > q_alpha}} is empty at alpha={alpha} "
             f"(quantile {q:g} ties the sample maximum)"
         )
-    return mask.astype(float) @ p.components / count
+    return _row_sums(p.components, rows) / rows.size
+
+
+def _row_sums(components: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Column sums over the given rows, as a matrix-vector product: BLAS sums
+    a row-major block faster than ``sum(axis=0)`` does."""
+    return np.ones(rows.size) @ components[rows]
+
+
+def _tail_expectile(total: np.ndarray, alpha: float):
+    """(e_alpha of the totals, the rows with total > e), sorting only the
+    totals above the paper's lower bound.
+
+    One selection gives ES_alpha of the totals and with it the lower bound
+    (1 - w) ES_alpha + w E[L] <= e_alpha, w = 1/(2 alpha).  Only the totals
+    above it are sorted, about 1.3 (1 - alpha) n of them for heavy tails,
+    and the segment search over them solves for e exactly, as for a
+    ``Sample``.  If rounding puts the bound at or past the root, every total
+    is sorted instead.
+    """
+    n = total.size
+    s0 = float(total.sum())
+    if alpha == 0.5:
+        e = s0 / n
+        return e, np.flatnonzero(total > e)
+    i = min(math.ceil(alpha * n), n)
+    part = np.partition(total, i - 1)
+    es = empirical_es(part[i - 1], part[i:].sum(), n - i, n, alpha)
+    lower = _combination(float(es), s0 / n, alpha, alpha)
+    rows = np.flatnonzero(total > lower)
+    tail = total[rows]
+    k = tail.size
+    if not (k and _residual(alpha, s0 / n, lower, (tail.sum() - k * lower) / n) > 0.0):
+        rows, tail = np.arange(n), total
+    x = np.sort(tail)
+    if x.size == n and x[0] == x[-1]:
+        return float(x[0]), rows[:0]
+    e = _segment_root(x, suffix_sums(x), n, s0, alpha)
+    return e, rows[tail > e]
 
 
 def expectile_euler(
@@ -150,25 +205,31 @@ def expectile_euler(
 ):
     """Expectile contributions via the weighted tail/body average.
 
+    The portfolio expectile e comes from one selection and a sort of the
+    totals above the paper's ES lower bound (``_tail_expectile``), not a
+    sort of all n totals; the rows above e are gathered and summed, and the
+    body sums are the column sums over all rows minus the tail's.  Past one
+    pass over the matrix for the column sums, the cost is proportional to
+    the tail.
+
     The body is {total <= e}, with no tolerance: a scenario tied with the
     root e adds nothing to either side of the first-order condition, so
     full allocation holds whichever side it is put on.  ``check=True``
     asserts full allocation, sum(contrib) = e to 1e-12 relative to
     sum |contrib|, and re-derives every contribution through the
-    ES-combination form to 1e-9; its column means come from their own
-    reduction over all rows.  ``full_output=True`` returns
+    ES-combination form to 1e-9, with the column means from their reduction
+    over all rows, not from the tail and body sums.  ``full_output=True`` returns
     ``(contributions, e)``, with e the portfolio expectile they allocate.
     """
     _check_expectile_level(alpha)
-    e = expectile(Sample(p.total), alpha)
-    le = p.total <= e
+    e, rows = _tail_expectile(p.total, alpha)
     n = p.n
-    n_le = int(np.count_nonzero(le))
-    body_w = le.astype(float)
-    body = body_w @ p.components / n
-    tail = (1.0 - body_w) @ p.components / n
+    n_le = n - rows.size
+    means = np.ones(n) @ p.components / n
+    tail = _row_sums(p.components, rows) / n
     den = alpha + (1.0 - 2.0 * alpha) * (n_le / n)
-    contrib = (alpha * tail + (1.0 - alpha) * body) / den
+    # alpha * tail + (1 - alpha) * body, with body = means - tail
+    contrib = ((2.0 * alpha - 1.0) * tail + (1.0 - alpha) * means) / den
     if check:
         total = float(np.sum(contrib))
         if abs(total - e) > 1e-12 * float(np.sum(np.abs(contrib))):
@@ -179,7 +240,6 @@ def expectile_euler(
     if check and 0 < n_le < n:
         w = (1.0 - alpha) / den
         es_contrib = tail * (n / (n - n_le))
-        means = np.ones(n) @ p.components / n
         alt = (1.0 - w) * es_contrib + w * means
         scale = 1.0 + np.abs(contrib)
         if np.any(np.abs(alt - contrib) > 1e-9 * scale):

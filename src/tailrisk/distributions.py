@@ -213,7 +213,9 @@ class Distribution:
         rng = np.random.Generator(np.random.PCG64(int(seed)))
         u = rng.random(n)
         np.maximum(u, _U_FLOOR, out=u)
-        return Sample(self.quantile(u))
+        x = self.quantile(u)
+        x.sort()
+        return Sample._from_sorted(x)
 
     def mda(self) -> EvClassification:
         raise NotImplementedError
@@ -563,6 +565,29 @@ def order_index(n: int, u):
     return np.clip(i, 1, n)
 
 
+def suffix_sums(x: np.ndarray) -> np.ndarray:
+    """s[i] = sum of x[i:] for i = 0..len(x), with s[len(x)] = 0; accumulated
+    from the end, so short tail sums of sorted x carry short rounding chains."""
+    s = np.empty(x.size + 1)
+    s[-1] = 0.0
+    np.cumsum(x[::-1], out=s[:-1][::-1])
+    return s
+
+
+def empirical_es(x, above, n_above, n, beta):
+    """ES_beta of n equally likely losses from x = x_(i), i = ceil(n beta) >= 1,
+    and the sum ``above`` of the n_above = n - i losses above it.
+
+    The tail average [(i/n - beta) x_(i) + above/n] / (1 - beta), evaluated as
+    x_(i) plus the mean excess over it: the excess sum_{j>i} (x_(j) - x_(i))
+    is >= 0 and only the rounding of ``above`` can push it below, so a tail
+    of ties gives x_(i) exactly and ES >= VaR holds in floating point.  At
+    beta = i/n exactly both neighbouring i give the same value, so an
+    off-by-one from fp noise in n*beta changes nothing.
+    """
+    return x + np.maximum(above - n_above * x, 0.0) / (n * (1.0 - beta))
+
+
 class Sample:
     """Empirical distribution over observed values.
 
@@ -575,7 +600,8 @@ class Sample:
       evaluated as x_(i) + sum_{j>i} (x_(j) - x_(i)) / (n (1-beta));
     - ``eplus(m)``: exact partial mean sum (x_j - m)+ / n.
 
-    Values are sorted ascending on construction; suffix sums are cached.
+    Values are sorted ascending on construction (into a new array: the
+    caller's values are never changed); suffix sums are cached.
     """
 
     continuous = False
@@ -586,12 +612,19 @@ class Sample:
             raise ValueError("a sample needs at least one value")
         if not np.isfinite(v).all():
             raise ValueError("sample values must be finite (no NaN/inf)")
-        self.values = np.sort(v)
-        self.n = v.size
-        # suffix[i] = sum of values[i:], suffix[n] = 0; accumulated from the
-        # tail so short tail sums carry only short rounding chains
-        self._suffix = np.zeros(self.n + 1)
-        self._suffix[:-1] = np.cumsum(self.values[::-1])[::-1]
+        self._set_sorted(np.sort(v))
+
+    @classmethod
+    def _from_sorted(cls, x: np.ndarray) -> "Sample":
+        """Sample over x, finite and sorted ascending; x is kept, not copied."""
+        s = cls.__new__(cls)
+        s._set_sorted(x)
+        return s
+
+    def _set_sorted(self, x: np.ndarray):
+        self.values = x
+        self.n = x.size
+        self._suffix = suffix_sums(x)
 
     def mean(self) -> float:
         return float(self._suffix[0] / self.n)
@@ -616,16 +649,12 @@ class Sample:
         if np.any((ba < 0.0) | (ba >= 1.0)):
             raise ValueError(_ES_LEVEL)
         n = self.n
-        i = np.clip(np.ceil(ba * n).astype(np.int64), 0, n)
-        # the tail average as x_(i) plus the mean excess over it: the excess
-        # sum_{j>i} (x_(j) - x_(i)) is >= 0 and only the rounding of the
-        # suffix sum can push it below, so a tail of ties gives x_(i) exactly
-        # and ES >= VaR holds in floating point.  At beta = i/n exactly both
-        # neighbouring i give the same value, so an off-by-one from fp noise
-        # in n*beta changes nothing.
+        # fmax/fmin send a NaN level to i = 0, from where the formula
+        # carries the NaN through 1 - beta without a warning
+        i = np.fmin(np.fmax(np.ceil(ba * n), 0.0), n).astype(np.int64)
         x = self.values[np.maximum(i, 1) - 1]
-        excess = np.maximum(self._suffix[i] - (n - i) * x, 0.0)
-        out = np.where(i >= 1, x + excess / (n * (1.0 - ba)), self._suffix[0] / n)
+        out = np.where(ba == 0.0, self._suffix[0] / n,
+                       empirical_es(x, self._suffix[i], n - i, n, ba))
         return float(out) if _scalar_in(beta) else out
 
     def eplus(self, m):
@@ -636,12 +665,6 @@ class Sample:
 
     def support(self):
         return float(self.values[0]), float(self.values[-1])
-
-    def min(self) -> float:
-        return float(self.values[0])
-
-    def max(self) -> float:
-        return float(self.values[-1])
 
     def __len__(self):
         return self.n

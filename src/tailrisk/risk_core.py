@@ -182,7 +182,7 @@ def expectile(src: LossSource, alpha: float) -> float:
     if _is_constant(src):
         return float(src.support()[0])
     if isinstance(src, Sample):
-        return _segment_root(src, alpha)
+        return _segment_root(src.values, src._suffix, src.n, src._suffix[0], alpha)
     hi = expected_shortfall(src, alpha)
     if not hi > mu:
         return mu
@@ -247,28 +247,36 @@ def _slope(alpha: float, u: float) -> float:
     return (2.0 * alpha - 1.0) * (1.0 - u) + (1.0 - alpha)
 
 
-def _segment_root(src: Sample, alpha: float) -> float:
-    """Exact root of g for a non-constant sample.
+def _segment_root(x: np.ndarray, suffix: np.ndarray, n: int, total: float,
+                  alpha: float) -> float:
+    """Exact root of g over n losses summing to ``total``, from their k
+    largest x (sorted ascending, k = n for a whole sample) and the suffix
+    sums suffix[j] = sum of x[j:].
 
-    At an order statistic x_k, n g(x_k) = (2 alpha - 1)(S_{k+1} - (n-k-1) x_k)
-    + (1 - alpha)(S_0 - n x_k), with S_j the suffix sums; it decreases in k,
-    is positive at the minimum and non-positive at the maximum.  Between the
-    last positive knot and the next one the losses above m are fixed, so
-    g is linear there and its zero is one division.
+    Every loss outside x must lie at or below a point where g > 0, so that
+    the root lies above them all (for k = n: g > 0 at the minimum of a
+    non-constant sample).  At x_j, n g(x_j) = (2 alpha - 1)(suffix[j+1]
+    - (k-j-1) x_j) + (1 - alpha)(total - n x_j); it decreases in j and is
+    non-positive at the maximum.  Between the last positive knot and the next
+    one the losses above m are fixed, so g is linear there and its zero is
+    one division.
     """
-    x, s, n = src.values, src._suffix, src.n
+    k = x.size
     a1, a0 = 2.0 * alpha - 1.0, 1.0 - alpha
-    lo, hi = 0, n - 1
+    # g(x[lo]) > 0, with lo = -1 standing for a point below x[0], and g(x[hi]) <= 0
+    lo, hi = -1, k - 1
     while hi - lo > 1:
-        k = (lo + hi) // 2
-        xk = x[k]
-        if a1 * (s[k + 1] - (n - k - 1) * xk) + a0 * (s[0] - n * xk) > 0.0:
-            lo = k
+        j = (lo + hi) // 2
+        xj = x[j]
+        if a1 * (suffix[j + 1] - (k - j - 1) * xj) + a0 * (total - n * xj) > 0.0:
+            lo = j
         else:
-            hi = k
-    # on [x_lo, x_hi] the losses above m are x[hi:]
-    m = (a1 * s[hi] + a0 * s[0]) / (a1 * (n - hi) + a0 * n)
-    return float(min(max(m, x[lo]), x[hi]))
+            hi = j
+    # below x_hi the losses above m are x[hi:]
+    m = (a1 * suffix[hi] + a0 * total) / (a1 * (k - hi) + a0 * n)
+    if lo >= 0:
+        m = max(m, x[lo])
+    return float(min(m, x[hi]))
 
 
 def oce(src: LossSource, a: float, b: float = 0.0, check: bool = False) -> float:

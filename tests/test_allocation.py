@@ -89,7 +89,9 @@ def test_expectile_check_asserts_full_allocation(monkeypatch):
     comp = np.random.default_rng(0).pareto(2.1, size=(200, 2))
     p = Portfolio(comp)
     expectile_euler(p, 0.9, check=True)
-    monkeypatch.setattr(allocation, "expectile", lambda s, a: expectile(s, a) * (1.0 + 1e-9))
+    segment_root = allocation._segment_root
+    monkeypatch.setattr(allocation, "_segment_root",
+                        lambda *args: segment_root(*args) * (1.0 + 1e-9))
     with pytest.raises(AssertionError, match="full allocation"):
         expectile_euler(p, 0.9, check=True)
     expectile_euler(p, 0.9, check=False)
@@ -154,6 +156,104 @@ def test_es_contributions_match_sample_quantile(n, alpha):
 def test_es_and_sample_share_one_order_index():
     assert allocation.order_index is distributions.order_index
     assert not hasattr(Sample, "_index")
+
+
+# -------------------------------------------------- selection, not sorts
+
+def _selection_portfolios():
+    rng = np.random.default_rng(23)
+    for n in (1, 2, 3, 2000):
+        heavy = rng.pareto(2.1, size=(n, 3)) + 0.1
+        yield pytest.param(heavy, id=f"pareto-{n}")
+        yield pytest.param(-heavy, id=f"negative-{n}")
+        yield pytest.param(rng.poisson([1.0, 2.0, 3.0], size=(n, 3)) + 1.0, id=f"poisson-{n}")
+        yield pytest.param(rng.choice([1.0, 2.0, 50.0], p=[0.9, 0.09, 0.01], size=(n, 2)),
+                           id=f"atomic-{n}")
+    # totals nine 0s and one 1: at alpha = 0.9 the ES lower bound is the root
+    yield pytest.param(np.r_[np.zeros(9), 1.0][:, None] * [0.25, 0.75], id="bound-is-root")
+    # totals -1, 0, 1, 2: at alpha = 0.75 the root is the total 1, which
+    # belongs to the body
+    yield pytest.param(np.array([[-1.0, 0.0], [0.0, 0.0], [0.5, 0.5], [2.0, 0.0]]),
+                       id="root-on-a-total")
+
+
+SELECTION_PORTFOLIOS = list(_selection_portfolios())
+SELECTION_LEVELS = (0.5, 0.6, 0.75, 0.9, 0.99, 0.999, 1 - 1e-6, 1 - 1e-10)
+
+
+@pytest.mark.parametrize("scale", [1e-15, 1.0, 1e15])
+@pytest.mark.parametrize("comp", SELECTION_PORTFOLIOS)
+def test_selection_expectile_matches_sample_expectile(comp, scale):
+    p = Portfolio(comp * scale)
+    for a in SELECTION_LEVELS:
+        contrib, e = expectile_euler(p, a, full_output=True)
+        want = expectile(Sample(p.total), a)
+        assert abs(e - want) <= 1e-13 * abs(want), (a, e, want)
+        # the weighted tail/body average with dense indicators, at the same root
+        tail = (p.total > e).astype(float)
+        den = a + (1.0 - 2.0 * a) * (1.0 - tail.mean())
+        dense = (a * (tail @ p.components) + (1.0 - a) * ((1.0 - tail) @ p.components))
+        np.testing.assert_allclose(contrib, dense / p.n / den, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("scale", [1e-15, 1.0, 1e15])
+@pytest.mark.parametrize("comp", SELECTION_PORTFOLIOS)
+def test_selection_es_matches_dense_indicator(comp, scale):
+    p = Portfolio(comp * scale)
+    for a in SELECTION_LEVELS:
+        tail = p.total > Sample(p.total).quantile(a)
+        count = np.count_nonzero(tail)
+        if count == 0:
+            with pytest.raises(ValueError, match="empty"):
+                es_euler(p, a)
+            continue
+        want = tail.astype(float) @ p.components / count
+        np.testing.assert_allclose(es_euler(p, a), want, rtol=1e-12, atol=0.0)
+
+
+def test_constant_total_is_its_own_expectile():
+    p = Portfolio(np.tile([0.1, 0.2], (2000, 1)))
+    for a in (0.6, 0.9, 0.99):
+        contrib, e = expectile_euler(p, a, full_output=True)
+        assert e == p.total[0]
+        np.testing.assert_allclose(contrib, [0.1, 0.2], rtol=1e-13, atol=0.0)
+
+
+def test_allocations_build_no_sample(monkeypatch):
+    def refuse(self, x):
+        raise AssertionError("an allocation built a Sample")
+
+    monkeypatch.setattr(Sample, "_set_sorted", refuse)
+    p = Portfolio(np.random.default_rng(4).pareto(2.1, size=(2000, 3)))
+    for a in (0.5, 0.9, 0.99):
+        expectile_euler(p, a, check=True)
+        es_euler(p, a)
+
+
+def test_expectile_sorts_only_the_totals_above_the_lower_bound(monkeypatch):
+    sizes = []
+    sort = np.sort
+
+    def counted(a, *args, **kwargs):
+        sizes.append(a.size)
+        return sort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "sort", counted)
+    p = Portfolio(np.random.default_rng(5).pareto(2.1, size=(100_000, 3)))
+    expectile_euler(p, 0.99, check=True)
+    assert len(sizes) == 1 and sizes[0] < 0.02 * p.n
+
+
+def test_expectile_solves_over_every_total_when_the_bound_overshoots(monkeypatch):
+    # rounding can put the bound at or past the root; then all totals are
+    # sorted, and the root is the same
+    p = Portfolio(np.random.default_rng(6).pareto(2.1, size=(2000, 3)))
+    want = {a: expectile_euler(p, a, full_output=True) for a in (0.6, 0.9, 0.99)}
+    monkeypatch.setattr(allocation, "_combination", lambda es, mu, alpha, beta: es)
+    for a, (contrib, e) in want.items():
+        got, root = expectile_euler(p, a, check=True, full_output=True)
+        assert abs(root - e) <= 1e-13 * abs(e)
+        np.testing.assert_allclose(got, contrib, rtol=1e-12, atol=0.0)
 
 
 # --------------------------------------------------------------- ratios

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from tailrisk import risk_core
+from tailrisk import allocation, risk_core
 from tailrisk.cli import main
 
 
@@ -146,8 +146,15 @@ def test_allocate_solves_the_portfolio_expectile_once(tmp_path, capsys, monkeypa
     path.write_text(PORTFOLIO)
     calls = []
     segment_root = risk_core._segment_root
-    monkeypatch.setattr(risk_core, "_segment_root",
-                        lambda src, alpha: calls.append(alpha) or segment_root(src, alpha))
+
+    def counted(x, suffix, n, total, alpha):
+        calls.append(alpha)
+        return segment_root(x, suffix, n, total, alpha)
+
+    # the portfolio solve imports the root by name, a Sample solve reaches it
+    # through risk_core: count both
+    monkeypatch.setattr(risk_core, "_segment_root", counted)
+    monkeypatch.setattr(allocation, "_segment_root", counted)
     argv = ["allocate", "--csv", str(path), "--alpha", "0.95"]
     if out:
         argv += ["--out", str(tmp_path / "contrib.csv")]

@@ -1,13 +1,17 @@
 """Parametric families, empirical samples and the text parser."""
 
 import math
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate
 
 from tailrisk.distributions import (
+    _FAMILY_PARAMS,
+    _U_FLOOR,
     Exponential,
     Pareto,
     PowerBeta,
@@ -50,6 +54,23 @@ def test_parse_roundtrip_examples():
 def test_parse_rejects_malformed(bad):
     with pytest.raises(ValueError):
         parse_distribution(bad)
+
+
+def _readme_specs():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    family = "|".join(_FAMILY_PARAMS)
+    # quoted specs ("exp"), specs after --dist, and any family:params token
+    quoted = re.findall(rf'"((?:{family})(?::[^"]*)?)"', text)
+    flagged = re.findall(r"--dist\s+(\S+)", text)
+    inline = re.findall(rf"\b((?:{family}):[^\s\"`\]]+)", text)
+    return sorted(set(quoted + flagged + inline))
+
+
+def test_readme_distribution_specs_parse():
+    specs = _readme_specs()
+    assert "twopoint:x1=0,x2=1,p=0.5" in specs and "exp" in specs
+    for spec in specs:
+        parse_distribution(spec)
 
 
 def test_parse_error_names_known_families():
@@ -259,6 +280,29 @@ def test_sample_rejects_empty_and_nan():
         Sample([1.0, np.nan])
 
 
+def test_sample_never_changes_the_callers_values():
+    values = np.array([3.0, -1.0, 2.0, 0.5])
+    kept = values.copy()
+    s = Sample(values)
+    np.testing.assert_array_equal(values, kept)
+    assert not np.shares_memory(s.values, values)
+    np.testing.assert_array_equal(s.values, np.sort(kept))
+
+
+@pytest.mark.parametrize("dist", CONTINUOUS + [TwoPoint(-1.0, 2.5, 0.3)],
+                         ids=lambda d: d.label)
+def test_drawn_sample_matches_a_sample_of_the_same_draws(dist):
+    # Distribution.sample sorts its own draws in place and keeps them; the
+    # values and suffix sums are the public constructor's, bit for bit
+    u = np.random.Generator(np.random.PCG64(7)).random(1001)
+    want = Sample(dist.quantile(np.maximum(u, _U_FLOOR)))
+    got = dist.sample(1001, seed=7)
+    np.testing.assert_array_equal(got.values, want.values)
+    np.testing.assert_array_equal(got._suffix, want._suffix)
+    np.testing.assert_array_equal(got._suffix[:-1], np.cumsum(want.values[::-1])[::-1])
+    assert got._suffix[-1] == 0.0
+
+
 def test_two_point_validation():
     with pytest.raises(ValueError):
         TwoPoint(1.0, 0.0, 0.5)  # needs x1 < x2
@@ -307,6 +351,13 @@ def _check_parity(method, args):
             got = method(scalar)
             assert type(got) is float, (method.__name__, x)
             assert _same_bits(got, want[k]), (method.__name__, x, got, want[k])
+
+
+def test_sample_es_of_nan_is_nan():
+    # NaN in, NaN out, with no warning, as for the families
+    s = Sample([1.0, 2.0, 3.0])
+    assert math.isnan(s.es(float("nan")))
+    _check_parity(s.es, [0.0, -0.0] + PARITY_LEVELS)
 
 
 @pytest.mark.parametrize("dist", PARITY_FAMILIES, ids=lambda d: d.label)
