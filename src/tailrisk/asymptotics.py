@@ -76,7 +76,7 @@ def _check_order(order: int) -> int:
 def _check_alpha(alpha: float) -> float:
     alpha = float(alpha)
     if not (0.5 <= alpha < 1.0):
-        raise ValueError(f"expansion level alpha must lie in [0.5, 1), got {alpha}")
+        raise ValueError(f"level alpha must lie in [0.5, 1), got {alpha}")
     return alpha
 
 
@@ -293,9 +293,7 @@ def extreme_expectile_estimate(
     """
     if not isinstance(sample, Sample):
         sample = Sample(sample)
-    alpha = float(alpha)
-    if not (0.5 <= alpha < 1.0):
-        raise ValueError(f"estimation level alpha must lie in [0.5, 1), got {alpha}")
+    alpha = _check_alpha(alpha)
     eta_hat = hill_estimator(sample, k)
     if eta_hat <= 1.0:
         raise ValueError(

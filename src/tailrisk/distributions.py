@@ -19,14 +19,17 @@ on the source kind.
 Sampling is inverse-transform only, driven by numpy's PCG64 generator, so
 a (family, n, seed) triple reproduces bit-identical samples.
 
-Scalar contract of the parametric families: ``cdf``, ``prob_lt``,
-``quantile``, ``es``, ``eplus`` and ``density`` take a scalar (a Python or
-numpy number, or a 0-d array) as one Python float and return a ``float``.
-A scalar passes the same validation as an array (the same levels raise the
-same ``ValueError``, NaN included) and gives the same bits as the matching
-element of the array call: both run the one family formula, written with
-numpy ufuncs (``np.power``, not ``**``, whose scalar form may round
-differently from the array loop).
+Scalar contract of every loss source, families and :class:`Sample` alike:
+``cdf``, ``prob_lt``, ``quantile``, ``es`` and the continuous families'
+``density`` take a scalar (a Python or numpy number, or a 0-d array) as one
+Python float and return a ``float``.  A scalar passes the same validation
+as an array (the same levels raise the same ``ValueError``) and gives the
+same bits as the matching element of the array call: ``_at`` runs the one
+formula, written with numpy ufuncs (``np.power``, not ``**``, whose scalar
+form may round differently from the array loop), on either.  A NaN
+argument gives NaN without a warning.  Quantile levels lie in (0, 1), for a
+``Sample`` in (0, 1] (``quantile(1)`` is its maximum); ES levels lie in
+[0, 1).  ``eplus`` takes a scalar only and returns a ``float``.
 """
 
 from __future__ import annotations
@@ -61,20 +64,21 @@ class EvClassification(NamedTuple):
 _U_FLOOR = 2.0 ** -53
 
 
-def _as_float_array(x):
-    return np.asarray(x, dtype=float)
-
-
-def _scalar_in(x) -> bool:
-    return np.ndim(x) == 0
-
-
 def _scalar(x) -> Optional[float]:
     """x as a Python float when it is a scalar (a Python or numpy number or
     a 0-d array), else None."""
     if isinstance(x, (float, int)) or np.ndim(x) == 0:
         return float(x)
     return None
+
+
+def _at(f, x, shift=0.0):
+    """f(x - shift) for an elementwise f: a scalar x reaches f as one Python
+    float and gives a ``float``, anything else gives f's array."""
+    s = _scalar(x)
+    if s is not None:
+        return float(f(s - shift))
+    return f(np.asarray(x, dtype=float) - shift)
 
 
 _QUANTILE_LEVEL = "quantile level u must lie strictly in (0, 1)"
@@ -122,16 +126,9 @@ class Distribution:
         return ""
 
     # --- public interface -----------------------------------------------
-    def _at(self, hook, x):
-        """hook(x - shift): a float for a scalar x, else an array."""
-        s = _scalar(x)
-        if s is not None:
-            return float(hook(s - self.shift))
-        return hook(_as_float_array(x) - self.shift)
-
     def cdf(self, x):
         """P[L <= x]."""
-        return self._at(self._cdf0, x)
+        return _at(self._cdf0, x, self.shift)
 
     def prob_lt(self, x):
         """P[L < x]; equals the CDF for the continuous families."""
@@ -144,7 +141,7 @@ class Distribution:
             if s <= 0.0 or s >= 1.0:
                 raise ValueError(_QUANTILE_LEVEL)
             return float(self._quantile0(s)) + self.shift
-        ua = _as_float_array(u)
+        ua = np.asarray(u, dtype=float)
         if np.any((ua <= 0.0) | (ua >= 1.0)):
             raise ValueError(_QUANTILE_LEVEL)
         return self._quantile0(ua) + self.shift
@@ -164,7 +161,7 @@ class Distribution:
             if s == 0.0:
                 return self.mean()
             return float(self._es0(s)) + self.shift
-        ba = _as_float_array(beta)
+        ba = np.asarray(beta, dtype=float)
         if np.any((ba < 0.0) | (ba >= 1.0)):
             raise ValueError(_ES_LEVEL)
         zero = ba == 0.0
@@ -194,7 +191,7 @@ class Distribution:
 
     def density(self, x):
         """Density f(x) (defined for the continuous families)."""
-        return self._at(self._pdf0, x)
+        return _at(self._pdf0, x, self.shift)
 
     def support(self):
         lo, hi = self._support0()
@@ -515,20 +512,22 @@ class TwoPoint(Distribution):
         self.x1, self.x2, self.p = x1, x2, p
 
     def _cdf0(self, x):
-        return self._steps(x >= self.x1, x >= self.x2)
+        return self._steps(x, x >= self.x1, x >= self.x2)
 
     def prob_lt(self, x):
-        return self._at(self._prob_lt0, x)
+        return _at(self._prob_lt0, x, self.shift)
 
     def _prob_lt0(self, x):
-        return self._steps(x > self.x1, x > self.x2)
+        return self._steps(x, x > self.x1, x > self.x2)
 
-    def _steps(self, past_x1, past_x2):
-        """p past x1 and 1 past x2 (p < 1), from the two indicators."""
-        return np.maximum(self.p * past_x1, past_x2)
+    def _steps(self, x, past_x1, past_x2):
+        """p past x1 and 1 past x2 (p < 1), from the two indicators; NaN at
+        a NaN x, which passes neither: 0 sign(x) adds +-0, or NaN."""
+        return np.maximum(self.p * past_x1, past_x2) + 0.0 * np.sign(x)
 
     def _quantile0(self, u):
-        return np.where(u <= self.p, self.x1, self.x2)
+        # sign(u) is 1 at every valid level and NaN at a NaN one
+        return np.where(u <= self.p, self.x1, self.x2) * np.sign(u)
 
     def _mean0(self):
         return self.p * self.x1 + (1.0 - self.p) * self.x2
@@ -537,7 +536,7 @@ class TwoPoint(Distribution):
         # below p the atom at x1 is split; min(beta, p) keeps 1 - b > 0
         b = np.minimum(beta, self.p)
         mixed = ((self.p - b) * self.x1 + (1.0 - self.p) * self.x2) / (1.0 - b)
-        return np.where(beta < self.p, mixed, self.x2)
+        return np.where(beta >= self.p, self.x2, mixed)
 
     def _pdf0(self, x):
         raise NotImplementedError("two-point law has no density")
@@ -559,10 +558,10 @@ class TwoPoint(Distribution):
 
 def order_index(n: int, u):
     """Smallest i with i/n >= u (1-based, clipped to [1, n]): the order
-    statistic of the left empirical quantile, robust to fp noise in n*u."""
+    statistic of the left empirical quantile, robust to fp noise in n*u.
+    A NaN level gives 1, without a warning."""
     nu = n * np.asarray(u, dtype=float)
-    i = np.ceil(nu * (1.0 - 1e-14)).astype(np.int64)
-    return np.clip(i, 1, n)
+    return np.fmin(np.fmax(np.ceil(nu * (1.0 - 1e-14)), 1.0), n).astype(np.int64)
 
 
 def suffix_sums(x: np.ndarray) -> np.ndarray:
@@ -594,11 +593,16 @@ class Sample:
     Exposes the same risk interface as the parametric families with exact
     order-statistic / partial-sum formulas:
 
-    - ``quantile(u)``: left quantile, the ceil(n u)-th order statistic;
+    - ``quantile(u)``: left quantile, the ceil(n u)-th order statistic, for
+      u in (0, 1]; ``quantile(1)`` is the maximum;
+    - ``cdf(x)`` / ``prob_lt(x)``: the share of values <= x / < x;
     - ``es(beta)``: exact tail average
       [(i/n - beta) x_(i) + sum_{j>i} x_(j)/n] / (1-beta) with i = ceil(n beta),
       evaluated as x_(i) + sum_{j>i} (x_(j) - x_(i)) / (n (1-beta));
-    - ``eplus(m)``: exact partial mean sum (x_j - m)+ / n.
+      ``es(0)`` is the mean;
+    - ``eplus(m)``: exact partial mean sum (x_j - m)+ / n, for a scalar m.
+
+    All of them keep the families' scalar contract (module docstring).
 
     Values are sorted ascending on construction (into a new array: the
     caller's values are never changed); suffix sums are cached.
@@ -630,38 +634,44 @@ class Sample:
         return float(self._suffix[0] / self.n)
 
     def quantile(self, u):
-        ua = _as_float_array(u)
-        if np.any((ua <= 0.0) | (ua > 1.0)):
+        return _at(self._quantile0, u)
+
+    def _quantile0(self, u):
+        if np.count_nonzero((u <= 0.0) | (u > 1.0)):
             raise ValueError("empirical quantile level must lie in (0, 1]")
-        out = self.values[order_index(self.n, ua) - 1]
-        return float(out) if _scalar_in(u) else out
+        # sign(u) is 1 at every valid level and NaN at a NaN one
+        return self.values[order_index(self.n, u) - 1] * np.sign(u)
 
     def cdf(self, x):
-        out = np.searchsorted(self.values, _as_float_array(x), side="right") / self.n
-        return float(out) if _scalar_in(x) else out
+        return _at(lambda v: self._share(v, "right"), x)
 
     def prob_lt(self, x):
-        out = np.searchsorted(self.values, _as_float_array(x), side="left") / self.n
-        return float(out) if _scalar_in(x) else out
+        return _at(lambda v: self._share(v, "left"), x)
+
+    def _share(self, x, side):
+        # searchsorted places a NaN after every value; 0 sign(x) adds +-0,
+        # or NaN at a NaN x
+        return np.searchsorted(self.values, x, side=side) / self.n + 0.0 * np.sign(x)
 
     def es(self, beta):
-        ba = _as_float_array(beta)
-        if np.any((ba < 0.0) | (ba >= 1.0)):
+        return _at(self._es0, beta)
+
+    def _es0(self, beta):
+        if np.count_nonzero((beta < 0.0) | (beta >= 1.0)):
             raise ValueError(_ES_LEVEL)
         n = self.n
         # fmax/fmin send a NaN level to i = 0, from where the formula
         # carries the NaN through 1 - beta without a warning
-        i = np.fmin(np.fmax(np.ceil(ba * n), 0.0), n).astype(np.int64)
+        i = np.fmin(np.fmax(np.ceil(beta * n), 0.0), n).astype(np.int64)
         x = self.values[np.maximum(i, 1) - 1]
-        out = np.where(ba == 0.0, self._suffix[0] / n,
-                       empirical_es(x, self._suffix[i], n - i, n, ba))
-        return float(out) if _scalar_in(beta) else out
+        return np.where(beta == 0.0, self._suffix[0] / n,
+                        empirical_es(x, self._suffix[i], n - i, n, beta))
 
     def eplus(self, m):
         """E[(L - m)+] under the empirical law, exact."""
         m = float(m)
         j = int(np.searchsorted(self.values, m, side="right"))
-        return (self._suffix[j] - (self.n - j) * m) / self.n
+        return float((self._suffix[j] - (self.n - j) * m) / self.n)
 
     def support(self):
         return float(self.values[0]), float(self.values[-1])

@@ -30,7 +30,7 @@ from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .asymptotics import exact_ratio, ratio_expansion
+from .asymptotics import _check_alpha, exact_ratio, ratio_expansion
 from .distributions import Distribution, PowerBeta, Pareto, Sample, StudentT
 from .risk_core import distortion_curves, expected_shortfall, expectile, value_at_risk
 
@@ -117,14 +117,9 @@ def ratio_table(cfg: SimulationConfig) -> list:
     """
     if cfg.vs not in ("es", "var"):
         raise ValueError(f"ratio denominator must be 'es' or 'var', got {cfg.vs!r}")
-    if not cfg.alphas:
-        raise ValueError("alpha grid is empty")
+    alphas = _alpha_grid(cfg.alphas)
     if not cfg.ns:
         raise ValueError("sample-size grid is empty")
-    alphas = [float(a) for a in cfg.alphas]
-    for a in alphas:
-        if not (0.5 <= a < 1.0):
-            raise ValueError(f"table level alpha must lie in [0.5, 1), got {a}")
     ns = [int(n) for n in cfg.ns]
     for n in ns:
         if n < 1:
@@ -240,12 +235,10 @@ def wasserstein_exact(s: Sample, dist: Distribution) -> float:
 
 
 def _alpha_grid(alphas: Sequence[float]) -> list:
-    out = [float(a) for a in alphas]
+    """The levels as floats, each checked to lie in [0.5, 1)."""
+    out = [_check_alpha(a) for a in alphas]
     if not out:
         raise ValueError("alpha grid is empty")
-    for a in out:
-        if not (0.5 <= a < 1.0):
-            raise ValueError(f"figure level alpha must lie in [0.5, 1), got {a}")
     return out
 
 

@@ -27,7 +27,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .distributions import Distribution, Sample, TwoPoint
+from .distributions import Distribution, Sample, TwoPoint, _at
 
 LossSource = Union[Distribution, Sample]
 
@@ -402,15 +402,11 @@ class ExpectileDistortion:
 
     def phi(self, t):
         a = self.alpha
-        t = np.asarray(t, dtype=float)
-        out = a * t / ((2.0 * a - 1.0) * t + 1.0 - a)
-        return float(out) if np.ndim(t) == 0 else out
+        return _at(lambda t: np.divide(a * t, (2.0 * a - 1.0) * t + 1.0 - a), t)
 
     def phi_prime(self, t):
         a = self.alpha
-        t = np.asarray(t, dtype=float)
-        out = a * (1.0 - a) / ((2.0 * a - 1.0) * t + 1.0 - a) ** 2
-        return float(out) if np.ndim(t) == 0 else out
+        return _at(lambda t: a * (1.0 - a) / np.square((2.0 * a - 1.0) * t + 1.0 - a), t)
 
     def __repr__(self):
         return f"ExpectileDistortion(alpha={self.alpha:g})"
@@ -432,10 +428,8 @@ class MixtureES:
         self.lam, self.beta, self.delta = lam, beta, delta
 
     def phi(self, t):
-        t = np.asarray(t, dtype=float)
-        out = (1.0 - self.lam) * np.minimum(t / (1.0 - self.beta), 1.0) \
-            + self.lam * np.minimum(t / (1.0 - self.delta), 1.0)
-        return float(out) if np.ndim(t) == 0 else out
+        return _at(lambda t: (1.0 - self.lam) * np.minimum(t / (1.0 - self.beta), 1.0)
+                   + self.lam * np.minimum(t / (1.0 - self.delta), 1.0), t)
 
     def __repr__(self):
         return (

@@ -21,6 +21,7 @@ from tailrisk.distributions import (
     Uniform01,
     parse_distribution,
 )
+from tailrisk.risk_core import ExpectileDistortion, MixtureES
 
 CONTINUOUS = [
     Pareto(2.1),
@@ -321,13 +322,29 @@ PARITY_FAMILIES = [
 PARITY_LEVELS = [1e-300, 1e-20, 2.0 ** -60, 2.0 ** -53, 1e-9, 0.3, 0.5, 0.9, 0.99,
                  1 - 1e-10, 1 - 2.0 ** -53, float("nan")]
 BAD_QUANTILE_LEVELS = [0.0, -0.0, 1.0, -0.5, 1.5, float("inf"), float("-inf")]
+# a sample's quantile domain is (0, 1]: quantile(1) is its maximum
+BAD_SAMPLE_QUANTILE_LEVELS = [0.0, -0.0, -1e-300, -0.5, 1.0 + 2.0 ** -52, 1.5,
+                              float("inf"), float("-inf")]
 BAD_ES_LEVELS = [-1e-300, -0.5, 1.0, 1.5, float("inf"), float("-inf")]
+
+
+def _parity_samples():
+    """One value, tied atoms, signed ties, and signed ties scaled by 1e-15 and 1e15."""
+    signed = np.round(np.random.default_rng(3).standard_normal(40), 1)
+    yield pytest.param(Sample([2.5]), id="sample n=1")
+    yield pytest.param(Sample([0.0, 1.0, 1.0, 1.0, 2.0, 2.0]), id="sample ties")
+    for scale in (1.0, 1e-15, 1e15):
+        yield pytest.param(Sample(scale * signed), id=f"sample signed ties x {scale:g}")
+
+
+PARITY_SOURCES = [pytest.param(d, id=d.label) for d in PARITY_FAMILIES] + list(_parity_samples())
 
 
 def _parity_points(dist):
     """Points inside the support, on its edges, outside it and at +-inf."""
     lo, hi = dist.support()
-    pts = [float("-inf"), -1e300, 1e300, float("inf"), float("nan"), -0.0, dist.shift]
+    pts = [float("-inf"), -1e300, 1e300, float("inf"), float("nan"), -0.0,
+           getattr(dist, "shift", 0.0)]
     pts += [float(dist.quantile(u)) for u in (1e-12, 0.3, 0.5, 0.9, 1 - 1e-9)]
     for edge in (lo, hi):
         if np.isfinite(edge):
@@ -360,21 +377,28 @@ def test_sample_es_of_nan_is_nan():
     _check_parity(s.es, [0.0, -0.0] + PARITY_LEVELS)
 
 
-@pytest.mark.parametrize("dist", PARITY_FAMILIES, ids=lambda d: d.label)
+@pytest.mark.parametrize("dist", PARITY_SOURCES)
 def test_scalar_call_matches_array_element_bit_for_bit(dist):
     points = _parity_points(dist)
     _check_parity(dist.cdf, points)
     _check_parity(dist.prob_lt, points)
-    _check_parity(dist.quantile, PARITY_LEVELS)
+    _check_parity(dist.quantile, PARITY_LEVELS + ([1.0] if isinstance(dist, Sample) else []))
     _check_parity(dist.es, [0.0, -0.0] + PARITY_LEVELS)
     if dist.continuous:
         _check_parity(dist.density, points)
-    # eplus takes scalars only: the tail identity on the array results
+    # NaN in, NaN out, as the parity checks need of the array elements too
+    for method in (dist.cdf, dist.prob_lt, dist.quantile, dist.es):
+        assert math.isnan(method(float("nan"))), method.__name__
+    # eplus takes scalars only: the tail identity on the array results, or
+    # for a sample the partial mean from its suffix sums on numpy scalars
     finite = [x for x in points if np.isfinite(x)]
     u = dist.cdf(np.array(finite))
     es_u = dist.es(np.where((u > 0.0) & (u < 1.0), u, 0.5))
     for k, m in enumerate(finite):
-        if u[k] >= 1.0:
+        if isinstance(dist, Sample):
+            j = np.searchsorted(dist.values, m, side="right")
+            want = (dist._suffix[j] - (dist.n - j) * np.float64(m)) / dist.n
+        elif u[k] >= 1.0:
             want = 0.0
         elif u[k] <= 0.0:
             want = dist.mean() - m
@@ -385,9 +409,10 @@ def test_scalar_call_matches_array_element_bit_for_bit(dist):
             assert type(got) is float and _same_bits(got, want), (m, got, want)
 
 
-@pytest.mark.parametrize("dist", PARITY_FAMILIES, ids=lambda d: d.label)
+@pytest.mark.parametrize("dist", PARITY_SOURCES)
 def test_invalid_levels_raise_the_same_error_as_scalar_or_array(dist):
-    for method, bad in ((dist.quantile, BAD_QUANTILE_LEVELS), (dist.es, BAD_ES_LEVELS)):
+    bad_quantile = BAD_SAMPLE_QUANTILE_LEVELS if isinstance(dist, Sample) else BAD_QUANTILE_LEVELS
+    for method, bad in ((dist.quantile, bad_quantile), (dist.es, BAD_ES_LEVELS)):
         for level in bad:
             messages = set()
             for arg in (level, np.float64(level), np.array([0.5, level])):
@@ -395,6 +420,16 @@ def test_invalid_levels_raise_the_same_error_as_scalar_or_array(dist):
                     method(arg)
                 messages.add(str(exc.value))
             assert len(messages) == 1, (method.__name__, level, messages)
+
+
+@pytest.mark.parametrize("phi", [
+    ExpectileDistortion(0.5).phi, ExpectileDistortion(0.9).phi, ExpectileDistortion(1 - 1e-9).phi,
+    ExpectileDistortion(0.5).phi_prime, ExpectileDistortion(0.9).phi_prime,
+    ExpectileDistortion(1 - 1e-9).phi_prime,
+    MixtureES(1.0 / 9.0, 0.9, 0.0).phi, MixtureES(0.3, 0.5, 0.99).phi,
+], ids=lambda f: f"{f.__self__!r}.{f.__name__}")
+def test_distortion_scalar_call_matches_array_element_bit_for_bit(phi):
+    _check_parity(phi, [0.0, -0.0, 1e-300, 1e-12, 0.3, 0.5, 1 - 1e-12, 1.0, 2.0, float("nan")])
 
 
 # ------------------------------------------- empirical ES, exactly

@@ -1,9 +1,11 @@
-"""What importing tailrisk loads, and no unused imports in its modules.
+"""What importing tailrisk loads, no unused imports and no dead private names.
 
-No linter runs on this code base, so the scan below stands in for the
-unused-import rule: every name an ``import`` binds must be read somewhere
-in the same module.  Names re-exported through ``__all__`` and
-``from __future__`` imports are exempt.
+No linter runs on this code base, so the scans below stand in for two
+rules.  Unused imports: every name an ``import`` binds must be read
+somewhere in the same module; names re-exported through ``__all__`` and
+``from __future__`` imports are exempt.  Dead private names: every
+single-underscore name bound at module or class level in the package must
+be read somewhere in the package, as a name or as an attribute.
 """
 
 import ast
@@ -15,7 +17,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted((ROOT / "src" / "tailrisk").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "tailrisk").glob("*.py"))
+MODULES = PACKAGE + sorted((ROOT / "demos").glob("*.py"))
 
 
 def _exported(tree: ast.Module) -> set:
@@ -41,6 +44,37 @@ def unused_imports(source: str) -> list:
     return [name for name in bound if name not in exempt]
 
 
+def _private_definitions(body: list) -> list:
+    """Single-underscore names bound in ``body`` and in its classes' bodies."""
+    names = []
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+            if isinstance(node, ast.ClassDef):
+                names += _private_definitions(node.body)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                elts = target.elts if isinstance(target, ast.Tuple) else [target]
+                names += [t.id for t in elts if isinstance(t, ast.Name)]
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def dead_private_names(sources: dict) -> list:
+    """``module:name`` for each private module- or class-level name that no
+    module in ``sources`` (module name -> source) reads."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return [f"{mod}:{name}" for mod, tree in trees.items()
+            for name in _private_definitions(tree.body) if name not in read]
+
+
 def test_scan_covers_package_and_demos():
     assert len(MODULES) == 13
 
@@ -62,6 +96,35 @@ def test_scan_flags_unused_and_spares_used_names():
 @pytest.mark.parametrize("path", MODULES, ids=[f"{p.parent.name}/{p.name}" for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_dead_name_scan_flags_unread_and_spares_read_names():
+    sources = {
+        "a": (
+            "_LIMIT, _SPARE = 1, 2\n"
+            "def _helper(x):\n"
+            "    return x\n"
+            "def _orphan():\n"
+            "    pass\n"
+            "class K:\n"
+            "    _tag: str = 'k'\n"
+            "    def _hook(self):\n"
+            "        return self._tag\n"
+            "    def __len__(self):\n"
+            "        return 0\n"
+        ),
+        "b": (
+            "from .a import _helper, K\n"
+            "def run(k: K, _unused=0):\n"
+            "    _local = k._hook()\n"
+            "    return _helper(_LIMIT)\n"
+        ),
+    }
+    assert dead_private_names(sources) == ["a:_SPARE", "a:_orphan"]
+
+
+def test_no_dead_private_names():
+    assert dead_private_names({p.stem: p.read_text() for p in PACKAGE}) == []
 
 
 def test_import_loads_neither_optimize_nor_integrate():
