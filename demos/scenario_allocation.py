@@ -2,7 +2,9 @@
 
 Expectile contributions are conditional-expectation weights from the
 first-order condition and add up to the portfolio expectile exactly; ES
-contributions average each component over the portfolio's tail event.
+contributions average each component over the portfolio's tail, the
+scenario at the quantile with its fractional weight, and add up to the
+portfolio ES.
 For independent heavy-tailed components, the contribution ratios
 approach a constant that depends only on the tail index.
 """
@@ -16,7 +18,7 @@ from tailrisk.allocation import (
     expectile_euler,
 )
 from tailrisk.distributions import Pareto, Sample
-from tailrisk.risk_core import expectile
+from tailrisk.risk_core import expected_shortfall, expectile
 
 
 def main():
@@ -39,18 +41,15 @@ def main():
     print(f"  sum {contrib.sum():.6f} = portfolio expectile {total:.6f}")
 
     es_c = es_euler(p, alpha)
-    print(f"es contributions: {np.round(es_c, 4)} (tail-event averages)")
+    print(f"es contributions: {np.round(es_c, 4)}")
+    print(f"  sum {es_c.sum():.6f} = portfolio es {expected_shortfall(Sample(p.total), alpha):.6f}")
 
     print()
     print("independent pareto components, contribution ratio e/es per desk:")
     u = np.maximum(rng.random((200_000, 3)), 2.0 ** -53)
     iid = Portfolio(Pareto(2.1).quantile(u))
     for row in euler_asymptotic_ratio(iid, 2.1, [0.99, 0.999]):
-        if row.ratios is None:
-            print(f"  alpha={row.alpha}: {row.note}")
-        else:
-            print(f"  alpha={row.alpha}: {np.round(row.ratios, 4)}"
-                  f" -> constant {row.constant:.4f}")
+        print(f"  alpha={row.alpha}: {np.round(row.ratios, 4)} -> constant {row.constant:.4f}")
 
 
 if __name__ == "__main__":

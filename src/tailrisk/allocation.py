@@ -4,22 +4,26 @@ A portfolio is a matrix of joint scenarios (rows) over components
 (columns); the total loss is the rowwise sum.  Contributions are the
 Euler (marginal) allocations of ES and expectile capital:
 
-- ES:        ES_alpha(L_k | L) = E[L_k | L > q_L(alpha)];
+- ES:        ES_alpha(L_k | L) =
+      (E[L_k 1_{L > q}] + (P[L <= q] - alpha) E[L_k | L = q]) / (1-alpha),
+      q = q_alpha(L), the tail average of the paper with the atom at q
+      given its fractional weight (Tasche 1999; Acerbi & Tasche 2002);
 - expectile: e_alpha(L_k | L) =
       (alpha E[L_k 1_{L > e}] + (1-alpha) E[L_k 1_{L <= e}])
       / (alpha + (1-2 alpha) P[L <= e]),   e = e_alpha(L),
 
-both evaluated on the empirical scenario measure.  The expectile
-allocation satisfies full allocation exactly (summing the numerators over
-k reproduces the first-order condition of the total), and it equals the
-convex combination (1-w) ES_{b}(L_k|L) + w E[L_k] with b = P[L <= e] and
-w = (1-alpha)/(alpha + (1-2 alpha) b) — re-verified at runtime when
-``check=True``.
+both evaluated on the empirical scenario measure, and both satisfy full
+allocation: the ES contributions add up to ES_alpha of the totals, ties
+or not, and the expectile ones to e (summing the numerators over k
+reproduces the first-order condition of the total).  The expectile
+allocation equals the convex combination (1-w) ES_{b}(L_k|L) + w E[L_k]
+with b = P[L <= e] and w = (1-alpha)/(alpha + (1-2 alpha) b) — re-verified
+at runtime when ``check=True``.
 
 Neither allocation sorts all n scenario totals (the expectile does only
 when rounding puts its bracket's lower end on the root).  Each costs one
 selection (``np.partition``) of the totals plus work proportional to the
-tail: the rows above the threshold are gathered and summed by a
+tail: the rows at or above the threshold are gathered and summed by a
 matrix-vector product.  The expectile sorts only the totals above the
 paper's lower bound (1 - w) ES_alpha + w E[L], w = 1/(2 alpha) (the b =
 alpha case above), about 1.3 (1 - alpha) n of them for heavy tails, and
@@ -34,8 +38,7 @@ from __future__ import annotations
 
 import csv
 import io
-import math
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -141,31 +144,39 @@ def _diagnose_csv(lines, first_lineno, path, exc):
 
 
 def es_euler(p: Portfolio, alpha: float) -> np.ndarray:
-    """ES contributions: componentwise mean over the strict tail event
-    {total > empirical q_alpha}.  Scenarios tied with the quantile are
-    excluded by the strict inequality.
+    """ES contributions: the Euler allocation of the tail average
+    ES_alpha = (1/(1-alpha)) int_alpha^1 q(u) du of the totals,
 
-    q_alpha is the same order statistic as ``Sample(p.total).quantile``,
-    found by selection rather than a sort; the rows above it are gathered
-    and summed by one matrix-vector product, so past the selection the cost
-    is proportional to the tail, about (1 - alpha) n rows.
+        (sum_{L > q} L_k + (m / n_eq) sum_{L = q} L_k) / (n_above + m),
+
+    q = q_alpha, n_above = #{L > q}, n_eq = #{L = q}, and m the part of the
+    atom at q in the tail: n (1 - alpha) - n_above, clamped to [0, n_eq].
+    The denominator is n (1 - alpha), so the contributions add up to
+    ``expected_shortfall(Sample(p.total), alpha)``, ties or not.  With m = 0
+    (continuous data, n alpha an integer) this is the mean over {L > q}.
+
+    q_alpha is the order statistic ``Sample(p.total).quantile`` returns,
+    found by selection rather than a sort.  The rows at or above it are
+    gathered and summed by one weighted matrix-vector product, so past the
+    selection the cost is proportional to the tail and the ties at q.
     """
     _check_var_level(alpha)
-    i = int(order_index(p.n, alpha))
-    q = float(np.partition(p.total, i - 1)[i - 1])
-    rows = np.flatnonzero(p.total > q)
-    if rows.size == 0:
-        raise ValueError(
-            f"tail event {{total > q_alpha}} is empty at alpha={alpha} "
-            f"(quantile {q:g} ties the sample maximum)"
-        )
-    return _row_sums(p.components, rows) / rows.size
+    i, part = _select(p.total, alpha)
+    q = part[i - 1]
+    rows = np.flatnonzero(p.total >= q)
+    above = p.total[rows] > q
+    n_above = int(np.count_nonzero(above))
+    n_eq = rows.size - n_above
+    m = min(max(p.n * (1.0 - alpha) - n_above, 0.0), n_eq)
+    w = np.maximum(above, m / n_eq)  # 1 above q, m / n_eq <= 1 at q
+    return w @ p.components[rows] / (n_above + m)
 
 
-def _row_sums(components: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Column sums over the given rows, as a matrix-vector product: BLAS sums
-    a row-major block faster than ``sum(axis=0)`` does."""
-    return np.ones(rows.size) @ components[rows]
+def _select(total: np.ndarray, alpha: float):
+    """(i, the totals partitioned at i - 1): the i-th smallest total is the
+    q_alpha of ``Sample(total).quantile``, found without a sort."""
+    i = int(order_index(total.size, alpha))
+    return i, np.partition(total, i - 1)
 
 
 def _tail_expectile(total: np.ndarray, alpha: float):
@@ -184,8 +195,7 @@ def _tail_expectile(total: np.ndarray, alpha: float):
     if alpha == 0.5:
         e = s0 / n
         return e, np.flatnonzero(total > e)
-    i = min(math.ceil(alpha * n), n)
-    part = np.partition(total, i - 1)
+    i, part = _select(total, alpha)
     es = empirical_es(part[i - 1], part[i:].sum(), n - i, n, alpha)
     lower = _combination(float(es), s0 / n, alpha, alpha)
     rows = np.flatnonzero(total > lower)
@@ -226,7 +236,8 @@ def expectile_euler(
     n = p.n
     n_le = n - rows.size
     means = np.ones(n) @ p.components / n
-    tail = _row_sums(p.components, rows) / n
+    # BLAS sums a gathered row block faster than sum(axis=0) does
+    tail = np.ones(rows.size) @ p.components[rows] / n
     den = alpha + (1.0 - 2.0 * alpha) * (n_le / n)
     # alpha * tail + (1 - alpha) * body, with body = means - tail
     contrib = ((2.0 * alpha - 1.0) * tail + (1.0 - alpha) * means) / den
@@ -251,16 +262,11 @@ def expectile_euler(
 
 
 class AsymptoticRatioRow(NamedTuple):
-    """One grid point of the expectile/ES contribution ratio diagnostics.
-
-    ``ratios`` is None when the tail event degenerated at this level (the
-    reason is in ``note``).
-    """
+    """One grid point of the expectile/ES contribution ratio diagnostics."""
 
     alpha: float
-    ratios: Optional[tuple]
+    ratios: tuple
     constant: float
-    note: str
 
 
 def euler_asymptotic_ratio(
@@ -271,18 +277,17 @@ def euler_asymptotic_ratio(
     For heavy-tailed components with common tail index eta > 1, the
     expectile contribution is asymptotically the ES contribution times
     (eta-1)^((eta-1)/eta)/eta; this emits the empirical ratios next to
-    that constant for convergence inspection.  Degenerate tails at large
-    alpha are reported per row rather than raised.
+    that constant for convergence inspection.  Every level must be an
+    expectile level, checked before any allocation; a component with a zero
+    ES contribution gets an infinite or NaN ratio.
     """
     constant = frechet_first_order_constant(eta)
+    levels = [float(a) for a in alphas]
+    for a in levels:
+        _check_expectile_level(a)
     rows = []
-    for a in alphas:
-        try:
-            es_c = es_euler(p, a)
-            e_c = expectile_euler(p, a, check=False)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratios = tuple(np.asarray(e_c) / np.asarray(es_c))
-            rows.append(AsymptoticRatioRow(float(a), ratios, constant, ""))
-        except ValueError as exc:
-            rows.append(AsymptoticRatioRow(float(a), None, constant, str(exc)))
+    for a in levels:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = expectile_euler(p, a, check=False) / es_euler(p, a)
+        rows.append(AsymptoticRatioRow(a, tuple(ratios), constant))
     return rows

@@ -177,12 +177,6 @@ def _cmd_allocate(args) -> str:
     for k, c in enumerate(contrib):
         lines.append(f"  component {k + 1}: {c:.4f}")
     lines.append(f"  sum = {contrib.sum():.4f} (portfolio {args.measure} = {total:.4f})")
-    if args.measure == "es" and abs(contrib.sum() - total) > 1e-9 * (1.0 + abs(total)):
-        lines.append(
-            "  note: ES contributions average the strict tail event, so their sum is"
-            " the conditional tail mean; it matches the portfolio ES only when no"
-            " scenario ties the quantile's probability block"
-        )
     return "\n".join(lines) + "\n"
 
 
@@ -296,7 +290,7 @@ def _cmd_figure(args) -> str:
     if args.points < 2:
         raise _ValidationError(f"--points: need at least 2, got {args.points}")
     if kind == "distortion":
-        alpha = _level(args.alpha if args.alpha is not None else 0.94, lo=0.5)
+        alpha = _expectile_level(args.alpha if args.alpha is not None else 0.94)
         header, rows = figure_series("distortion", alpha=alpha, points=args.points)
         return render_csv(header, rows)
     lo = _level(args.alpha_min, flag="alpha-min", lo=0.5)

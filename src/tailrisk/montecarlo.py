@@ -262,10 +262,6 @@ def figure_series(kind: str, **params):
         points = int(params.pop("points", 201))
         if params:
             raise ValueError(f"unexpected parameters for kind 'distortion': {sorted(params)}")
-        if points < 2:
-            raise ValueError(f"need at least 2 grid points, got {points}")
-        if not (0.5 < alpha < 1.0):
-            raise ValueError(f"distortion level alpha must lie in (0.5, 1), got {alpha}")
         t, phi, mix = distortion_curves(alpha, points)
         return ["t", "phi", "phi_mix"], list(zip(t, phi, mix))
 

@@ -283,7 +283,7 @@ def test_criterion_7_euler_allocation():
         r = np.random.default_rng(seed)
         u = np.maximum(r.random((1_000_000, 3)), 2.0 ** -53)
         row = euler_asymptotic_ratio(Portfolio(d21.quantile(u)), 2.1, [0.999])[0]
-        assert row.ratios is not None, row.note
+        assert row.ratios is not None
         per_seed.append(row.ratios)
     medians = np.median(np.asarray(per_seed), axis=0)
     assert np.max(np.abs(medians - const)) < 0.1

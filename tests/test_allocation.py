@@ -1,5 +1,7 @@
 """Euler risk contributions for scenario portfolios."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from tailrisk.allocation import (
     expectile_euler,
 )
 from tailrisk.distributions import Pareto, Sample
-from tailrisk.risk_core import expectile
+from tailrisk.risk_core import expected_shortfall, expectile
 
 FOUR = Portfolio([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [3.0, 3.0]])
 
@@ -33,13 +35,15 @@ def test_portfolio_rejects_bad_input():
 
 
 def test_es_contributions_hand_example():
-    # q_{0.7}(total) = 1, strict tail = the (3,3) scenario
-    np.testing.assert_allclose(es_euler(FOUR, 0.7), [3.0, 3.0], atol=1e-12)
+    # q_{0.7}(total) = 1, tied by (0,1) and (1,0); the tail 0.3 holds the
+    # (3,3) scenario and 0.2 of the atom's 0.5, which averages to (0.5, 0.5):
+    # ((3, 3) + 0.2/0.5 (0.5, 0.5)) / 1.2
+    np.testing.assert_allclose(es_euler(FOUR, 0.7), [31 / 12, 31 / 12], rtol=1e-15, atol=0.0)
 
 
-def test_es_contributions_empty_tail_raises():
-    with pytest.raises(ValueError, match="0.9"):
-        es_euler(FOUR, 0.9)  # VaR is the sample max, nothing above it
+def test_es_contributions_when_q_is_the_maximum():
+    # q_{0.9}(total) = 6, the largest total: the tail is all atom
+    np.testing.assert_allclose(es_euler(FOUR, 0.9), [3.0, 3.0], rtol=1e-15, atol=0.0)
 
 
 def test_expectile_contributions_hand_example():
@@ -127,18 +131,6 @@ def test_constant_column_gets_its_constant():
         assert abs(c[0] - expectile(Sample(v), a)) < 1e-9
 
 
-def test_es_contributions_sum_to_strict_tail_mean():
-    rng = np.random.default_rng(31)
-    comp = rng.standard_normal((500, 3))
-    p = Portfolio(comp)
-    a = 0.95
-    c = es_euler(p, a)
-    total = p.total
-    q = Sample(total).quantile(a)
-    tail = total > q
-    assert abs(c.sum() - total[tail].mean()) < 1e-9
-
-
 @pytest.mark.parametrize("n", [1000, 2000, 4000])
 @pytest.mark.parametrize("alpha", [0.7, 0.95, 0.975, 0.999])
 def test_es_contributions_match_sample_quantile(n, alpha):
@@ -201,14 +193,93 @@ def test_selection_expectile_matches_sample_expectile(comp, scale):
 def test_selection_es_matches_dense_indicator(comp, scale):
     p = Portfolio(comp * scale)
     for a in SELECTION_LEVELS:
-        tail = p.total > Sample(p.total).quantile(a)
-        count = np.count_nonzero(tail)
-        if count == 0:
-            with pytest.raises(ValueError, match="empty"):
-                es_euler(p, a)
-            continue
-        want = tail.astype(float) @ p.components / count
+        q = Sample(p.total).quantile(a)
+        above, at = p.total > q, p.total == q
+        # the tail's part of the atom at q, in scenarios
+        m = min(max(p.n * (1.0 - a) - np.count_nonzero(above), 0.0), np.count_nonzero(at))
+        weight = above + at * (m / np.count_nonzero(at))
+        want = weight @ p.components / (np.count_nonzero(above) + m)
         np.testing.assert_allclose(es_euler(p, a), want, rtol=1e-12, atol=0.0)
+
+
+# ------------------------------------------ ES with the fractional atom
+
+def _exact_es_contributions(p, alpha):
+    """The tail integral (1/(1-alpha)) int_alpha^1 E[L_k | L = q(u)] du over
+    the scenario totals in rational arithmetic, and the same integral of
+    |L_k|, the scale of the rounding in each contribution.  Each distinct
+    total t holds the levels (F(t-), F(t)]; the part above alpha weights the
+    mean of its scenarios' components."""
+    a = Fraction(alpha)
+    groups = {}
+    for t, row in zip(p.total.tolist(), p.components.tolist()):
+        groups.setdefault(t, []).append([Fraction(v) for v in row])
+    value, scale = [Fraction(0)] * p.d, [Fraction(0)] * p.d
+    below = 0
+    for t in sorted(groups):
+        rows = groups[t]
+        share = max(Fraction(below + len(rows), p.n) - max(Fraction(below, p.n), a), 0)
+        below += len(rows)
+        for k in range(p.d):
+            value[k] += share * sum(r[k] for r in rows) / len(rows)
+            scale[k] += share * sum(abs(r[k]) for r in rows) / len(rows)
+    return (np.array([float(v / (1 - a)) for v in value]),
+            np.array([float(v / (1 - a)) for v in scale]))
+
+
+ROADMAP_8X2 = np.array([[2, 1], [1, 0], [0, 0], [0, 0], [0, 2], [1, 2], [1, 1], [2, 2]], float)
+ROADMAP_8X2_ES = {0.5: 3.0, 0.6: 3.25, 0.75: 3.5, 0.9: 4.0}
+
+
+def _fraction_portfolios():
+    rng = np.random.default_rng(29)
+    yield pytest.param(rng.poisson([1.0, 2.0, 3.0], size=(60, 3)).astype(float), id="poisson")
+    yield pytest.param(rng.choice([1.0, 2.0, 50.0], p=[0.8, 0.15, 0.05], size=(40, 2)),
+                       id="atomic")
+    # n alpha = 22.2, 27.75, 33.3, 35.15 and 36.63: never an integer, and q
+    # is the largest total from alpha > 36/37 on
+    yield pytest.param(rng.standard_normal((37, 3)), id="normal-37")
+    yield pytest.param(np.array([[1.5, -0.5, 2.0]]), id="n-1")
+    yield pytest.param(FOUR.components, id="four")
+    yield pytest.param(ROADMAP_8X2, id="integers-8x2")
+
+
+@pytest.mark.parametrize("scale", [1e-15, 1.0, 1e15])
+@pytest.mark.parametrize("comp", list(_fraction_portfolios()))
+def test_es_contributions_match_exact_tail_integral(comp, scale):
+    p = Portfolio(comp * scale)
+    for a in (0.1, 0.5, 0.6, 0.75, 0.9, 0.95, 0.99, 1 - 1e-6):
+        want, size = _exact_es_contributions(p, a)
+        got = es_euler(p, a)
+        assert np.all(np.abs(got - want) <= 1e-12 * size), (a, got, want)
+
+
+@pytest.mark.parametrize("scale", [1e-15, 1.0, 1e15])
+@pytest.mark.parametrize(
+    "comp",
+    SELECTION_PORTFOLIOS
+    + list(_fraction_portfolios())
+    + [pytest.param(np.random.default_rng(31).standard_normal((500, 3)), id="normal-500")],
+)
+def test_es_full_allocation(comp, scale):
+    p = Portfolio(comp * scale)
+    for a in (0.05, 0.3) + SELECTION_LEVELS:
+        c = es_euler(p, a)
+        want = expected_shortfall(Sample(p.total), a)
+        assert abs(c.sum() - want) <= 1e-12 * np.sum(np.abs(c)), (a, c.sum(), want)
+        if comp is ROADMAP_8X2 and scale == 1.0 and a in ROADMAP_8X2_ES:
+            assert want == ROADMAP_8X2_ES[a]
+
+
+@pytest.mark.parametrize("alpha", [0.99999, 0.999993])
+def test_es_full_allocation_deep_level_many_rows(alpha):
+    # n alpha is not an integer and q lies below the maximum: the atom's
+    # share m of the tail must carry no more than the rounding of
+    # n (1 - alpha), not that of n alpha, which is ~1e-11 of n (1 - alpha)
+    p = Portfolio(np.random.default_rng(1).pareto(1.5, size=(300_007, 2)))
+    c = es_euler(p, alpha)
+    want = expected_shortfall(Sample(p.total), alpha)
+    assert abs(c.sum() - want) <= 1e-12 * np.sum(np.abs(c)), (c.sum(), want)
 
 
 def test_constant_total_is_its_own_expectile():
@@ -270,10 +341,18 @@ def test_asymptotic_rejects_eta_at_most_one():
         euler_asymptotic_ratio(FOUR, 1.0, [0.9])
 
 
-def test_asymptotic_degenerate_rows_carry_note():
+def test_asymptotic_rows_carry_ratios_and_levels_are_checked_first(monkeypatch):
     rows = euler_asymptotic_ratio(FOUR, 2.1, [0.7, 0.9])
-    assert rows[0].ratios is not None and rows[0].note == ""
-    assert rows[1].ratios is None and "0.9" in rows[1].note
+    for row, a in zip(rows, (0.7, 0.9)):
+        assert row.alpha == a
+        assert row.ratios == tuple(expectile_euler(FOUR, a) / es_euler(FOUR, a))
+    # at 0.9 q is the largest total: ES (3, 3), expectile (7/3, 7/3)
+    assert rows[1].ratios == pytest.approx((7 / 9, 7 / 9), rel=1e-15)
+    calls = []
+    monkeypatch.setattr(allocation, "es_euler", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="expectile level"):
+        euler_asymptotic_ratio(FOUR, 2.1, [0.7, 1.0])
+    assert calls == []
 
 
 def test_asymptotic_ratio_approaches_constant_iid_pareto():

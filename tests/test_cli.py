@@ -7,6 +7,8 @@ import pytest
 
 from tailrisk import allocation, risk_core
 from tailrisk.cli import main
+from tailrisk.montecarlo import render_csv
+from tailrisk.risk_core import distortion_curves
 
 
 def run(capsys, argv):
@@ -51,15 +53,13 @@ def test_expectile_level_error_shows_value_and_cap(capsys):
                    " got 0.999999999999\n")
 
 
-def test_computation_failure_exits_1(tmp_path, capsys):
-    # valid input, but the strict tail event the ES contributions average
-    # is empty: the 0.9-quantile ties the largest total loss
-    path = tmp_path / "scen.csv"
-    path.write_text("1,1\n1,1\n2,2\n")
-    code, out, err = run(capsys, ["allocate", "--csv", str(path), "--alpha", "0.9",
-                                  "--measure", "es"])
+def test_computation_failure_exits_1(capsys):
+    # valid input, but beta* has no answer: every ES level of a constant
+    # loss reproduces its expectile
+    code, out, err = run(capsys, ["beta-star", "--dist", "twopoint:x1=1,x2=1,p=0.5",
+                                  "--alpha", "0.9"])
     assert code == 1 and out == ""
-    assert "ties the sample maximum" in err
+    assert "beta_star is undefined for a constant loss" in err
 
 
 # ------------------------------------------------------------------ risk
@@ -165,6 +165,43 @@ def test_allocate_solves_the_portfolio_expectile_once(tmp_path, capsys, monkeypa
                       "  component 1: 2.6364\n"
                       "  component 2: 2.6364\n"
                       "  sum = 5.2727 (portfolio expectile = 5.2727)\n")
+
+
+def test_allocate_es_allocates_the_portfolio_es_on_ties(tmp_path, capsys):
+    # the 0.9-quantile ties the largest total: the atom carries the tail
+    path = tmp_path / "scen.csv"
+    path.write_text("1,1\n1,1\n2,2\n")
+    code, out, err = run(capsys, ["allocate", "--csv", str(path), "--alpha", "0.9",
+                                  "--measure", "es"])
+    assert (code, err) == (0, "")
+    assert out == ("es contributions at alpha=0.9 over 3 scenarios:\n"
+                   "  component 1: 2.0000\n"
+                   "  component 2: 2.0000\n"
+                   "  sum = 4.0000 (portfolio es = 4.0000)\n")
+
+
+CONTINUOUS = ("c1,c2,c3\n"
+              "7.7537,-0.0759,-0.0736\n0.1396,-0.1631,0.7211\n0.2667,-0.0359,0.7978\n"
+              "0.8432,-0.1647,-0.1208\n0.5838,1.8774,0.3929\n-0.1782,-0.0013,-0.1391\n"
+              "-0.0696,0.0308,0.9922\n-0.1177,-0.089,-0.1813\n3.0898,0.0367,-0.1261\n"
+              "-0.0285,1.1179,-0.1793\n")
+
+
+@pytest.mark.parametrize("alpha, want", [
+    ("0.6", "component,contribution\n1,2.9235\n2,0.450575\n3,0.24775\n"),
+    ("0.8", "component,contribution\n1,5.42175\n2,-0.0196\n3,-0.09985\n"),
+    ("0.9", "component,contribution\n1,7.7537\n2,-0.0759\n3,-0.0736\n"),
+])
+def test_allocate_es_out_is_pinned_when_n_alpha_is_an_integer(tmp_path, capsys, alpha, want):
+    # no total ties q and the tail holds whole scenarios: the mean over
+    # {L > q}, byte for byte as before the atom got its fractional weight
+    path = tmp_path / "scen.csv"
+    path.write_text(CONTINUOUS)
+    dest = tmp_path / "contrib.csv"
+    code, out, _ = run(capsys, ["allocate", "--csv", str(path), "--alpha", alpha,
+                                "--measure", "es", "--out", str(dest)])
+    assert (code, out) == (0, "")
+    assert dest.read_text() == want
 
 
 def test_allocate_rejects_bad_csv(tmp_path, capsys):
@@ -349,6 +386,20 @@ def test_figure_distortion_grid(capsys):
     lines = out.splitlines()
     assert lines[0] == "t,phi,phi_mix"
     assert len(lines) == 6
+
+
+def test_figure_distortion_level_is_the_expectile_level(capsys):
+    # 0.5 is an expectile level; past the cap is an input error, not a
+    # computation failure
+    code, out, err = run(capsys, ["figure", "--kind", "distortion", "--alpha", "0.5",
+                                  "--points", "3"])
+    assert (code, err) == (0, "")
+    t, phi, mix = distortion_curves(0.5, 3)
+    assert out == render_csv(["t", "phi", "phi_mix"], list(zip(t, phi, mix)))
+    code, out, err = run(capsys, ["figure", "--kind", "distortion",
+                                  "--alpha", "0.9999999999999"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --alpha: expectile level must lie in [0.5, 1 - 1e-12)")
 
 
 def test_figure_requires_family_parameter(capsys):

@@ -25,7 +25,7 @@ from tailrisk.montecarlo import (
     splitmix64,
     wasserstein_exact,
 )
-from tailrisk.risk_core import expectile, expected_shortfall, value_at_risk
+from tailrisk.risk_core import distortion_curves, expectile, expected_shortfall, value_at_risk
 
 
 # -------------------------------------------------------------- seeding
@@ -323,6 +323,14 @@ def test_distortion_series_shape():
     assert t[0] == 0.0 and t[-1] == 1.0
     assert phi[0] == 0.0 and abs(phi[-1] - 1.0) < 1e-12
     assert all(m >= p - 1e-12 for p, m in zip(phi, mix))
+
+
+def test_distortion_series_takes_every_expectile_level():
+    # the level check is distortion_curves' own: 0.5 is in, the cap is out
+    header, rows = figure_series("distortion", alpha=0.5, points=3)
+    assert rows == list(zip(*distortion_curves(0.5, 3)))
+    with pytest.raises(ValueError, match="expectile level"):
+        figure_series("distortion", alpha=1 - 1e-13, points=3)
 
 
 def test_figure_series_validation():
