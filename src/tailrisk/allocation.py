@@ -143,7 +143,7 @@ def _diagnose_csv(lines, first_lineno, path, exc):
     raise ValueError(f"unreadable portfolio data in {path}: {exc}")
 
 
-def es_euler(p: Portfolio, alpha: float) -> np.ndarray:
+def es_euler(p: Portfolio, alpha: float, full_output: bool = False):
     """ES contributions: the Euler allocation of the tail average
     ES_alpha = (1/(1-alpha)) int_alpha^1 q(u) du of the totals,
 
@@ -159,6 +159,8 @@ def es_euler(p: Portfolio, alpha: float) -> np.ndarray:
     found by selection rather than a sort.  The rows at or above it are
     gathered and summed by one weighted matrix-vector product, so past the
     selection the cost is proportional to the tail and the ties at q.
+    ``full_output=True`` returns ``(contributions, ES)``, with ES the
+    portfolio ES_alpha they allocate, from the same selection.
     """
     _check_var_level(alpha)
     i, part = _select(p.total, alpha)
@@ -169,7 +171,8 @@ def es_euler(p: Portfolio, alpha: float) -> np.ndarray:
     n_eq = rows.size - n_above
     m = min(max(p.n * (1.0 - alpha) - n_above, 0.0), n_eq)
     w = np.maximum(above, m / n_eq)  # 1 above q, m / n_eq <= 1 at q
-    return w @ p.components[rows] / (n_above + m)
+    contrib = w @ p.components[rows] / (n_above + m)
+    return (contrib, _partition_es(i, part, alpha)) if full_output else contrib
 
 
 def _select(total: np.ndarray, alpha: float):
@@ -177,6 +180,12 @@ def _select(total: np.ndarray, alpha: float):
     q_alpha of ``Sample(total).quantile``, found without a sort."""
     i = int(order_index(total.size, alpha))
     return i, np.partition(total, i - 1)
+
+
+def _partition_es(i: int, part: np.ndarray, alpha: float) -> float:
+    """ES_alpha of the totals from their partition at i - 1 (``_select``)."""
+    n = part.size
+    return float(empirical_es(part[i - 1], part[i:].sum(), n - i, n, alpha))
 
 
 def _tail_expectile(total: np.ndarray, alpha: float):
@@ -195,9 +204,7 @@ def _tail_expectile(total: np.ndarray, alpha: float):
     if alpha == 0.5:
         e = s0 / n
         return e, np.flatnonzero(total > e)
-    i, part = _select(total, alpha)
-    es = empirical_es(part[i - 1], part[i:].sum(), n - i, n, alpha)
-    lower = _combination(float(es), s0 / n, alpha, alpha)
+    lower = _combination(_partition_es(*_select(total, alpha), alpha), s0 / n, alpha, alpha)
     rows = np.flatnonzero(total > lower)
     tail = total[rows]
     k = tail.size

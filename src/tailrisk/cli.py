@@ -31,7 +31,7 @@ from .concentration import (
     size_ratio_curve,
     var_sample_size,
 )
-from .distributions import Sample, parse_distribution
+from .distributions import parse_distribution
 from .montecarlo import (
     SimulationConfig,
     figure_series,
@@ -69,10 +69,10 @@ def _tail(text: str):
         raise _ValidationError(f"--tail: {exc}") from None
 
 
-def _level(value: float, flag: str = "alpha", lo: float = 0.0, hi: float = 1.0) -> float:
+def _level(value: float, flag: str = "alpha") -> float:
     value = float(value)
-    if not (lo < value < hi):
-        raise _ValidationError(f"--{flag}: must lie in ({lo:g}, {hi:g}), got {value:g}")
+    if not (0.0 < value < 1.0):
+        raise _ValidationError(f"--{flag}: must lie in (0, 1), got {value:g}")
     return value
 
 
@@ -167,12 +167,10 @@ def _cmd_allocate(args) -> str:
         contrib, total = expectile_euler(p, alpha, check=not args.no_check, full_output=True)
     else:
         alpha = _level(args.alpha)
-        contrib = es_euler(p, alpha)
+        contrib, total = es_euler(p, alpha, full_output=True)
     if args.out:
         rows = [(k + 1, c) for k, c in enumerate(contrib)]
         return render_csv(["component", "contribution"], rows)
-    if args.measure == "es":
-        total = expected_shortfall(Sample(p.total), alpha)
     lines = [f"{args.measure} contributions at alpha={alpha:g} over {p.n} scenarios:"]
     for k, c in enumerate(contrib):
         lines.append(f"  component {k + 1}: {c:.4f}")
@@ -293,8 +291,8 @@ def _cmd_figure(args) -> str:
         alpha = _expectile_level(args.alpha if args.alpha is not None else 0.94)
         header, rows = figure_series("distortion", alpha=alpha, points=args.points)
         return render_csv(header, rows)
-    lo = _level(args.alpha_min, flag="alpha-min", lo=0.5)
-    hi = _level(args.alpha_max, flag="alpha-max", lo=0.5)
+    lo = _expectile_level(args.alpha_min, flag="alpha-min")
+    hi = _expectile_level(args.alpha_max, flag="alpha-max")
     if not (lo < hi):
         raise _ValidationError(f"--alpha-min: {lo:g} must be below --alpha-max {hi:g}")
     grid = list(np.linspace(lo, hi, args.points))

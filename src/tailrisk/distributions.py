@@ -38,7 +38,16 @@ import math
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy.special import stdtr, stdtrit
+
+# scipy.special's Student t CDF and quantile, bound by _load_t_kernels on the
+# first Student t evaluation: importing scipy.special takes about 0.3 s, and
+# no other family needs it
+stdtr = stdtrit = None
+
+
+def _load_t_kernels():
+    global stdtr, stdtrit
+    from scipy.special import stdtr, stdtrit
 
 
 class EvClassification(NamedTuple):
@@ -423,6 +432,8 @@ def _t_lower_tail(nu: float, p, x):
 
 def _t_quantile(nu: float, u):
     """Left quantile of the standard t, inverting the smaller tail probability."""
+    if stdtrit is None:
+        _load_t_kernels()
     p = np.minimum(u, 1.0 - u)
     x = stdtrit(nu, p)
     deep = p < _U_FLOOR
@@ -439,7 +450,10 @@ class StudentT(Distribution):
     Backed by ``scipy.special.stdtr`` (CDF) and ``stdtrit`` (quantile, on
     the smaller tail probability so both tails keep relative accuracy).
     Below tail probability 2^-53, under the sampler's floor, stdtrit loses
-    precision, so the quantile is polished there against stdtr.
+    precision, so the quantile is polished there against stdtr.  Both
+    kernels load with ``scipy.special`` on the first CDF, quantile or ES
+    evaluation of any instance, constructed, copied or unpickled alike, so
+    ``import tailrisk`` and processes that never evaluate a t law skip it.
 
     Frechet-type tail with index nu; unshifted, rho = -2 with
     A(x) = nu^2 (nu+1) / ((nu+2) x^2).  A shift s makes the 1/x term
@@ -458,6 +472,8 @@ class StudentT(Distribution):
         self.nu = nu
 
     def _cdf0(self, x):
+        if stdtr is None:
+            _load_t_kernels()
         return stdtr(self.nu, x)
 
     def _quantile0(self, u):

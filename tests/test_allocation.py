@@ -264,9 +264,11 @@ def test_es_contributions_match_exact_tail_integral(comp, scale):
 def test_es_full_allocation(comp, scale):
     p = Portfolio(comp * scale)
     for a in (0.05, 0.3) + SELECTION_LEVELS:
-        c = es_euler(p, a)
+        c, es = es_euler(p, a, full_output=True)
         want = expected_shortfall(Sample(p.total), a)
         assert abs(c.sum() - want) <= 1e-12 * np.sum(np.abs(c)), (a, c.sum(), want)
+        assert abs(es - want) <= 1e-13 * abs(want), (a, es, want)
+        assert np.array_equal(c, es_euler(p, a))
         if comp is ROADMAP_8X2 and scale == 1.0 and a in ROADMAP_8X2_ES:
             assert want == ROADMAP_8X2_ES[a]
 
@@ -298,7 +300,7 @@ def test_allocations_build_no_sample(monkeypatch):
     p = Portfolio(np.random.default_rng(4).pareto(2.1, size=(2000, 3)))
     for a in (0.5, 0.9, 0.99):
         expectile_euler(p, a, check=True)
-        es_euler(p, a)
+        es_euler(p, a, full_output=True)
 
 
 def test_expectile_sorts_only_the_totals_above_the_lower_bound(monkeypatch):

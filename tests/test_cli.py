@@ -7,7 +7,8 @@ import pytest
 
 from tailrisk import allocation, risk_core
 from tailrisk.cli import main
-from tailrisk.montecarlo import render_csv
+from tailrisk.distributions import Sample
+from tailrisk.montecarlo import figure_series, render_csv
 from tailrisk.risk_core import distortion_curves
 
 
@@ -202,6 +203,23 @@ def test_allocate_es_out_is_pinned_when_n_alpha_is_an_integer(tmp_path, capsys, 
                                 "--measure", "es", "--out", str(dest)])
     assert (code, out) == (0, "")
     assert dest.read_text() == want
+
+
+def test_allocate_es_summary_builds_no_sample(tmp_path, capsys, monkeypatch):
+    # the portfolio ES comes from the selection es_euler already made
+    def refuse(self, x):
+        raise AssertionError("allocate built a Sample")
+
+    monkeypatch.setattr(Sample, "_set_sorted", refuse)
+    path = tmp_path / "scen.csv"
+    path.write_text(PORTFOLIO)
+    code, out, err = run(capsys, ["allocate", "--csv", str(path), "--alpha", "0.7",
+                                  "--measure", "es"])
+    assert (code, err) == (0, "")
+    assert out == ("es contributions at alpha=0.7 over 4 scenarios:\n"
+                   "  component 1: 2.5833\n"
+                   "  component 2: 2.5833\n"
+                   "  sum = 5.1667 (portfolio es = 5.1667)\n")
 
 
 def test_allocate_rejects_bad_csv(tmp_path, capsys):
@@ -413,6 +431,20 @@ def test_figure_level_window_must_be_ordered(capsys):
     code, _, err = run(capsys, ["figure", "--kind", "frechet-pareto", "--a", "2.1",
                                 "--alpha-min", "0.99", "--alpha-max", "0.95"])
     assert code == 2 and "below" in err
+
+
+def test_figure_level_window_takes_the_expectile_levels(capsys):
+    # 0.5 is an expectile level, as for figure_series; past the cap is an
+    # input error, not a computation failure
+    code, out, err = run(capsys, ["figure", "--kind", "frechet-pareto", "--a", "2.1",
+                                  "--alpha-min", "0.5", "--alpha-max", "0.9", "--points", "3"])
+    assert (code, err) == (0, "")
+    header, rows = figure_series("frechet-pareto", a=2.1, alphas=[0.5, 0.7, 0.9])
+    assert out == render_csv(header, rows)
+    code, out, err = run(capsys, ["figure", "--kind", "frechet-pareto", "--a", "2.1",
+                                  "--alpha-max", "0.9999999999999"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --alpha-max: expectile level must lie in [0.5, 1 - 1e-12)")
 
 
 def test_figure_pareto_curves(capsys):

@@ -1,5 +1,9 @@
 """What importing tailrisk loads, no unused imports and no dead private names.
 
+``import tailrisk`` loads no scipy module: ``scipy.special`` loads on the
+first Student t evaluation, so the tests below also check that Student t
+results keep their bits whenever it loads.
+
 No linter runs on this code base, so the scans below stand in for two
 rules.  Unused imports: every name an ``import`` binds must be read
 somewhere in the same module; names re-exported through ``__all__`` and
@@ -9,12 +13,16 @@ be read somewhere in the package, as a name or as an attribute.
 """
 
 import ast
+import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from tailrisk import StudentT
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "tailrisk").glob("*.py"))
@@ -127,14 +135,89 @@ def test_no_dead_private_names():
     assert dead_private_names({p.stem: p.read_text() for p in PACKAGE}) == []
 
 
+def _fresh(code: str, *args: str) -> str:
+    """stdout of a fresh interpreter running ``code`` against src/tailrisk."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    return out.stdout
+
+
 def test_import_loads_neither_optimize_nor_integrate():
     # every CLI process pays for what `import tailrisk` loads; quadrature
-    # is imported where it is used
+    # is imported where it is used, and the Student t kernels of
+    # scipy.special on the first Student t evaluation
     code = (
-        "import sys, tailrisk; "
-        "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))"
+        "import sys\n"
+        "heavy = ('scipy.optimize', 'scipy.integrate', 'scipy.special')\n"
+        "import tailrisk\n"
+        "print(sorted(m for m in heavy if m in sys.modules))\n"
+        "import tailrisk.cli\n"
+        "print(sorted(m for m in heavy if m in sys.modules))\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    assert _fresh(code) == "[]\n[]\n"
+
+
+# Every Student t result, as the hex of its bits, from a fresh interpreter.
+# argv: the order of the first evaluations ("cdf" or "quantile" first,
+# reaching the kernels through StudentT._cdf0 or _t_quantile), which
+# instance goes first ("unpickled" or "constructed"), whether scipy.special
+# is imported before tailrisk, and a pickled StudentT(2.3) in hex.
+_STUDENT_BITS = """
+import json, pickle, sys
+first, lead, early, blob = sys.argv[1:]
+if early == "special-first":
+    import scipy.special
+import numpy as np
+import tailrisk
+assert ("scipy.special" in sys.modules) == (early == "special-first")
+
+# levels below 2**-53 take the polished deep-tail quantile
+us = [1e-300, 1e-20, 2.0 ** -54, 1e-8, 0.05, 0.5, 0.7, 1 - 1e-12]
+xs = [-1e10, -40.0, -2.0, -0.3, 0.0, 0.3, 2.0, 1e6]
+evals = {
+    "cdf": lambda d: [d.cdf(np.array(xs)), d.cdf(2.5), d.cdf(-1e30)],
+    "quantile": lambda d: [d.quantile(np.array(us)), d.quantile(1e-30), d.quantile(0.99)],
+    "es": lambda d: [d.es(np.array([0.0, 0.3, 0.99, 1 - 1e-10])), d.es(1e-20), d.es(0.975)],
+    "expectile": lambda d: [tailrisk.expectile(d, a) for a in (0.5, 0.9, 0.99, 1 - 1e-10)],
+}
+made = {"unpickled": pickle.loads(bytes.fromhex(blob)),
+        "constructed": tailrisk.StudentT(2.3)}
+out = {}
+for name in [lead] + [k for k in made if k != lead]:
+    for kind in [first] + [k for k in evals if k != first]:
+        vals = evals[kind](made[name])
+        out[f"{name}.{kind}"] = [float(v).hex() for v in np.hstack(vals)]
+print(json.dumps(out, sort_keys=True))
+"""
+
+
+def test_student_t_bits_do_not_depend_on_when_the_kernels_load():
+    blob = pickle.dumps(StudentT(2.3)).hex()
+    want = json.loads(_fresh(_STUDENT_BITS, "cdf", "constructed", "special-first", blob))
+    for first, lead in (("cdf", "unpickled"), ("quantile", "constructed")):
+        got = json.loads(_fresh(_STUDENT_BITS, first, lead, "lazy", blob))
+        assert got == want, (first, lead)
+    assert want["unpickled.quantile"] == want["constructed.quantile"]
+
+
+def test_cli_runs_without_a_student_law_leave_scipy_special_unloaded(tmp_path):
+    csv = tmp_path / "scen.csv"
+    csv.write_text("0,0\n0,1\n1,0\n3,3\n2,5\n")
+    code = (
+        "import contextlib, io, sys\n"
+        "from tailrisk.cli import main\n"
+        "runs = [\n"
+        "    ['allocate', '--csv', sys.argv[1], '--alpha', '0.7'],\n"
+        "    ['allocate', '--csv', sys.argv[1], '--alpha', '0.7', '--measure', 'es'],\n"
+        "    ['table', '--dist', 'pareto:a=2.1', '--alphas', '0.99', '--ns', '1000'],\n"
+        "    ['figure', '--kind', 'frechet-pareto', '--a', '2.1', '--points', '3'],\n"
+        "]\n"
+        "for argv in runs:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = main(argv)\n"
+        "    print(argv[0], code, 'scipy.special' in sys.modules)\n"
+    )
+    assert _fresh(code, str(csv)).splitlines() == [
+        "allocate 0 False", "allocate 0 False", "table 0 False", "figure 0 False",
+    ]
