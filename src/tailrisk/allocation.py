@@ -20,14 +20,16 @@ allocation equals the convex combination (1-w) ES_{b}(L_k|L) + w E[L_k]
 with b = P[L <= e] and w = (1-alpha)/(alpha + (1-2 alpha) b) — re-verified
 at runtime when ``check=True``.
 
-Neither allocation sorts all n scenario totals (the expectile does only
-when rounding puts its bracket's lower end on the root).  Each costs one
-selection (``np.partition``) of the totals plus work proportional to the
-tail: the rows at or above the threshold are gathered and summed by a
-matrix-vector product.  The expectile sorts only the totals above the
-paper's lower bound (1 - w) ES_alpha + w E[L], w = 1/(2 alpha) (the b =
-alpha case above), about 1.3 (1 - alpha) n of them for heavy tails, and
-adds one reduction over all rows for the column means.
+Neither allocation sorts all n scenario totals.  Both read the totals
+through the selection helpers of :mod:`tailrisk.risk_core` that the ratio
+tables also use: ``_select`` (one ``np.partition``, giving q_alpha),
+``_partition_es`` (ES_alpha from that partition) and ``_tail_expectile``
+(e_alpha, sorting only the totals above the paper's lower bound
+(1 - w) ES_alpha + w E[L], w = 1/(2 alpha), the b = alpha case above).
+Past that, each allocation costs work proportional to the tail: the rows
+at or above the threshold are gathered and summed by a matrix-vector
+product; the expectile adds one reduction over all rows for the column
+means.
 
 Only empirical (scenario) portfolios are supported; the asymptotic ratio
 helper additionally assumes the components have heavy Frechet-type tails,
@@ -43,13 +45,12 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .asymptotics import frechet_first_order_constant
-from .distributions import empirical_es, order_index, suffix_sums
 from .risk_core import (
     _check_expectile_level,
     _check_var_level,
-    _combination,
-    _residual,
-    _segment_root,
+    _partition_es,
+    _select,
+    _tail_expectile,
 )
 
 
@@ -175,48 +176,6 @@ def es_euler(p: Portfolio, alpha: float, full_output: bool = False):
     return (contrib, _partition_es(i, part, alpha)) if full_output else contrib
 
 
-def _select(total: np.ndarray, alpha: float):
-    """(i, the totals partitioned at i - 1): the i-th smallest total is the
-    q_alpha of ``Sample(total).quantile``, found without a sort."""
-    i = int(order_index(total.size, alpha))
-    return i, np.partition(total, i - 1)
-
-
-def _partition_es(i: int, part: np.ndarray, alpha: float) -> float:
-    """ES_alpha of the totals from their partition at i - 1 (``_select``)."""
-    n = part.size
-    return float(empirical_es(part[i - 1], part[i:].sum(), n - i, n, alpha))
-
-
-def _tail_expectile(total: np.ndarray, alpha: float):
-    """(e_alpha of the totals, the rows with total > e), sorting only the
-    totals above the paper's lower bound.
-
-    One selection gives ES_alpha of the totals and with it the lower bound
-    (1 - w) ES_alpha + w E[L] <= e_alpha, w = 1/(2 alpha).  Only the totals
-    above it are sorted, about 1.3 (1 - alpha) n of them for heavy tails,
-    and the segment search over them solves for e exactly, as for a
-    ``Sample``.  If rounding puts the bound at or past the root, every total
-    is sorted instead.
-    """
-    n = total.size
-    s0 = float(total.sum())
-    if alpha == 0.5:
-        e = s0 / n
-        return e, np.flatnonzero(total > e)
-    lower = _combination(_partition_es(*_select(total, alpha), alpha), s0 / n, alpha, alpha)
-    rows = np.flatnonzero(total > lower)
-    tail = total[rows]
-    k = tail.size
-    if not (k and _residual(alpha, s0 / n, lower, (tail.sum() - k * lower) / n) > 0.0):
-        rows, tail = np.arange(n), total
-    x = np.sort(tail)
-    if x.size == n and x[0] == x[-1]:
-        return float(x[0]), rows[:0]
-    e = _segment_root(x, suffix_sums(x), n, s0, alpha)
-    return e, rows[tail > e]
-
-
 def expectile_euler(
     p: Portfolio, alpha: float, check: bool = True, full_output: bool = False
 ):
@@ -239,7 +198,7 @@ def expectile_euler(
     ``(contributions, e)``, with e the portfolio expectile they allocate.
     """
     _check_expectile_level(alpha)
-    e, rows = _tail_expectile(p.total, alpha)
+    e, rows = _tail_expectile(p.total, alpha, _partition_es(*_select(p.total, alpha), alpha))
     n = p.n
     n_le = n - rows.size
     means = np.ones(n) @ p.components / n

@@ -211,17 +211,24 @@ class Distribution:
 
         Uniforms come from numpy's PCG64 stream for ``seed``; each uniform
         is pushed through the left quantile (values in (0,1); the zero
-        endpoint is nudged to 2^-53 so quantiles stay finite).
+        endpoint is nudged to 2^-53 so quantiles stay finite).  The values
+        are those of ``_draw``, which the ratio tables read unsorted, sorted
+        in place into the ``Sample``.
         """
+        x = self._draw(n, seed)
+        x.sort()
+        return Sample._from_sorted(x)
+
+    def _draw(self, n: int, seed: int) -> np.ndarray:
+        """The n values of ``sample(n, seed)`` in draw order, as a new array
+        the caller owns."""
         n = int(n)
         if n < 1:
             raise ValueError(f"sample size must be >= 1, got {n}")
         rng = np.random.Generator(np.random.PCG64(int(seed)))
         u = rng.random(n)
         np.maximum(u, _U_FLOOR, out=u)
-        x = self.quantile(u)
-        x.sort()
-        return Sample._from_sorted(x)
+        return self.quantile(u)
 
     def mda(self) -> EvClassification:
         raise NotImplementedError
@@ -416,32 +423,67 @@ def _t_lower_tail(nu: float, p, x):
     There stdtrit drifts (stdtr(nu, x)/p near 9 for nu = 2.1) or returns
     +inf; the fixed point x <- x (stdtr(nu, x)/p)^(1/nu) contracts at rate
     O(nu/x^2) on the power-law tail, so a few steps reach full precision.
-    Non-finite starts are replaced by the tail asymptote
-    P[T < x] ~ c nu^((nu-1)/2) |x|^(-nu), c the density's normalization.
-    Where x*x overflows inside stdtr (nu < 2 at the very smallest p) the
-    result is -inf.
+    Non-finite starts, and points where stdtr returns 0 (x*x overflows
+    inside it past |x| ~ 1e154, or a subnormal probability underflows),
+    take the tail asymptote P[T < x] ~ c nu^((nu-1)/2) |x|^(-nu), c the
+    density's normalization.  Its relative error O(nu^2/x^2) is below
+    rounding where x*x overflows, but reaches 3e-5 in probability for
+    nu = 100 at p = 1e-310.  The result is -inf only where the quantile
+    itself overflows.
     """
     log_c = _t_log_norm(nu) + 0.5 * (nu - 1.0) * math.log(nu)
-    x = np.where(np.isfinite(x), x, -np.exp((log_c - np.log(p)) / nu))
-    with np.errstate(invalid="ignore"):  # -inf * 0 once stdtr has underflowed
+    asymptote = -np.exp((log_c - np.log(p)) / nu)
+    x = np.where(np.isfinite(x), x, asymptote)
+    with np.errstate(invalid="ignore"):  # -inf * 0 where the quantile overflows
         for _ in range(4):
             f = stdtr(nu, x)
-            x = np.where(f > 0.0, x * np.power(f / p, 1.0 / nu), -np.inf)
+            x = np.where(f > 0.0, x * np.power(f / p, 1.0 / nu), asymptote)
     return x
+
+
+def _t_lower_quantile(nu: float, p):
+    """(x, deep): the quantile x <= 0 of the standard t at p <= 1/2, and
+    how many p lie below 2^-53, where x is polished by ``_t_lower_tail``."""
+    if stdtrit is None:
+        _load_t_kernels()
+    x = stdtrit(nu, p)
+    deep = p < _U_FLOOR
+    n_deep = np.count_nonzero(deep)
+    if n_deep:
+        x = np.where(deep, _t_lower_tail(nu, p, x), x)
+    return x, n_deep
 
 
 def _t_quantile(nu: float, u):
     """Left quantile of the standard t, inverting the smaller tail probability."""
-    if stdtrit is None:
-        _load_t_kernels()
-    p = np.minimum(u, 1.0 - u)
-    x = stdtrit(nu, p)
-    deep = p < _U_FLOOR
-    if np.count_nonzero(deep):
-        x = np.where(deep, _t_lower_tail(nu, p, x), x)
+    x, _ = _t_lower_quantile(nu, np.minimum(u, 1.0 - u))
     # x <= 0 is the quantile at p; above the median symmetry gives -x, and
     # a product with -1.0 is exact
     return x * (1.0 - 2.0 * (u > 0.5))
+
+
+# log of the smallest normal float: a t density below it has lost digits
+_LOG_TINY = math.log(float(np.finfo(float).tiny))
+
+
+def _t_far_mass(nu: float, q):
+    """f(q) (nu + q^2), f the standard t density, where q may lie so deep
+    in a tail that f(q) underflows and q*q overflows.
+
+    Where f(q) is a normal float it is that product, with the same bits.
+    Past it, f(q) (nu + q^2) = C nu (1 + q^2/nu)^((1-nu)/2), C the
+    normalization, is formed in logs, with log1p(q^2/nu) taken as
+    2 log(|q|/sqrt(nu)) once nu/q^2 is below rounding (|q| > 1e150).
+    """
+    log_c = _t_log_norm(nu)
+    a = np.abs(q)
+    big = 1e150
+    lg = np.where(a < big, np.log1p(np.square(np.minimum(a, big)) / nu),
+                  2.0 * np.log(np.maximum(a, big) / math.sqrt(nu)))
+    far = log_c - 0.5 * (nu + 1.0) * lg < _LOG_TINY
+    near = np.where(far, 0.0, q)
+    return np.where(far, np.exp(log_c + math.log(nu) + 0.5 * (1.0 - nu) * lg),
+                    _t_density(nu, near) * (nu + near * near))
 
 
 class StudentT(Distribution):
@@ -483,9 +525,12 @@ class StudentT(Distribution):
         return 0.0
 
     def _es0(self, beta):
+        # E[T 1{T > q}] = f(q) (nu + q^2) / (nu - 1), even in q, so the
+        # quantile at the smaller tail probability serves both tails
         nu = self.nu
-        q = _t_quantile(nu, beta)
-        return _t_density(nu, q) * (nu + q * q) / ((1.0 - beta) * (nu - 1.0))
+        q, deep = _t_lower_quantile(nu, np.minimum(beta, 1.0 - beta))
+        mass = _t_far_mass(nu, q) if deep else _t_density(nu, q) * (nu + q * q)
+        return mass / ((1.0 - beta) * (nu - 1.0))
 
     def _pdf0(self, x):
         # x * x overflows past |x| ~ 1e154, where the density is 0 anyway

@@ -18,6 +18,13 @@ All functionals accept any loss source exposing the common interface from
 - ``distortion_value`` / ``distortion_curves`` — the concave distortion
   phi(t) = alpha t/((2 alpha - 1) t + 1 - alpha) dominating the expectile,
   and the smallest dominating two-point ES mixture.
+
+Raw loss values at one level, with no ``Sample`` built, go through three
+private helpers shared by the ratio tables and the Euler allocations:
+``_select`` (one ``np.partition``: VaR), ``_partition_es`` (ES from that
+partition) and ``_tail_expectile`` (the expectile, sorting only the values
+above the paper's ES lower bound).  They give the ``Sample`` values up to
+the rounding of the sums.
 """
 
 from __future__ import annotations
@@ -27,7 +34,15 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .distributions import Distribution, Sample, TwoPoint, _at
+from .distributions import (
+    Distribution,
+    Sample,
+    TwoPoint,
+    _at,
+    empirical_es,
+    order_index,
+    suffix_sums,
+)
 
 LossSource = Union[Distribution, Sample]
 
@@ -277,6 +292,52 @@ def _segment_root(x: np.ndarray, suffix: np.ndarray, n: int, total: float,
     if lo >= 0:
         m = max(m, x[lo])
     return float(min(m, x[hi]))
+
+
+# ---------------------------------------------------------------------------
+# raw loss values at one level, by selection
+# ---------------------------------------------------------------------------
+
+def _select(values: np.ndarray, alpha: float):
+    """(i, the values partitioned at i - 1): the i-th smallest value is the
+    q_alpha of ``Sample(values).quantile``, found without a sort."""
+    i = int(order_index(values.size, alpha))
+    return i, np.partition(values, i - 1)
+
+
+def _partition_es(i: int, part: np.ndarray, alpha: float) -> float:
+    """ES_alpha of the values from their partition at i - 1 (``_select``)."""
+    n = part.size
+    return float(empirical_es(part[i - 1], part[i:].sum(), n - i, n, alpha))
+
+
+def _tail_expectile(values: np.ndarray, alpha: float, es: float):
+    """(e_alpha of the values, the indices of the values > e), from their
+    ES_alpha ``es`` (``_partition_es``), sorting only the values above the
+    paper's lower bound.
+
+    The bound (1 - w) ES_alpha + w E[L] <= e_alpha, w = 1/(2 alpha), leaves
+    about 1.3 (1 - alpha) n values above it for heavy tails; only those are
+    sorted, and the segment search over them solves for e exactly, as for a
+    ``Sample``.  If rounding puts the bound at or past the root, every value
+    is sorted instead.  At alpha = 1/2 e is the mean and ``es`` is not read.
+    """
+    n = values.size
+    s0 = float(values.sum())
+    if alpha == 0.5:
+        e = s0 / n
+        return e, np.flatnonzero(values > e)
+    lower = _combination(es, s0 / n, alpha, alpha)
+    rows = np.flatnonzero(values > lower)
+    tail = values[rows]
+    k = tail.size
+    if not (k and _residual(alpha, s0 / n, lower, (tail.sum() - k * lower) / n) > 0.0):
+        rows, tail = np.arange(n), values
+    x = np.sort(tail)
+    if x.size == n and x[0] == x[-1]:
+        return float(x[0]), rows[:0]
+    e = _segment_root(x, suffix_sums(x), n, s0, alpha)
+    return e, rows[tail > e]
 
 
 def oce(src: LossSource, a: float, b: float = 0.0, check: bool = False) -> float:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tailrisk import allocation, distributions
+from tailrisk import allocation, distributions, risk_core
 from tailrisk.allocation import (
     Portfolio,
     es_euler,
@@ -93,8 +93,8 @@ def test_expectile_check_asserts_full_allocation(monkeypatch):
     comp = np.random.default_rng(0).pareto(2.1, size=(200, 2))
     p = Portfolio(comp)
     expectile_euler(p, 0.9, check=True)
-    segment_root = allocation._segment_root
-    monkeypatch.setattr(allocation, "_segment_root",
+    segment_root = risk_core._segment_root
+    monkeypatch.setattr(risk_core, "_segment_root",
                         lambda *args: segment_root(*args) * (1.0 + 1e-9))
     with pytest.raises(AssertionError, match="full allocation"):
         expectile_euler(p, 0.9, check=True)
@@ -146,7 +146,7 @@ def test_es_contributions_match_sample_quantile(n, alpha):
 
 
 def test_es_and_sample_share_one_order_index():
-    assert allocation.order_index is distributions.order_index
+    assert risk_core.order_index is distributions.order_index
     assert not hasattr(Sample, "_index")
 
 
@@ -322,7 +322,7 @@ def test_expectile_solves_over_every_total_when_the_bound_overshoots(monkeypatch
     # sorted, and the root is the same
     p = Portfolio(np.random.default_rng(6).pareto(2.1, size=(2000, 3)))
     want = {a: expectile_euler(p, a, full_output=True) for a in (0.6, 0.9, 0.99)}
-    monkeypatch.setattr(allocation, "_combination", lambda es, mu, alpha, beta: es)
+    monkeypatch.setattr(risk_core, "_combination", lambda es, mu, alpha, beta: es)
     for a, (contrib, e) in want.items():
         got, root = expectile_euler(p, a, check=True, full_output=True)
         assert abs(root - e) <= 1e-13 * abs(e)

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from tailrisk import allocation, risk_core
+from tailrisk import risk_core
 from tailrisk.cli import main
 from tailrisk.distributions import Sample
 from tailrisk.montecarlo import figure_series, render_csv
@@ -152,10 +152,8 @@ def test_allocate_solves_the_portfolio_expectile_once(tmp_path, capsys, monkeypa
         calls.append(alpha)
         return segment_root(x, suffix, n, total, alpha)
 
-    # the portfolio solve imports the root by name, a Sample solve reaches it
-    # through risk_core: count both
+    # the portfolio solve and a Sample solve both reach it through risk_core
     monkeypatch.setattr(risk_core, "_segment_root", counted)
-    monkeypatch.setattr(allocation, "_segment_root", counted)
     argv = ["allocate", "--csv", str(path), "--alpha", "0.95"]
     if out:
         argv += ["--out", str(tmp_path / "contrib.csv")]

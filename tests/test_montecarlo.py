@@ -1,10 +1,14 @@
 """Simulation tables, seeding, Wasserstein machinery, figure data."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import stdtr
 
+from tailrisk import risk_core
 from tailrisk.distributions import (
     Exponential,
     Pareto,
@@ -13,6 +17,7 @@ from tailrisk.distributions import (
     StudentT,
     TwoPoint,
     Uniform01,
+    parse_distribution,
 )
 from tailrisk.montecarlo import (
     RatioTableRow,
@@ -92,6 +97,102 @@ def test_replications_take_cellwise_medians():
     errs = [100.0 * abs(x - th) / abs(th) for x in ratios]
     assert row.empirical[0] == pytest.approx(float(np.median(ratios)), rel=1e-14)
     assert row.err_pct[0] == pytest.approx(float(np.median(errs)), rel=1e-14)
+
+
+def test_table_cells_build_no_sample_and_sort_only_the_tail(monkeypatch):
+    # a cell reads its raw draw: one partition of all n values, and a sort
+    # of the values above the ES lower bound on the expectile (~1.3% of n)
+    def refuse(self, x):
+        raise AssertionError("a table cell built a Sample")
+
+    monkeypatch.setattr(Sample, "_set_sorted", refuse)
+    sorts, partitions = [], []
+    sort, partition = np.sort, np.partition
+
+    def counted_sort(a, *args, **kwargs):
+        sorts.append(np.size(a))
+        return sort(a, *args, **kwargs)
+
+    def counted_partition(a, *args, **kwargs):
+        partitions.append(np.size(a))
+        return partition(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "sort", counted_sort)
+    monkeypatch.setattr(np, "partition", counted_partition)
+    n = 100_000
+    for vs in ("es", "var"):
+        sorts.clear()
+        partitions.clear()
+        ratio_table(SimulationConfig(Pareto(2.1), (0.99,), (n,), seed=3, vs=vs))
+        assert partitions == [n]
+        assert len(sorts) == 1 and sorts[0] < 0.02 * n
+
+
+def _exact_cell(values, alpha):
+    """(VaR, ES, expectile) at alpha of equally likely values, as Fractions.
+
+    VaR is the i-th smallest value, i = ceil(n alpha); ES the tail average
+    [(i/n - alpha) x_(i) + sum_{j>i} x_(j)/n] / (1 - alpha); the expectile
+    the zero of (2 alpha - 1) E[(L-m)+] + (1 - alpha)(E[L] - m), linear in m
+    while the values above m stay fixed.
+    """
+    x = sorted(Fraction(v) for v in values)
+    n, a = len(x), Fraction(alpha)
+    i = max(math.ceil(n * a), 1)
+    suffix = [Fraction(0)] * (n + 1)
+    for j in range(n - 1, -1, -1):
+        suffix[j] = suffix[j + 1] + x[j]
+    es = ((Fraction(i, n) - a) * x[i - 1] + suffix[i] / n) / (1 - a)
+    a1, a0 = 2 * a - 1, 1 - a
+    for j in range(1, n + 1):  # the values above m are x[j:]
+        m = (a1 * suffix[j] + a0 * suffix[0]) / (a1 * (n - j) + a0 * n)
+        if x[j - 1] <= m and (j == n or m <= x[j]):
+            return x[i - 1], es, m
+    raise AssertionError("no segment holds the root")
+
+
+# (law, alpha, n, ratio denominator): tied draws (9 ones among 2000 for
+# master seed 1, so at 0.99 the tie block at 0 straddles the quantile and at
+# 0.9961 the one at 1 does), a constant law, n = 1 and 2, alpha = 1/2, and
+# n alpha not an integer
+CELL_CASES = [
+    ("twopoint:x1=0,x2=1,p=0.995", 0.99, 2000, "es"),
+    ("twopoint:x1=0,x2=1,p=0.995", 0.9961, 2000, "es"),
+    ("twopoint:x1=0,x2=1,p=0.995", 0.9961, 2000, "var"),
+    ("twopoint:x1=0,x2=1,p=0.995", 0.999, 2000, "var"),
+    ("twopoint:x1=0,x2=1,p=0.995,shift=0.5", 0.99, 2000, "var"),
+] + [
+    (law, alpha, n, vs)
+    for law, alpha, n in [
+        ("twopoint:x1=2.5,x2=2.5,p=0.3", 0.9, 50),
+        ("pareto:a=2.1", 0.9, 1),
+        ("pareto:a=2.1", 0.7, 2),
+        ("pareto:a=2.1", 0.5, 2),
+        ("pareto:a=2.1", 0.5, 101),
+        ("pareto:a=2.1", 0.993, 777),
+        ("exp", 0.9871, 1234),
+    ]
+    for vs in ("es", "var")
+]
+
+
+@pytest.mark.parametrize("law,alpha,n,vs", CELL_CASES)
+def test_cell_ratio_matches_exact_rational_evaluation(law, alpha, n, vs):
+    dist = parse_distribution(law)
+    values = dist.sample(n, seed=cell_seed(1, 0, 0, 0)).values
+    var, es, e = _exact_cell(values, alpha)
+    want = float(e / (es if vs == "es" else var))
+    row = ratio_table(SimulationConfig(dist, (alpha,), (n,), seed=1, vs=vs))[0]
+    assert abs(row.empirical[0] - want) <= 1e-14 * abs(want)
+    # each part of the cell, from one selection of the raw draw
+    x = dist._draw(n, cell_seed(1, 0, 0, 0))
+    i, part = risk_core._select(x, alpha)
+    got_es = risk_core._partition_es(i, part, alpha)
+    got_e, above = risk_core._tail_expectile(x, alpha, got_es)
+    assert part[i - 1] == var
+    assert abs(got_es - es) <= 1e-14 * abs(es)
+    assert abs(got_e - e) <= 1e-14 * abs(e)
+    np.testing.assert_array_equal(above, np.flatnonzero(x > got_e))
 
 
 def test_table_validation():

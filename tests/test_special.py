@@ -1,6 +1,8 @@
 """Student t special functions, through StudentT's public methods, against
 scipy references (the hooks are backed by scipy.special.stdtr/stdtrit)."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.stats as st
@@ -80,3 +82,31 @@ def test_student_deep_tail_roundtrip(nu, kmax):
     # upper tail: 1 - u is exact for u > 1/2
     u = 1.0 - p[:15]
     np.testing.assert_array_less(np.abs(stdtr(nu, -d.quantile(u)) / (1.0 - u) - 1.0), 1e-12)
+
+
+@pytest.mark.parametrize("nu", [1.1, 1.5, 2.3, 9.5])
+def test_student_es_is_finite_and_monotone_down_to_1e_300(nu):
+    # ES_b falls to the mean 0 as b -> 0.  Deep in the lower tail the
+    # density f(q) underflows and q*q overflows (past b ~ 1e-162 for
+    # nu = 1.1, 1e-185 for nu = 1.5), so f(q) (nu + q^2) is formed in logs
+    d = StudentT(nu)
+    b = np.logspace(-300, -1, 600)
+    es = d.es(b)
+    q = d.quantile(b)
+    assert np.isfinite(es).all() and (es > 0.0).all() and np.isfinite(q).all()
+    assert (np.diff(es) > 0.0).all()
+    assert [d.es(float(v)) for v in b] == es.tolist()
+    # the quantile follows the tail asymptote P[T < q] = c |q|^-nu, exact
+    # to O(nu/q^2) there, and E[T 1{T > q}] = b |q| nu/(nu - 1) likewise
+    log_c = (math.lgamma(0.5 * (nu + 1.0)) - math.lgamma(0.5 * nu)
+             - 0.5 * math.log(nu * math.pi) + 0.5 * (nu - 1.0) * math.log(nu))
+    deep = b < 1e-100
+    np.testing.assert_allclose(log_c - nu * np.log(-q[deep]), np.log(b[deep]), rtol=1e-13)
+    want = b[deep] * -q[deep] * nu / ((nu - 1.0) * (1.0 - b[deep]))
+    np.testing.assert_allclose(es[deep], want, rtol=1e-12)
+    # where the density is a normal float, ES keeps the product form's bits
+    normal = d.density(q) >= np.finfo(float).tiny
+    qn, bn = q[normal], b[normal]
+    product = d.density(qn) * (nu + qn * qn) / ((1.0 - bn) * (nu - 1.0))
+    np.testing.assert_array_equal(es[normal], product)
+    assert normal.sum() < b.size
