@@ -32,7 +32,8 @@ def main():
         print(f"  {tc!r}")
         print(f"  n_es = {n_es:>12,}   n_expectile = {n_e:>12,}"
               f"   (expectile/es = {n_e / n_es:.4f})")
-        print(f"  bound at the returned n: {deviation_bound(tc, n_es, eps, alpha, 'es'):.4f}")
+        bound = deviation_bound(tc, n_es, eps, alpha, "es")
+        print(f"  bound at the returned n: {bound:.4f} (budget gamma={gamma})")
     print()
     print(f"the expectile/es size ratio is alpha^2 = {alpha ** 2:.4f} on the")
     print("exponential and polynomial branches; the stretched-exponential")

@@ -9,22 +9,20 @@ plugs it into the extreme-expectile estimator.
 
 from tailrisk.asymptotics import (
     exact_ratio,
+    expansion_curve,
     extreme_expectile_estimate,
     frechet_first_order_constant,
     gumbel_relation,
     hill_estimator,
     ratio_expansion,
 )
-from tailrisk.distributions import Pareto, StudentT
-from tailrisk.montecarlo import figure_series
+from tailrisk.distributions import Pareto, PowerBeta, StudentT
 from tailrisk.risk_core import expectile
 
 
 def main():
     print("centered expectile/ES for pareto:a=2.1 (exact vs expansions)")
-    header, rows = figure_series(
-        "frechet-pareto", a=2.1, alphas=(0.95, 0.99, 0.999, 0.9999)
-    )
+    rows = expansion_curve(Pareto(2.1), (0.95, 0.99, 0.999, 0.9999))
     print(f"{'alpha':>8} {'exact':>10} {'first':>10} {'second':>10}")
     for alpha, exact, first, second in rows:
         print(f"{alpha:>8g} {exact:>10.6f} {first:>10.6f} {second:>10.6f}")
@@ -32,7 +30,7 @@ def main():
 
     print()
     print("endpoint-gap ratio (1-e)/(1-ES) for the power law on [0, 1], a=1.1")
-    header, rows = figure_series("weibull-beta", a=1.1, alphas=(0.95, 0.99, 0.999))
+    rows = expansion_curve(PowerBeta(1.1), (0.95, 0.99, 0.999))
     for alpha, exact, first, second in rows:
         print(f"{alpha:>8g} {exact:>10.4f} {first:>10.4f} {second:>10.4f}")
 

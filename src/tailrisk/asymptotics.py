@@ -20,21 +20,22 @@ in the same two quantitative flavours.
 Second-order formulas consume the auxiliary function *value* at the
 relevant quantile, so they stay usable with estimated inputs; the
 ``ratio_expansion`` and ``beta_star_expansion`` conveniences wire a known
-distribution through its own classification, and ``exact_ratio`` gives
-the exact value that ``ratio_expansion`` approximates.  Frechet expansions are expansions of the *centered*
-ratio e(L - E[L])/ES(L - E[L]); Weibull gap ratios are location-invariant
-in their inputs and are computed for the raw variable.
+distribution through its own classification, and ``exact_ratio`` and
+``exact_beta_star_ratio`` give the exact values they approximate.  Frechet
+expansions are expansions of the *centered* ratio e(L - E[L])/ES(L - E[L]);
+Weibull gap ratios are location-invariant in their inputs and are computed
+for the raw variable.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .distributions import Distribution, Sample
-from .risk_core import expected_shortfall, expectile
+from .risk_core import beta_star, expected_shortfall, expectile
 
 __all__ = [
     "ExpansionResult",
@@ -50,6 +51,9 @@ __all__ = [
     "ratio_expansion",
     "beta_star_expansion",
     "exact_ratio",
+    "exact_beta_star_ratio",
+    "ExpansionCurveRow",
+    "expansion_curve",
 ]
 
 
@@ -78,6 +82,14 @@ def _check_alpha(alpha: float) -> float:
     if not (0.5 <= alpha < 1.0):
         raise ValueError(f"level alpha must lie in [0.5, 1), got {alpha}")
     return alpha
+
+
+def _alpha_grid(alphas: Sequence[float]) -> list:
+    """The levels as floats, each checked to lie in [0.5, 1)."""
+    out = [_check_alpha(a) for a in alphas]
+    if not out:
+        raise ValueError("alpha grid is empty")
+    return out
 
 
 def _frechet_rho(eta: float, rho: float) -> Tuple[float, float]:
@@ -390,3 +402,30 @@ def exact_ratio(dist: Distribution, alpha: float) -> float:
         return expectile(centered, alpha) / expected_shortfall(centered, alpha)
     xhat = cls.right_endpoint
     return (xhat - expected_shortfall(dist, alpha)) / (xhat - expectile(dist, alpha))
+
+
+def exact_beta_star_ratio(dist: Distribution, alpha: float) -> float:
+    """The exact (1 - beta*)/(1 - alpha) that ``beta_star_expansion`` approximates."""
+    return (1.0 - beta_star(dist, alpha).point) / (1.0 - alpha)
+
+
+class ExpansionCurveRow(NamedTuple):
+    """One level of ``expansion_curve``; the field names are its CSV header."""
+
+    alpha: float
+    exact: float
+    first_order: float
+    second_order: float
+
+
+def expansion_curve(dist: Distribution, alphas: Sequence[float]) -> list:
+    """``exact_ratio`` and its first- and second-order ``ratio_expansion``
+    along a nonempty level grid.  In the Weibull class the rows hold their
+    reciprocals, (xhat - e)/(xhat - ES), which grow as alpha -> 1."""
+    reciprocal = _polynomial_class(dist).mda == "weibull"
+    rows = []
+    for a in _alpha_grid(alphas):
+        values = [exact_ratio(dist, a), ratio_expansion(dist, a, order=1).value,
+                  ratio_expansion(dist, a, order=2).value]
+        rows.append(ExpansionCurveRow(a, *(1.0 / v if reciprocal else v for v in values)))
+    return rows

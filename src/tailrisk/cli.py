@@ -23,26 +23,34 @@ from typing import Optional
 import numpy as np
 
 from .allocation import Portfolio, es_euler, expectile_euler
-from .asymptotics import beta_star_expansion, exact_ratio, gumbel_relation, ratio_expansion
+from .asymptotics import (
+    ExpansionCurveRow,
+    beta_star_expansion,
+    exact_beta_star_ratio,
+    exact_ratio,
+    expansion_curve,
+    gumbel_relation,
+    ratio_expansion,
+)
 from .concentration import (
+    SampleSizeReport,
     density_bound,
     parse_tail_class,
-    sample_size,
+    sample_size_report,
     size_ratio_curve,
-    var_sample_size,
 )
-from .distributions import parse_distribution
+from .distributions import Pareto, PowerBeta, StudentT, parse_distribution
 from .montecarlo import (
     SimulationConfig,
-    figure_series,
     ratio_table,
     ratio_table_csv,
     render_csv,
-    wasserstein_exact,
+    transport_bounds,
 )
 from .risk_core import (
     _ALPHA_CAP,
     beta_star,
+    distortion_curves,
     expected_shortfall,
     expectile,
     expectile_bounds,
@@ -110,25 +118,24 @@ def _int_list(text: str, flag: str) -> list:
     return out
 
 
+def _beta_star_text(dist, alpha: float, bs) -> str:
+    return (
+        f"expectile[{dist.label}] alpha={alpha:g} = {bs.expectile:.4f}\n"
+        f"beta* interval [{bs.lower:.4f}, {bs.upper:.4f}], point {bs.point:.4f}\n"
+    )
+
+
 def _cmd_risk(args) -> str:
     dist = _dist(args.dist)
-    lines = []
     if args.measure == "expectile":
         alpha = _expectile_level(args.alpha)
-        bs = beta_star(dist, alpha)
-        lines.append(f"expectile[{dist.label}] alpha={alpha:g} = {bs.expectile:.4f}")
-        lines.append(
-            f"beta* interval [{bs.lower:.4f}, {bs.upper:.4f}], point {bs.point:.4f}"
-        )
-    elif args.measure == "es":
-        alpha = _level(args.alpha)
+        return _beta_star_text(dist, alpha, beta_star(dist, alpha))
+    alpha = _level(args.alpha)
+    if args.measure == "es":
         value = expected_shortfall(dist, alpha, check=args.check)
-        lines.append(f"es[{dist.label}] alpha={alpha:g} = {value:.4f}")
     else:
-        alpha = _level(args.alpha)
         value = value_at_risk(dist, alpha)
-        lines.append(f"var[{dist.label}] alpha={alpha:g} = {value:.4f}")
-    return "\n".join(lines) + "\n"
+    return f"{args.measure}[{dist.label}] alpha={alpha:g} = {value:.4f}\n"
 
 
 def _cmd_beta_star(args) -> str:
@@ -136,11 +143,7 @@ def _cmd_beta_star(args) -> str:
     alpha = _expectile_level(args.alpha)
     bs = beta_star(dist, alpha)
     recon = expectile_from_es(dist, alpha, bs.point)
-    return (
-        f"expectile[{dist.label}] alpha={alpha:g} = {bs.expectile:.4f}\n"
-        f"beta* interval [{bs.lower:.4f}, {bs.upper:.4f}], point {bs.point:.4f}\n"
-        f"reconstruction at point = {recon:.4f}\n"
-    )
+    return _beta_star_text(dist, alpha, bs) + f"reconstruction at point = {recon:.4f}\n"
 
 
 def _cmd_bounds(args) -> str:
@@ -206,7 +209,7 @@ def _cmd_asympt(args) -> str:
                   else "endpoint gap ratio (xhat-ES)/(xhat-e)")
     else:
         res = beta_star_expansion(dist, alpha, order=args.order)
-        exact = (1.0 - beta_star(dist, alpha).point) / (1.0 - alpha)
+        exact = exact_beta_star_ratio(dist, alpha)
         target = "level ratio (1-beta*)/(1-alpha)"
     lines = [f"{dist.label}: {cls_name}-type tail", f"target: {target} at alpha={alpha:g}"]
     if args.target == "beta-star" and cls_name == "weibull":
@@ -227,47 +230,33 @@ def _cmd_sample_size(args) -> str:
     if eps <= 0:
         raise _ValidationError(f"--eps: must be positive, got {eps:g}")
     dist = _dist(args.dist) if args.dist else None
-    if args.alphas:
-        if dist is None:
-            raise _ValidationError("--alphas: a level grid needs --dist for the density bound")
-        alphas = [
-            _level(a, flag="alphas") for a in _float_list(args.alphas, "alphas")
-        ]
-        try:
-            rows = size_ratio_curve(dist, tc, gamma, eps, alphas, delta_offset=args.delta_offset)
-        except ValueError as exc:
-            raise _ValidationError(str(exc)) from None
-        header = [
-            "alpha", "n_var", "n_es", "n_expectile",
-            "ratio_es_var", "ratio_expectile_var", "eps", "gamma", "delta_alpha", "C", "c",
-        ]
-        return render_csv(header, [list(r) for r in rows])
-    alpha = _level(args.alpha if args.alpha is not None else 0.95)
-    if args.delta_alpha is not None:
-        delta, delta_note = float(args.delta_alpha), "given"
-        if delta <= 0:
-            raise _ValidationError(f"--delta-alpha: must be positive, got {delta:g}")
-    elif dist is not None:
-        try:
-            delta = density_bound(dist, alpha, args.delta_offset)
-        except ValueError as exc:
-            raise _ValidationError(str(exc)) from None
-        delta_note = f"{dist.label} density at q+{args.delta_offset:g}"
-    else:
-        delta, delta_note = 1.0, "default"
     try:
-        n_var = var_sample_size(delta, gamma, eps)
-        n_es = sample_size(tc, gamma, eps, alpha, "es")
-        n_exp = sample_size(tc, gamma, eps, alpha, "expectile")
+        if args.alphas:
+            if dist is None:
+                raise _ValidationError("--alphas: a level grid needs --dist for the density bound")
+            alphas = [_level(a, flag="alphas") for a in _float_list(args.alphas, "alphas")]
+            rows = size_ratio_curve(dist, tc, gamma, eps, alphas, delta_offset=args.delta_offset)
+            return render_csv(SampleSizeReport._fields, rows)
+        alpha = _level(args.alpha if args.alpha is not None else 0.95)
+        if args.delta_alpha is not None:
+            delta, delta_note = float(args.delta_alpha), "given"
+            if delta <= 0:
+                raise _ValidationError(f"--delta-alpha: must be positive, got {delta:g}")
+        elif dist is not None:
+            delta = density_bound(dist, alpha, args.delta_offset)
+            delta_note = f"{dist.label} density at q+{args.delta_offset:g}"
+        else:
+            delta, delta_note = 1.0, "default"
+        r = sample_size_report(tc, gamma, eps, alpha, delta)
     except ValueError as exc:
         raise _ValidationError(str(exc)) from None
     return (
-        f"alpha={alpha:g} eps={eps:g} gamma={gamma:g} (constants C={tc.C:g}, c={tc.c:g})\n"
-        f"n_var       = {n_var}   (delta_alpha={delta:g}, {delta_note})\n"
-        f"n_es        = {n_es}\n"
-        f"n_expectile = {n_exp}\n"
-        f"n_es/n_var  = {n_es / n_var:.4f}\n"
-        f"n_expectile/n_var = {n_exp / n_var:.4f}\n"
+        f"alpha={r.alpha:g} eps={r.eps:g} gamma={r.gamma:g} (constants C={r.C:g}, c={r.c:g})\n"
+        f"n_var       = {r.n_var}   (delta_alpha={r.delta_alpha:g}, {delta_note})\n"
+        f"n_es        = {r.n_es}\n"
+        f"n_expectile = {r.n_expectile}\n"
+        f"n_es/n_var  = {r.ratio_es_var:.4f}\n"
+        f"n_expectile/n_var = {r.ratio_expectile_var:.4f}\n"
     )
 
 
@@ -283,30 +272,37 @@ def _cmd_table(args) -> str:
     return ratio_table_csv(rows, ns)
 
 
+# --kind: (flag, the value it must exceed, family); power a > 0, finite mean otherwise
+_FIGURE_MODELS = {"weibull-beta": ("a", 0.0, PowerBeta), "frechet-pareto": ("a", 1.0, Pareto),
+                  "frechet-student": ("nu", 1.0, StudentT)}
+
+
 def _cmd_figure(args) -> str:
     kind = args.kind
     if args.points < 2:
         raise _ValidationError(f"--points: need at least 2, got {args.points}")
     if kind == "distortion":
         alpha = _expectile_level(args.alpha if args.alpha is not None else 0.94)
-        header, rows = figure_series("distortion", alpha=alpha, points=args.points)
-        return render_csv(header, rows)
+        t, phi, mix = distortion_curves(alpha, args.points)
+        return render_csv(["t", "phi", "phi_mix"], list(zip(t, phi, mix)))
     lo = _expectile_level(args.alpha_min, flag="alpha-min")
     hi = _expectile_level(args.alpha_max, flag="alpha-max")
     if not (lo < hi):
         raise _ValidationError(f"--alpha-min: {lo:g} must be below --alpha-max {hi:g}")
-    grid = list(np.linspace(lo, hi, args.points))
-    param = "nu" if kind == "frechet-student" else "a"
+    param, floor, family = _FIGURE_MODELS[kind]
     value = getattr(args, param)
     if value is None:
         raise _ValidationError(f"--{param}: required for kind {kind}")
-    floor = 0.0 if kind == "weibull-beta" else 1.0  # power a > 0; finite mean otherwise
     if not value > floor:
         raise _ValidationError(f"--{param}: kind {kind} needs {param} > {floor:g}, got {value:g}")
     if kind == "weibull-beta" and value == 1.0:
         raise _ValidationError("--a: a = 1 is the uniform law, which has no second-order curve")
-    header, rows = figure_series(kind, alphas=grid, **{param: value})
-    return render_csv(header, rows)
+    try:
+        dist = family(value)
+    except ValueError as exc:
+        raise _ValidationError(f"--{param}: {exc}") from None
+    rows = expansion_curve(dist, np.linspace(lo, hi, args.points))
+    return render_csv(ExpansionCurveRow._fields, rows)
 
 
 def _cmd_wasserstein(args) -> str:
@@ -317,16 +313,12 @@ def _cmd_wasserstein(args) -> str:
     if args.seed < 0:
         raise _ValidationError(f"--seed: must be >= 0, got {args.seed}")
     alpha = _expectile_level(args.alpha)
-    s = dist.sample(n, seed=args.seed)
-    w_exact = wasserstein_exact(s, dist)
-    es_bound = w_exact / (1.0 - alpha)
-    e_bound = alpha * w_exact / (1.0 - alpha)
-    es_dev = abs(expected_shortfall(s, alpha) - expected_shortfall(dist, alpha))
-    e_dev = abs(expectile(s, alpha) - expectile(dist, alpha))
+    b = transport_bounds(dist.sample(n, seed=args.seed), dist, alpha)
     return (
-        f"w(sample n={n}, {dist.label}) exact = {w_exact:.6g}\n"
-        f"es deviation at alpha={alpha:g}: {es_dev:.6g} <= bound {es_bound:.6g}\n"
-        f"expectile deviation at alpha={alpha:g}: {e_dev:.6g} <= bound {e_bound:.6g}\n"
+        f"w(sample n={n}, {dist.label}) exact = {b.w1:.6g}\n"
+        f"es deviation at alpha={alpha:g}: {b.es_deviation:.6g} <= bound {b.es_bound:.6g}\n"
+        f"expectile deviation at alpha={alpha:g}: {b.expectile_deviation:.6g}"
+        f" <= bound {b.expectile_bound:.6g}\n"
     )
 
 

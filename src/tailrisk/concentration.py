@@ -6,16 +6,16 @@ probability controlled by the moment class of the loss:
 
 - exponential moments E[exp(r|L|^k)] < inf, k > 1:  bound C exp(-c n h^2);
 - stretched-exponential moments, 0 < k < 1, with Orlicz rate s in (0, k):
-  bound C exp(-c n^s h^2);
+  bound 2C exp(-c n^s h^2), the two-sided form of the estimate;
 - polynomial moments E[|L|^q] < inf, q > 2, rate s in (2, q):
   bound C n^(1-s) h^(2(1-s)).
 
 The threshold is h = eps (1-alpha) for ES and h = eps (1-alpha)/alpha
-for the expectile, valid for 0 < eps <= alpha/(1-alpha).  Inverting the
-bound at a confidence budget gamma gives the planning sample sizes; the
-VaR counterpart comes from the Dvoretzky-Kiefer-Wolfowitz-type estimate
-n >= -ln(gamma/4) / (2 eps^2 delta_alpha^2), with delta_alpha a lower
-bound on the density beyond the alpha-quantile.
+for the expectile, valid for 0 < eps <= alpha/(1-alpha).  The planning
+size is the smallest n whose bound is at most a confidence budget gamma;
+the VaR counterpart comes from the Dvoretzky-Kiefer-Wolfowitz-type
+estimate n >= -ln(gamma/4) / (2 eps^2 delta_alpha^2), with delta_alpha a
+lower bound on the density beyond the alpha-quantile.
 
 The constants C and c are generally *not explicit* in the underlying
 concentration results; every report carries the values used (defaults
@@ -42,6 +42,7 @@ __all__ = [
     "var_sample_size",
     "density_bound",
     "SampleSizeReport",
+    "sample_size_report",
     "size_ratio_curve",
 ]
 
@@ -49,7 +50,8 @@ __all__ = [
 class TailClass:
     """Base moment class; carries the unspecified constants C, c >= ...
 
-    Subclasses fix the functional form of the deviation bound.
+    Subclasses give the deviation bound ``bound(n, h)`` with n draws at
+    threshold h and ``_inverse(gamma, h)``, the real n where it equals gamma.
     """
 
     def __init__(self, C: float = 1.0, c: float = 1.0):
@@ -70,6 +72,26 @@ class TailClass:
         sep = ", " if extra else ""
         return f"{type(self).__name__}({extra}{sep}C={self.C:g}, c={self.c:g})"
 
+    def size(self, gamma: float, h: float) -> int:
+        """Smallest n >= 1 with ``bound(n, h) <= gamma``: the inverse rounded up,
+        stepped where rounding left it one off, below 2**53 (where n - 1 may
+        round to n in float arithmetic); 1 with a warning when the inverse
+        is <= 0, i.e. gamma reaches the prefactor and every n will do."""
+        raw = self._inverse(gamma, h)
+        if raw <= 0.0:
+            warnings.warn(
+                f"gamma={gamma:g} reaches the prefactor of {self!r}: its bound is below "
+                "budget for every n; returning 1",
+                stacklevel=3,
+            )
+            return 1
+        n = math.ceil(raw)
+        while n < 2 ** 53 and self.bound(n, h) > gamma:
+            n += 1
+        while 1 < n < 2 ** 53 and self.bound(n - 1, h) <= gamma:
+            n -= 1
+        return n
+
 
 class ExpMoment(TailClass):
     """Exponential moment class: E[exp(r |L|^k)] finite for some k > 1."""
@@ -87,6 +109,12 @@ class ExpMoment(TailClass):
 
     def _label_params(self) -> str:
         return f"k={self.k:g}, r={self.r:g}"
+
+    def bound(self, n: int, h: float) -> float:
+        return self.C * math.exp(-self.c * n * h * h)
+
+    def _inverse(self, gamma: float, h: float) -> float:
+        return -math.log(gamma / self.C) / self.c / (h * h)
 
 
 class SubExpMoment(TailClass):
@@ -114,6 +142,13 @@ class SubExpMoment(TailClass):
     def _label_params(self) -> str:
         return f"k={self.k:g}, r={self.r:g}, s={self.s:g}"
 
+    def bound(self, n: int, h: float) -> float:
+        return 2.0 * self.C * math.exp(-self.c * n ** self.s * h * h)
+
+    def _inverse(self, gamma: float, h: float) -> float:
+        t = -math.log(gamma / (2.0 * self.C)) / self.c
+        return (max(t, 0.0) / (h * h)) ** (1.0 / self.s)
+
 
 class PolyMoment(TailClass):
     """Polynomial moment class: E[|L|^q] finite for some q > 2.
@@ -135,11 +170,18 @@ class PolyMoment(TailClass):
     def _label_params(self) -> str:
         return f"q={self.q:g}, s={self.s:g}"
 
+    def bound(self, n: int, h: float) -> float:
+        return self.C * n ** (1.0 - self.s) * h ** (2.0 * (1.0 - self.s))
 
-_TAIL_REQUIRED = {
-    "exp": ("k", "r"),
-    "subexp": ("k", "r", "s"),
-    "poly": ("q", "s"),
+    def _inverse(self, gamma: float, h: float) -> float:
+        return (self.C / gamma) ** (1.0 / (self.s - 1.0)) * h ** -2.0
+
+
+# family: (class, required parameters, example spec)
+_TAIL_FAMILIES = {
+    "exp": (ExpMoment, ("k", "r"), "exp:k=2,r=1"),
+    "subexp": (SubExpMoment, ("k", "r", "s"), "subexp:k=0.5,r=1,s=0.3"),
+    "poly": (PolyMoment, ("q", "s"), "poly:q=3,s=2.5"),
 }
 
 
@@ -153,12 +195,13 @@ def parse_tail_class(text: str) -> TailClass:
     text = text.strip()
     head, sep, body = text.partition(":")
     family = head.strip().lower()
-    if family not in _TAIL_REQUIRED:
+    if family not in _TAIL_FAMILIES:
         raise ValueError(
             f"unknown tail class {head.strip()!r}: expected one of exp, subexp, poly"
         )
+    cls, required, example = _TAIL_FAMILIES[family]
     if not sep or not body.strip():
-        raise ValueError(f"tail class {family!r} needs parameters, e.g. '{_tail_example(family)}'")
+        raise ValueError(f"tail class {family!r} needs parameters, e.g. '{example}'")
     kwargs = {}
     for item in body.split(","):
         item = item.strip()
@@ -170,7 +213,7 @@ def parse_tail_class(text: str) -> TailClass:
             raise ValueError(f"malformed tail parameter {item!r}: expected key=value")
         if key not in ("C", "c"):
             key = key.lower()
-        if key not in _TAIL_REQUIRED[family] + ("C", "c"):
+        if key not in required + ("C", "c"):
             raise ValueError(f"unknown parameter {key!r} for tail class {family!r}")
         if key in kwargs:
             raise ValueError(f"duplicate tail parameter {key!r}")
@@ -178,19 +221,10 @@ def parse_tail_class(text: str) -> TailClass:
             kwargs[key] = float(val.strip())
         except ValueError:
             raise ValueError(f"non-numeric value for tail parameter {key!r}: {val.strip()!r}") from None
-    missing = [k for k in _TAIL_REQUIRED[family] if k not in kwargs]
+    missing = [k for k in required if k not in kwargs]
     if missing:
         raise ValueError(f"tail class {family!r} is missing parameter(s): {', '.join(missing)}")
-    cls = {"exp": ExpMoment, "subexp": SubExpMoment, "poly": PolyMoment}[family]
     return cls(**kwargs)
-
-
-def _tail_example(family: str) -> str:
-    return {
-        "exp": "exp:k=2,r=1",
-        "subexp": "subexp:k=0.5,r=1,s=0.3",
-        "poly": "poly:q=3,s=2.5",
-    }[family]
 
 
 def _threshold(eps: float, alpha: float, measure: str) -> float:
@@ -215,67 +249,29 @@ def deviation_bound(
 ) -> float:
     """Probability bound for a relative deviation beyond eps with n draws.
 
-    The raw bound is clamped into [0, 1]; values near 1 mean the moment
-    class says nothing at this sample size.
+    The moment class's ``bound(n, h)`` at the measure's threshold h,
+    clamped into [0, 1]; values near 1 mean the class says nothing here.
     """
     n = int(n)
     if n < 1:
         raise ValueError(f"sample size n must be a positive integer, got {n}")
-    h = _threshold(eps, alpha, measure)
-    if isinstance(tc, ExpMoment):
-        raw = tc.C * math.exp(-tc.c * n * h * h)
-    elif isinstance(tc, SubExpMoment):
-        raw = tc.C * math.exp(-tc.c * n ** tc.s * h * h)
-    elif isinstance(tc, PolyMoment):
-        raw = tc.C * n ** (1.0 - tc.s) * h ** (2.0 * (1.0 - tc.s))
-    else:
-        raise TypeError(f"unsupported tail class {type(tc).__name__}")
-    return min(1.0, raw)
+    return min(1.0, tc.bound(n, _threshold(eps, alpha, measure)))
 
 
 def sample_size(
     tc: TailClass, gamma: float, eps: float, alpha: float, measure: str = "es"
 ) -> int:
-    """Smallest n making the deviation bound at most gamma.
+    """Smallest n making the deviation bound at most gamma, the exact
+    inverse of ``deviation_bound`` (see ``TailClass.size``).
 
-    Inverts the bound formula and rounds up.  The stretched-exponential
-    branch inverts the two-sided form with prefactor 2C (the shape the
-    underlying estimate takes), so the reported bound at the returned n
-    sits near gamma/2 rather than gamma; the exponential and polynomial
-    branches invert exactly.  When the confidence budget
-    already exceeds the bound's prefactor (gamma >= C on an exponential
-    branch) every n works; returns 1 with a warning, since that usually
-    signals a misconfigured budget rather than a genuinely easy problem.
+    When gamma already reaches the bound's prefactor (C on the exponential
+    class, 2C on the stretched-exponential one) every n works; returns 1
+    with a warning, since that usually signals a misconfigured budget.
     """
     gamma = float(gamma)
     if not (0.0 < gamma < 1.0):
         raise ValueError(f"confidence budget gamma must lie in (0, 1), got {gamma}")
-    h = _threshold(eps, alpha, measure)
-    if isinstance(tc, ExpMoment):
-        t = -math.log(gamma / tc.C) / tc.c
-        if t <= 0.0:
-            warnings.warn(
-                f"gamma={gamma:g} >= C={tc.C:g}: exponential bound is below budget "
-                "for every n; returning 1",
-                stacklevel=2,
-            )
-            return 1
-        raw = t / (h * h)
-    elif isinstance(tc, SubExpMoment):
-        t = -math.log(gamma / (2.0 * tc.C)) / tc.c
-        if t <= 0.0:
-            warnings.warn(
-                f"gamma={gamma:g} >= 2C={2.0 * tc.C:g}: stretched-exponential bound is "
-                "below budget for every n; returning 1",
-                stacklevel=2,
-            )
-            return 1
-        raw = (t / (h * h)) ** (1.0 / tc.s)
-    elif isinstance(tc, PolyMoment):
-        raw = (tc.C / gamma) ** (1.0 / (tc.s - 1.0)) * h ** -2.0
-    else:
-        raise TypeError(f"unsupported tail class {type(tc).__name__}")
-    return max(1, int(math.ceil(raw)))
+    return tc.size(gamma, _threshold(eps, alpha, measure))
 
 
 def var_sample_size(delta_alpha: float, gamma: float, eps: float) -> int:
@@ -285,9 +281,9 @@ def var_sample_size(delta_alpha: float, gamma: float, eps: float) -> int:
     the alpha-quantile; halving it quadruples the requirement.
     """
     delta_alpha = float(delta_alpha)
-    if not (delta_alpha > 0.0):
+    if not (0.0 < delta_alpha < math.inf):
         raise ValueError(
-            f"density lower bound delta_alpha must be positive, got {delta_alpha}"
+            f"density lower bound delta_alpha must be positive and finite, got {delta_alpha}"
         )
     gamma = float(gamma)
     if not (0.0 < gamma < 1.0):
@@ -303,10 +299,12 @@ def density_bound(dist: Distribution, alpha: float, offset: float = 1.0) -> floa
     """The density bound delta_alpha: the model density at q_alpha + offset.
 
     The offset keeps the bound valid on a neighbourhood past the quantile
-    rather than at the point itself.  Raises when the model has no
-    density or the density vanishes there.
+    rather than at the point itself, so it must be finite and positive.
+    Raises when the model has no density or the density vanishes there.
     """
     offset = float(offset)
+    if not (0.0 < offset < math.inf):
+        raise ValueError(f"delta_offset must be positive and finite, got {offset:g}")
     q = dist.quantile(alpha)
     try:
         dens = float(dist.density(q + offset))
@@ -336,6 +334,19 @@ class SampleSizeReport(NamedTuple):
     c: float
 
 
+def sample_size_report(
+    tc: TailClass, gamma: float, eps: float, alpha: float, delta_alpha: float
+) -> SampleSizeReport:
+    """Planning sizes at one level for VaR (density bound ``delta_alpha``),
+    ES and the expectile, with the constant-free ratios n_ES/n_VaR and
+    n_e/n_VaR."""
+    n_var = var_sample_size(delta_alpha, gamma, eps)
+    n_es = sample_size(tc, gamma, eps, alpha, "es")
+    n_exp = sample_size(tc, gamma, eps, alpha, "expectile")
+    return SampleSizeReport(float(alpha), n_var, n_es, n_exp, n_es / n_var, n_exp / n_var,
+                            float(eps), float(gamma), float(delta_alpha), tc.C, tc.c)
+
+
 def size_ratio_curve(
     dist: Distribution,
     tc: TailClass,
@@ -349,26 +360,7 @@ def size_ratio_curve(
 
     Requires a continuous model with a density.
     """
-    rows = []
-    for a in alphas:
-        a = float(a)
-        dens = density_bound(dist, a, delta_offset)
-        n_var = var_sample_size(dens, gamma, eps)
-        n_es = sample_size(tc, gamma, eps, a, "es")
-        n_exp = sample_size(tc, gamma, eps, a, "expectile")
-        rows.append(
-            SampleSizeReport(
-                alpha=a,
-                n_var=n_var,
-                n_es=n_es,
-                n_expectile=n_exp,
-                ratio_es_var=n_es / n_var,
-                ratio_expectile_var=n_exp / n_var,
-                eps=float(eps),
-                gamma=float(gamma),
-                delta_alpha=dens,
-                C=tc.C,
-                c=tc.c,
-            )
-        )
-    return rows
+    return [
+        sample_size_report(tc, gamma, eps, a, density_bound(dist, a, delta_offset))
+        for a in map(float, alphas)
+    ]

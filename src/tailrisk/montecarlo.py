@@ -1,4 +1,4 @@
-"""Simulation tables, Wasserstein distances, and figure data series.
+"""Simulation tables and Wasserstein distances.
 
 The ratio tables compare theoretical expectile/ES and expectile/VaR
 ratios against their empirical counterparts on freshly drawn samples,
@@ -19,10 +19,8 @@ telescope, so a call costs one model CDF per sample point and the
 model's ES only at run boundaries and crossings (about a thousand levels
 for 1e5 Student t draws, not 2n).  It backs the deviation inequalities
 |ES_n - ES| <= w/(1-alpha) and |e_n - e| <= alpha w/(1-alpha), which
-are theorems and are asserted as such in the tests.
-
-Figure series emit exact/first-order/second-order curve data as CSV-able
-rows so anyone can replot the asymptotic-accuracy pictures.
+are theorems and are asserted as such in the tests; ``transport_bounds``
+reports both deviations of a sample next to these bounds at one level.
 """
 
 from __future__ import annotations
@@ -32,13 +30,12 @@ from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .asymptotics import _check_alpha, exact_ratio, ratio_expansion
-from .distributions import Distribution, PowerBeta, Pareto, Sample, StudentT
+from .asymptotics import _alpha_grid
+from .distributions import Distribution, Sample
 from .risk_core import (
     _partition_es,
     _select,
     _tail_expectile,
-    distortion_curves,
     expected_shortfall,
     expectile,
     value_at_risk,
@@ -52,7 +49,8 @@ __all__ = [
     "ratio_table",
     "ratio_table_csv",
     "wasserstein_exact",
-    "figure_series",
+    "TransportBounds",
+    "transport_bounds",
     "render_csv",
 ]
 
@@ -247,55 +245,23 @@ def wasserstein_exact(s: Sample, dist: Distribution) -> float:
     return max(total, 0.0)
 
 
-def _alpha_grid(alphas: Sequence[float]) -> list:
-    """The levels as floats, each checked to lie in [0.5, 1)."""
-    out = [_check_alpha(a) for a in alphas]
-    if not out:
-        raise ValueError("alpha grid is empty")
-    return out
+class TransportBounds(NamedTuple):
+    """W1 to the model, |ES_n - ES| <= w1/(1-alpha), |e_n - e| <= alpha w1/(1-alpha)."""
+
+    w1: float
+    es_deviation: float
+    es_bound: float
+    expectile_deviation: float
+    expectile_bound: float
 
 
-def figure_series(kind: str, **params):
-    """Data series behind the figures, as (header, rows).
-
-    Kinds:
-
-    - ``distortion`` (alpha=0.94, points=201): the expectile distortion
-      phi and the optimal ES/mean mixture distortion on a t-grid;
-    - ``weibull-beta`` (a, alphas): exact (1 - e_alpha)/(1 - ES_alpha)
-      for the power law on [0, 1] next to the reciprocal first- and
-      second-order gap-ratio expansions;
-    - ``frechet-pareto`` (a, alphas): exact e/ES of the *centered* Pareto
-      next to its expansions;
-    - ``frechet-student`` (nu, alphas): exact e/ES of the Student t
-      (already mean-zero) next to its expansions.
-    """
-    if kind == "distortion":
-        alpha = float(params.pop("alpha", 0.94))
-        points = int(params.pop("points", 201))
-        if params:
-            raise ValueError(f"unexpected parameters for kind 'distortion': {sorted(params)}")
-        t, phi, mix = distortion_curves(alpha, points)
-        return ["t", "phi", "phi_mix"], list(zip(t, phi, mix))
-
-    if kind in ("weibull-beta", "frechet-pareto", "frechet-student"):
-        if kind == "frechet-student":
-            dist = StudentT(float(params.pop("nu")))
-        else:
-            dist = (PowerBeta if kind == "weibull-beta" else Pareto)(float(params.pop("a")))
-        alphas = _alpha_grid(params.pop("alphas"))
-        if params:
-            raise ValueError(f"unexpected parameters for kind {kind!r}: {sorted(params)}")
-        rows = []
-        for al in alphas:
-            values = [exact_ratio(dist, al), ratio_expansion(dist, al, order=1).value,
-                      ratio_expansion(dist, al, order=2).value]
-            if kind == "weibull-beta":
-                values = [1.0 / v for v in values]
-            rows.append((al, *values))
-        return ["alpha", "exact", "first_order", "second_order"], rows
-
-    raise ValueError(
-        f"unknown figure kind {kind!r}: expected distortion, weibull-beta, "
-        "frechet-pareto, or frechet-student"
+def transport_bounds(sample: Sample, dist: Distribution, alpha: float) -> TransportBounds:
+    """``wasserstein_exact`` with the ES and expectile deviations at alpha and their bounds."""
+    w = wasserstein_exact(sample, dist)
+    return TransportBounds(
+        w1=w,
+        es_deviation=abs(expected_shortfall(sample, alpha) - expected_shortfall(dist, alpha)),
+        es_bound=w / (1.0 - alpha),
+        expectile_deviation=abs(expectile(sample, alpha) - expectile(dist, alpha)),
+        expectile_bound=alpha * w / (1.0 - alpha),
     )

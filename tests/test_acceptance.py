@@ -33,7 +33,6 @@ from scipy.stats import t as student_t
 
 from tailrisk.allocation import (
     Portfolio,
-    es_euler,
     euler_asymptotic_ratio,
     expectile_euler,
 )

@@ -5,6 +5,7 @@ import pytest
 
 from tailrisk.asymptotics import (
     beta_star_expansion,
+    exact_beta_star_ratio,
     exact_ratio,
     extreme_expectile_estimate,
     frechet_beta_star_ratio,
@@ -189,6 +190,15 @@ def test_exact_ratio_matches_inline_formulas():
     assert exact_ratio(d, 0.995) == gap
     with pytest.raises(ValueError, match="gumbel_relation"):
         exact_ratio(Exponential(), 0.99)
+
+
+
+@pytest.mark.parametrize("dist", [Pareto(2.0), StudentT(2.3), Uniform01(), Exponential()],
+                         ids=repr)
+def test_exact_beta_star_ratio_matches_beta_star(dist):
+    for alpha in (0.9, 0.999):
+        want = (1.0 - beta_star(dist, alpha).point) / (1.0 - alpha)
+        assert exact_beta_star_ratio(dist, alpha) == want
 
 
 # -------------------------------------------------------------- weibull

@@ -6,9 +6,10 @@ import math
 import pytest
 
 from tailrisk import risk_core
+from tailrisk.asymptotics import ExpansionCurveRow, expansion_curve
 from tailrisk.cli import main
-from tailrisk.distributions import Sample
-from tailrisk.montecarlo import figure_series, render_csv
+from tailrisk.distributions import Pareto, Sample
+from tailrisk.montecarlo import render_csv
 from tailrisk.risk_core import distortion_curves
 
 
@@ -432,13 +433,13 @@ def test_figure_level_window_must_be_ordered(capsys):
 
 
 def test_figure_level_window_takes_the_expectile_levels(capsys):
-    # 0.5 is an expectile level, as for figure_series; past the cap is an
+    # 0.5 is an expectile level, as for expansion_curve; past the cap is an
     # input error, not a computation failure
     code, out, err = run(capsys, ["figure", "--kind", "frechet-pareto", "--a", "2.1",
                                   "--alpha-min", "0.5", "--alpha-max", "0.9", "--points", "3"])
     assert (code, err) == (0, "")
-    header, rows = figure_series("frechet-pareto", a=2.1, alphas=[0.5, 0.7, 0.9])
-    assert out == render_csv(header, rows)
+    rows = expansion_curve(Pareto(2.1), [0.5, 0.7, 0.9])
+    assert out == render_csv(ExpansionCurveRow._fields, rows)
     code, out, err = run(capsys, ["figure", "--kind", "frechet-pareto", "--a", "2.1",
                                   "--alpha-max", "0.9999999999999"])
     assert (code, out) == (2, "")
@@ -527,3 +528,297 @@ def test_repeated_main_calls_share_no_state(tmp_path, capsys, earlier, earlier_c
     assert run(capsys, later) == want
     if dest.exists():
         assert dest.read_text() == want[1]
+
+
+# ---------------------------------------------------------------- golden
+
+# Exact (exit code, stdout, stderr) of representative command lines: every
+# subcommand in its text and CSV forms, and the exit-2 (bad input) and
+# exit-1 (computation failure) paths.  "<csv>", "<ragged>" and "<out>"
+# stand for files in a temporary directory; for a command with --out the
+# pinned stdout is the file it writes, and nothing reaches stdout.
+GOLDEN = [
+    pytest.param(
+        ["risk", "--dist", "pareto:a=2.1", "--alpha", "0.99"], 0,
+        "expectile[pareto:a=2.1] alpha=0.99 = 8.4448\n"
+        "beta* interval [0.9910, 0.9910], point 0.9910\n",
+        "", id="risk-expectile"),
+    pytest.param(
+        ["risk", "--dist", "exp", "--alpha", "0.9", "--measure", "es", "--check"], 0,
+        "es[exp] alpha=0.9 = 3.3026\n",
+        "", id="risk-es-check"),
+    pytest.param(
+        ["risk", "--dist", "student:nu=2.3", "--alpha", "0.99", "--measure", "var"], 0,
+        "var[student:nu=2.3] alpha=0.99 = 5.8539\n",
+        "", id="risk-var"),
+    pytest.param(
+        ["risk", "--dist", "exp", "--alpha", "1.5"], 2,
+        "",
+        "error: --alpha: expectile level must lie in [0.5, 1 - 1e-12), got 1.5\n",
+        id="risk-level-exit2"),
+    pytest.param(
+        ["beta-star", "--dist", "exp", "--alpha", "0.9"], 0,
+        "expectile[exp] alpha=0.9 = 2.0401\n"
+        "beta* interval [0.8700, 0.8700], point 0.8700\n"
+        "reconstruction at point = 2.0401\n",
+        "", id="beta-star"),
+    pytest.param(
+        ["beta-star", "--dist", "twopoint:x1=1,x2=1,p=0.5", "--alpha", "0.9"], 1,
+        "",
+        "error: beta_star is undefined for a constant loss: the expectile equals the constant "
+        "and every ES level reproduces it\n", id="beta-star-constant-exit1"),
+    pytest.param(
+        ["bounds", "--dist", "pareto:a=2", "--alpha", "0.9", "--beta", "0.8"], 0,
+        "lower(beta=0.8)  = 2.5213\n"
+        "expectile          = 3.0000\n"
+        "upper              = 4.8440\n"
+        "es_cap             = 5.0000\n",
+        "", id="bounds"),
+    pytest.param(
+        ["allocate", "--csv", "<csv>", "--alpha", "0.95"], 0,
+        "expectile contributions at alpha=0.95 over 4 scenarios:\n"
+        "  component 1: 2.6364\n"
+        "  component 2: 2.6364\n"
+        "  sum = 5.2727 (portfolio expectile = 5.2727)\n",
+        "", id="allocate-text"),
+    pytest.param(
+        ["allocate", "--csv", "<csv>", "--alpha", "0.7", "--measure", "es", "--out", "<out>"],
+        0,
+        "component,contribution\n"
+        "1,2.58333333333\n"
+        "2,2.58333333333\n",
+        "", id="allocate-csv"),
+    pytest.param(
+        ["allocate", "--csv", "<ragged>", "--alpha", "0.7"], 2,
+        "",
+        "error: --csv: ragged rows in <ragged>: expected 2 columns\n",
+        id="allocate-ragged-exit2"),
+    pytest.param(
+        ["asympt", "--dist", "pareto:a=2.3", "--alpha", "0.995"], 0,
+        "pareto:a=2.3: frechet-type tail\n"
+        "target: centered expectile/ES ratio at alpha=0.995\n"
+        "order 2: leading 0.5021, correction -0.0147, value 0.4947\n"
+        "exact 0.4978, |error| 3.11e-03\n",
+        "", id="asympt-ratio-order2"),
+    pytest.param(
+        ["asympt", "--dist", "student:nu=2.3", "--alpha", "0.999", "--order", "1"], 0,
+        "student:nu=2.3: frechet-type tail\n"
+        "target: centered expectile/ES ratio at alpha=0.999\n"
+        "order 1: leading 0.5043, correction 0.0000, value 0.5043\n"
+        "exact 0.5037, |error| 6.07e-04\n",
+        "", id="asympt-ratio-order1"),
+    pytest.param(
+        ["asympt", "--dist", "power:a=1.1", "--alpha", "0.99"], 0,
+        "power:a=1.1: weibull-type tail\n"
+        "target: endpoint gap ratio (xhat-ES)/(xhat-e) at alpha=0.99\n"
+        "order 2: leading 0.0484, correction 0.0962, value 0.0530\n"
+        "exact 0.0533, |error| 2.91e-04\n",
+        "", id="asympt-weibull-ratio"),
+    pytest.param(
+        ["asympt", "--dist", "pareto:a=2", "--alpha", "0.999", "--target", "beta-star",
+         "--order", "1"], 0,
+        "pareto:a=2: frechet-type tail\n"
+        "target: level ratio (1-beta*)/(1-alpha) at alpha=0.999\n"
+        "order 1: leading 1.0000, correction 0.0000, value 1.0000\n"
+        "exact 0.9405, |error| 5.95e-02\n",
+        "", id="asympt-beta-star-order1"),
+    pytest.param(
+        ["asympt", "--dist", "student:nu=2.3", "--alpha", "0.999", "--target", "beta-star"], 0,
+        "student:nu=2.3: frechet-type tail\n"
+        "target: level ratio (1-beta*)/(1-alpha) at alpha=0.999\n"
+        "order 2: leading 1.3026, correction -0.0058, value 1.2950\n"
+        "exact 1.2951, |error| 7.59e-05\n",
+        "", id="asympt-beta-star-order2"),
+    pytest.param(
+        ["asympt", "--dist", "uniform", "--alpha", "0.99", "--target", "beta-star"], 0,
+        "uniform: weibull-type tail\n"
+        "target: level ratio (1-beta*)/(1-alpha) at alpha=0.99\n"
+        "leading-order value 10.0000\n"
+        "exact 9.1325, |error| 8.67e-01\n",
+        "", id="asympt-weibull-beta-star"),
+    pytest.param(
+        ["asympt", "--dist", "exp", "--alpha", "0.99"], 0,
+        "exp: light (Gumbel-type) tail; expectile and ES are equivalent as alpha -> 1 (no "
+        "polynomial expansion)\n",
+        "", id="asympt-gumbel"),
+    pytest.param(
+        ["asympt", "--dist", "uniform", "--alpha", "0.99"], 2,
+        "",
+        "error: --order: uniform has no second-order tail parametrization; use --order 1\n",
+        id="asympt-no-rho-exit2"),
+    pytest.param(
+        ["asympt", "--dist", "twopoint:x1=0,x2=1,p=0.5", "--alpha", "0.99"], 2,
+        "",
+        "error: --dist: twopoint:x1=0,x2=1,p=0.5 has no tail classification\n",
+        id="asympt-no-class-exit2"),
+    pytest.param(
+        ["asympt", "--dist", "power:a=1e300", "--alpha", "0.99"], 1,
+        "",
+        "error: 0.0 cannot be raised to a negative power\n", id="asympt-exit1"),
+    pytest.param(
+        ["sample-size", "--tail", "poly:q=3,s=2.5", "--gamma", "0.05", "--eps", "0.1",
+         "--alpha", "0.99"], 0,
+        "alpha=0.99 eps=0.1 gamma=0.05 (constants C=1, c=1)\n"
+        "n_var       = 220   (delta_alpha=1, default)\n"
+        "n_es        = 7368063\n"
+        "n_expectile = 7221439\n"
+        "n_es/n_var  = 33491.1955\n"
+        "n_expectile/n_var = 32824.7227\n",
+        "", id="sample-size-default"),
+    pytest.param(
+        ["sample-size", "--tail", "poly:q=2.05,s=2.01", "--gamma", "0.05", "--eps", "0.1",
+         "--alpha", "0.99", "--dist", "pareto:a=2.1"], 0,
+        "alpha=0.99 eps=0.1 gamma=0.05 (constants C=1, c=1)\n"
+        "n_var       = 76881380   (delta_alpha=0.00168815, pareto:a=2.1 density at q+1)\n"
+        "n_es        = 19415497\n"
+        "n_expectile = 19029129\n"
+        "n_es/n_var  = 0.2525\n"
+        "n_expectile/n_var = 0.2475\n",
+        "", id="sample-size-model"),
+    pytest.param(
+        ["sample-size", "--tail", "exp:k=2,r=1", "--gamma", "0.05", "--eps", "0.1", "--alpha",
+         "0.9", "--delta-alpha", "0.5"], 0,
+        "alpha=0.9 eps=0.1 gamma=0.05 (constants C=1, c=1)\n"
+        "n_var       = 877   (delta_alpha=0.5, given)\n"
+        "n_es        = 29958\n"
+        "n_expectile = 24266\n"
+        "n_es/n_var  = 34.1596\n"
+        "n_expectile/n_var = 27.6693\n",
+        "", id="sample-size-given"),
+    pytest.param(
+        ["sample-size", "--tail", "subexp:k=0.5,r=1,s=0.3", "--gamma", "0.05", "--eps", "0.1",
+         "--alpha", "0.99"], 0,
+        "alpha=0.99 eps=0.1 gamma=0.05 (constants C=1, c=1)\n"
+        "n_var       = 220   (delta_alpha=1, default)\n"
+        "n_es        = 7756185935547299004416\n"
+        "n_expectile = 7253531626754822635520\n"
+        "n_es/n_var  = 35255390616124088320.0000\n"
+        "n_expectile/n_var = 32970598303431012352.0000\n",
+        "", id="sample-size-subexp"),
+    pytest.param(
+        ["sample-size", "--tail", "poly:q=2.05,s=2.01", "--gamma", "0.05", "--eps", "0.1",
+         "--alphas", "0.9,0.99", "--dist", "pareto:a=2.1"], 0,
+        "alpha,n_var,n_es,n_expectile,ratio_es_var,ratio_expectile_var,eps,gamma,delta_alpha,C,"
+        "c\n"
+        "0.9,265860,194155,157266,0.730290378395,0.59153689912,0.1,0.05,0.0287075944091,1,1\n"
+        "0.99,76881380,19415497,19029129,0.252538351939,0.247512843812,0.1,0.05,"
+        "0.00168815346512,1,1\n",
+        "", id="sample-size-grid"),
+    pytest.param(
+        ["sample-size", "--tail", "poly:q=3,s=2.5", "--gamma", "0.05", "--eps", "10", "--alpha",
+         "0.9"], 2,
+        "",
+        "error: relative accuracy eps must lie in (0, alpha/(1-alpha)] = (0, 9], got 10.0\n",
+        id="sample-size-eps-exit2"),
+    pytest.param(
+        ["sample-size", "--tail", "exp:k=2,r=1,c=1e-310", "--gamma", "0.05", "--eps", "0.1",
+         "--alpha", "0.99"], 1,
+        "",
+        "error: cannot convert float infinity to integer\n", id="sample-size-exit1"),
+    pytest.param(
+        ["sample-size", "--tail", "poly:q=3,s=2.5", "--gamma", "0.05", "--eps", "0.1",
+         "--alpha", "0.99", "--dist", "exp", "--delta-offset", "-1"], 2,
+        "",
+        "error: delta_offset must be positive and finite, got -1\n",
+        id="sample-size-negative-offset"),
+    pytest.param(
+        ["sample-size", "--tail", "poly:q=3,s=2.5", "--gamma", "0.05", "--eps", "0.1",
+         "--alpha", "0.99", "--delta-alpha", "inf"], 2,
+        "",
+        "error: density lower bound delta_alpha must be positive and finite, got inf\n",
+        id="sample-size-infinite-delta"),
+    pytest.param(
+        ["table", "--dist", "pareto:a=2.1", "--alphas", "0.999,0.983", "--ns", "100,1000"], 0,
+        "alpha,theo_ratio,emp_ratio_1e2,err_pct_1e2,emp_ratio_1e3,err_pct_1e3\n"
+        "0.983,0.53073696459,0.591114599292,11.3761879671,0.539113909313,1.57836089851\n"
+        "0.999,0.508593160011,0.91382525856,79.6770641861,0.693360381141,36.3290810136\n",
+        "", id="table"),
+    pytest.param(
+        ["table", "--dist", "exp", "--alphas", "0.5,0.9", "--ns", "50", "--seed", "4", "--vs",
+         "var", "--replications", "3"], 0,
+        "alpha,theo_ratio,emp_ratio_5e1,err_pct_5e1\n"
+        "0.5,1.44269504089,1.35534892702,15.7594146703\n"
+        "0.9,0.886009636926,0.905670290701,4.37227685509\n",
+        "", id="table-var-replications"),
+    pytest.param(
+        ["table", "--dist", "exp", "--alphas", "0.9", "--ns", "100.5"], 2,
+        "",
+        "error: --ns: entries must be positive integers, got 100.5\n", id="table-ns-exit2"),
+    pytest.param(
+        ["table", "--dist", "twopoint:x1=0,x2=0,p=0.5", "--alphas", "0.9", "--ns", "10"], 1,
+        "",
+        "error: float division by zero\n", id="table-exit1"),
+    pytest.param(
+        ["figure", "--kind", "distortion", "--points", "5"], 0,
+        "t,phi,phi_mix\n"
+        "0,0,0\n"
+        "0.25,0.839285714286,0.952127659574\n"
+        "0.5,0.94,0.968085106383\n"
+        "0.75,0.979166666667,0.984042553191\n"
+        "1,1,1\n",
+        "", id="figure-distortion"),
+    pytest.param(
+        ["figure", "--kind", "weibull-beta", "--a", "2", "--points", "3"], 0,
+        "alpha,exact,first_order,second_order\n"
+        "0.95,8.94989871354,10.8174877195,9.22024076277\n"
+        "0.97495,13.1146549573,14.9239475917,13.298551692\n"
+        "0.9999,229.184720137,230.960318021,229.19594476\n",
+        "", id="figure-weibull-beta"),
+    pytest.param(
+        ["figure", "--kind", "frechet-pareto", "--a", "2.1", "--points", "3"], 0,
+        "alpha,exact,first_order,second_order\n"
+        "0.95,0.480870102429,0.500567429597,0.466270919038\n"
+        "0.97495,0.490328559233,0.500567429597,0.482616339531\n"
+        "0.9999,0.500265245221,0.500567429597,0.500223325002\n",
+        "", id="figure-frechet-pareto"),
+    pytest.param(
+        ["figure", "--kind", "frechet-student", "--nu", "2.3", "--points", "3"], 0,
+        "alpha,exact,first_order,second_order\n"
+        "0.95,0.47616663355,0.504283697303,0.475711341126\n"
+        "0.97495,0.490276835306,0.504283697303,0.490102159656\n"
+        "0.9999,0.504217115224,0.504283697303,0.504217084549\n",
+        "", id="figure-frechet-student"),
+    pytest.param(
+        ["figure", "--kind", "weibull-beta", "--a", "1"], 2,
+        "",
+        "error: --a: a = 1 is the uniform law, which has no second-order curve\n",
+        id="figure-uniform-exit2"),
+    pytest.param(
+        ["figure", "--kind", "frechet-student", "--nu", "2.3", "--points", "1"], 2,
+        "",
+        "error: --points: need at least 2, got 1\n", id="figure-points-exit2"),
+    pytest.param(
+        ["figure", "--kind", "frechet-pareto", "--a", "inf"], 2,
+        "",
+        "error: --a: pareto family needs a > 1 for a finite mean, got a=inf\n",
+        id="figure-infinite-a"),
+    pytest.param(
+        ["wasserstein", "--dist", "exp", "--n", "200"], 0,
+        "w(sample n=200, exp) exact = 0.0519974\n"
+        "es deviation at alpha=0.99: 0.640517 <= bound 5.19974\n"
+        "expectile deviation at alpha=0.99: 0.178644 <= bound 5.14774\n",
+        "", id="wasserstein"),
+    pytest.param(
+        ["wasserstein", "--dist", "exp", "--n", "200", "--seed", "-3"], 2,
+        "",
+        "error: --seed: must be >= 0, got -3\n", id="wasserstein-seed-exit2"),
+    pytest.param(
+        ["wasserstein", "--dist", "exp", "--n", "100000000000000000000"], 1,
+        "",
+        "error: Maximum allowed dimension exceeded\n", id="wasserstein-exit1"),
+]
+
+
+@pytest.mark.parametrize("argv, code, stdout, stderr", GOLDEN)
+def test_golden_command_lines(tmp_path, capsys, argv, code, stdout, stderr):
+    paths = {key: tmp_path / name for key, name in
+             (("<csv>", "scen.csv"), ("<ragged>", "ragged.csv"), ("<out>", "out.csv"))}
+    paths["<csv>"].write_text(PORTFOLIO)
+    paths["<ragged>"].write_text("0,0\n1\n")
+    got, out, err = run(capsys, [str(paths.get(a, a)) for a in argv])
+    if "<out>" in argv:
+        assert out == ""
+        out = paths["<out>"].read_text()
+    for key, path in paths.items():
+        err = err.replace(str(path), key)
+    assert (got, out, err) == (code, stdout, stderr)

@@ -1,8 +1,10 @@
 """Deviation bounds, planning sizes, and the size-ratio curves."""
 
 import math
+import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st_h
 
 from tailrisk.concentration import (
     ExpMoment,
@@ -12,6 +14,7 @@ from tailrisk.concentration import (
     deviation_bound,
     parse_tail_class,
     sample_size,
+    sample_size_report,
     size_ratio_curve,
     var_sample_size,
 )
@@ -139,13 +142,42 @@ def test_poly_sample_size_inverts_bound():
     assert deviation_bound(tc, n - 1, 0.5, 0.9) > 0.05
 
 
-def test_subexp_sample_size_inverts_two_sided_form():
-    # the planning branch inverts the two-sided shape with prefactor 2C,
-    # so the one-sided bound at the returned n sits at gamma/2
+_FRACTION = st_h.floats(0.0, 1.0)
+_CONSTANT = st_h.floats(0.01, 10.0)
+_TAIL_CLASSES = st_h.one_of(
+    st_h.builds(lambda k, C, c: ExpMoment(k=k, r=1.0, C=C, c=c),
+                st_h.floats(1.01, 5.0), _CONSTANT, _CONSTANT),
+    st_h.builds(lambda s, u, C, c: SubExpMoment(k=s + (1.0 - s) * (0.5 + u / 4), r=1.0, s=s,
+                                                C=C, c=c),
+                st_h.floats(0.2, 0.9), _FRACTION, _CONSTANT, _CONSTANT),
+    st_h.builds(lambda q, u, C, c: PolyMoment(q=q, s=2.0 + (q - 2.0) * (0.05 + 0.9 * u),
+                                              C=C, c=c),
+                st_h.floats(2.1, 10.0), _FRACTION, _CONSTANT, _CONSTANT),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_TAIL_CLASSES, st_h.floats(1e-6, 0.5), st_h.floats(1e-3, 1.0),
+       st_h.floats(0.5, 0.9999), st_h.sampled_from(["es", "expectile"]))
+def test_sample_size_inverts_the_deviation_bound(tc, gamma, fraction, alpha, measure):
+    # the smallest n with bound(n) <= gamma: bound(n) <= gamma < bound(n - 1),
+    # or n = 1; from 2**53 on, n - 1 may round to n in the bound's float
+    # arithmetic (stretched-exponential sizes reach 1e22)
+    eps = fraction * alpha / (1.0 - alpha)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        n = sample_size(tc, gamma, eps, alpha, measure)
+    if n < 2 ** 53:
+        assert deviation_bound(tc, n, eps, alpha, measure) <= gamma
+        assert n == 1 or deviation_bound(tc, n - 1, eps, alpha, measure) > gamma
+
+
+def test_subexp_bound_at_the_returned_size_is_the_budget():
+    # both sides use the two-sided prefactor 2C
     tc = SubExpMoment(k=0.5, r=1.0, s=0.3)
-    n = sample_size(tc, 0.05, 0.1, 0.99)
-    assert abs(deviation_bound(tc, n, 0.1, 0.99) - 0.025) < 1e-5
-    assert deviation_bound(tc, max(1, n // 4), 0.1, 0.99) > 0.05
+    for gamma in (0.01, 0.05, 0.2):
+        n = sample_size(tc, gamma, 0.1, 0.99)
+        assert deviation_bound(tc, n, 0.1, 0.99) == pytest.approx(gamma, rel=1e-6)
 
 
 def test_oversized_budget_warns_and_returns_one():
@@ -198,6 +230,24 @@ def test_var_size_quadruples_when_eps_halves():
         var_sample_size(1.0, 0.05, 0.0)
 
 
+@pytest.mark.parametrize("delta", [math.inf, math.nan, -1.0])
+def test_var_sample_size_rejects_a_density_bound_that_bounds_nothing(delta):
+    # an infinite density bound would plan a single draw
+    with pytest.raises(ValueError, match="delta_alpha must be positive and finite"):
+        var_sample_size(delta, 0.05, 0.1)
+
+
+@pytest.mark.parametrize("offset", [-1.0, 0.0, math.inf, math.nan])
+def test_density_bound_rejects_offsets_off_the_right_of_the_quantile(offset):
+    # exp at q - 1 has density 0.0272 against 0.01 at q itself: a negative
+    # offset would overstate the density bound and understate n_var
+    with pytest.raises(ValueError, match="delta_offset must be positive and finite"):
+        density_bound(Exponential(), 0.99, offset)
+    with pytest.raises(ValueError, match="delta_offset must be positive and finite"):
+        size_ratio_curve(Exponential(), ExpMoment(k=2.0, r=1.0), 0.05, 0.1, (0.99,),
+                         delta_offset=offset)
+
+
 # --------------------------------------------------------- ratio curves
 
 ALPHAS = (0.9, 0.99, 0.999, 0.9999)
@@ -230,6 +280,16 @@ def test_pareto_ratio_curve_frozen_values():
     for got, ref in zip(ratios, want):
         assert abs(got / ref - 1.0) < 1e-4
     assert ratios[-1] / ratios[0] < 1e-2
+
+
+def test_curve_rows_are_one_level_reports():
+    tc = PolyMoment(q=2.05, s=2.01)
+    rows = size_ratio_curve(Pareto(2.1), tc, 0.05, 0.1, ALPHAS)
+    for r in rows:
+        assert r == sample_size_report(tc, 0.05, 0.1, r.alpha, r.delta_alpha)
+        assert (r.n_es, r.n_expectile) == (sample_size(tc, 0.05, 0.1, r.alpha, "es"),
+                                           sample_size(tc, 0.05, 0.1, r.alpha, "expectile"))
+        assert r.n_var == var_sample_size(r.delta_alpha, 0.05, 0.1)
 
 
 def test_report_carries_inputs():

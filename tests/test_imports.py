@@ -5,11 +5,12 @@ first Student t evaluation, so the tests below also check that Student t
 results keep their bits whenever it loads.
 
 No linter runs on this code base, so the scans below stand in for two
-rules.  Unused imports: every name an ``import`` binds must be read
-somewhere in the same module; names re-exported through ``__all__`` and
-``from __future__`` imports are exempt.  Dead private names: every
-single-underscore name bound at module or class level in the package must
-be read somewhere in the package, as a name or as an attribute.
+rules.  Unused imports, in the package, the demos and the tests: every
+name an ``import`` binds must be read somewhere in the same module; names
+re-exported through ``__all__`` and ``from __future__`` imports are
+exempt.  Dead private names: every single-underscore name bound at module
+or class level in the package must be read somewhere in the package, as a
+name or as an attribute.
 """
 
 import ast
@@ -26,7 +27,7 @@ from tailrisk import StudentT
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "tailrisk").glob("*.py"))
-MODULES = PACKAGE + sorted((ROOT / "demos").glob("*.py"))
+MODULES = PACKAGE + [p for d in ("demos", "tests") for p in sorted((ROOT / d).glob("*.py"))]
 
 
 def _exported(tree: ast.Module) -> set:
@@ -83,8 +84,8 @@ def dead_private_names(sources: dict) -> list:
             for name in _private_definitions(tree.body) if name not in read]
 
 
-def test_scan_covers_package_and_demos():
-    assert len(MODULES) == 13
+def test_scan_covers_package_demos_and_tests():
+    assert len(MODULES) == 24
 
 
 def test_scan_flags_unused_and_spares_used_names():

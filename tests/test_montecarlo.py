@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from scipy.special import stdtr
 
 from tailrisk import risk_core
+from tailrisk.asymptotics import ExpansionCurveRow, expansion_curve
 from tailrisk.distributions import (
     Exponential,
     Pareto,
@@ -23,11 +24,11 @@ from tailrisk.montecarlo import (
     RatioTableRow,
     SimulationConfig,
     cell_seed,
-    figure_series,
     ratio_table,
     ratio_table_csv,
     render_csv,
     splitmix64,
+    transport_bounds,
     wasserstein_exact,
 )
 from tailrisk.risk_core import distortion_curves, expectile, expected_shortfall, value_at_risk
@@ -362,6 +363,26 @@ def test_risk_gaps_bounded_by_distance():
     assert viol == 0
 
 
+def test_transport_bounds_match_the_acceptance_formulas():
+    # the inline formulas of test_criterion_8_wasserstein_bounds, field by
+    # field; alpha w/(1-alpha) is rounded in another order there
+    for dist in (Pareto(2.1), Exponential(), Uniform01(), StudentT(2.3)):
+        for seed in (1, 2):
+            s = dist.sample(300, seed=seed)
+            w = wasserstein_exact(s, dist)
+            for a in (0.5, 0.9, 0.99):
+                got = transport_bounds(s, dist, a)
+                assert got[:4] == (
+                    w,
+                    abs(expected_shortfall(s, a) - expected_shortfall(dist, a)),
+                    w / (1.0 - a),
+                    abs(expectile(s, a) - expectile(dist, a)),
+                )
+                assert got.expectile_bound == pytest.approx(a / (1.0 - a) * w, rel=1e-15)
+                assert got.es_deviation <= got.es_bound + 1e-12
+                assert got.expectile_deviation <= got.expectile_bound + 1e-12
+
+
 def test_deviation_bounds_on_tied_and_scaled_losses():
     # the printed bounds |ES_n - ES| <= w/(1-alpha) and
     # |e_n - e| <= alpha w/(1-alpha) on 0/s samples (every value tied)
@@ -385,11 +406,11 @@ def test_deviation_bounds_on_tied_and_scaled_losses():
     assert viol == []
 
 
-# -------------------------------------------------------- figure series
+# ---------------------------------------------------------- figure data
 
 def test_weibull_beta_series_orders_the_expansions():
-    header, rows = figure_series("weibull-beta", a=2.0, alphas=(0.95,))
-    assert header == ["alpha", "exact", "first_order", "second_order"]
+    rows = expansion_curve(PowerBeta(2.0), (0.95,))
+    assert ExpansionCurveRow._fields == ("alpha", "exact", "first_order", "second_order")
     alpha, exact, first, second = rows[0]
     assert exact == pytest.approx(8.9499, abs=5e-4)
     assert first == pytest.approx(10.8175, abs=5e-4)
@@ -398,7 +419,7 @@ def test_weibull_beta_series_orders_the_expansions():
 
 
 def test_frechet_pareto_series_values():
-    header, rows = figure_series("frechet-pareto", a=2.1, alphas=(0.95,))
+    rows = expansion_curve(Pareto(2.1), (0.95,))
     alpha, exact, first, second = rows[0]
     assert exact == pytest.approx(0.48087, abs=5e-5)
     assert first == pytest.approx(0.500567, abs=5e-6)
@@ -406,7 +427,7 @@ def test_frechet_pareto_series_values():
 
 
 def test_frechet_student_series_second_order_converges():
-    header, rows = figure_series("frechet-student", nu=2.3, alphas=(0.95, 0.999))
+    rows = expansion_curve(StudentT(2.3), (0.95, 0.999))
     for alpha, exact, first, second in rows:
         c = StudentT(2.3).centered()
         want = expectile(c, alpha) / expected_shortfall(c, alpha)
@@ -416,32 +437,20 @@ def test_frechet_student_series_second_order_converges():
     assert abs(second - exact) < 1e-5 < abs(first - exact)
 
 
-def test_distortion_series_shape():
-    header, rows = figure_series("distortion", alpha=0.94, points=101)
-    assert header == ["t", "phi", "phi_mix"]
-    assert len(rows) == 101
-    t, phi, mix = zip(*rows)
-    assert t[0] == 0.0 and t[-1] == 1.0
-    assert phi[0] == 0.0 and abs(phi[-1] - 1.0) < 1e-12
-    assert all(m >= p - 1e-12 for p, m in zip(phi, mix))
-
-
 def test_distortion_series_takes_every_expectile_level():
     # the level check is distortion_curves' own: 0.5 is in, the cap is out
-    header, rows = figure_series("distortion", alpha=0.5, points=3)
-    assert rows == list(zip(*distortion_curves(0.5, 3)))
+    t, phi, mix = distortion_curves(0.5, 3)
+    assert list(t) == [0.0, 0.5, 1.0]
     with pytest.raises(ValueError, match="expectile level"):
-        figure_series("distortion", alpha=1 - 1e-13, points=3)
+        distortion_curves(1 - 1e-13, 3)
 
 
-def test_figure_series_validation():
-    with pytest.raises(ValueError, match="unknown figure kind"):
-        figure_series("volcano")
-    with pytest.raises(ValueError, match="unexpected parameters"):
-        figure_series("distortion", alpha=0.94, nu=3.0)
+def test_figure_data_validation():
     with pytest.raises(ValueError, match="at least 2"):
-        figure_series("distortion", points=1)
+        distortion_curves(0.94, 1)
     with pytest.raises(ValueError, match=r"\[0.5, 1\)"):
-        figure_series("frechet-pareto", a=2.1, alphas=(0.3,))
+        expansion_curve(Pareto(2.1), (0.3,))
     with pytest.raises(ValueError, match="alpha grid is empty"):
-        figure_series("weibull-beta", a=2.0, alphas=())
+        expansion_curve(PowerBeta(2.0), ())
+    with pytest.raises(ValueError, match="Gumbel-type"):
+        expansion_curve(Exponential(), (0.95,))
