@@ -20,16 +20,18 @@ allocation equals the convex combination (1-w) ES_{b}(L_k|L) + w E[L_k]
 with b = P[L <= e] and w = (1-alpha)/(alpha + (1-2 alpha) b) — re-verified
 at runtime when ``check=True``.
 
-Neither allocation sorts all n scenario totals.  Both read the totals
-through the selection helpers of :mod:`tailrisk.risk_core` that the ratio
-tables also use: ``_select`` (one ``np.partition``, giving q_alpha),
-``_partition_es`` (ES_alpha from that partition) and ``_tail_expectile``
-(e_alpha, sorting only the totals above the paper's lower bound
-(1 - w) ES_alpha + w E[L], w = 1/(2 alpha), the b = alpha case above).
-Past that, each allocation costs work proportional to the tail: the rows
-at or above the threshold are gathered and summed by a matrix-vector
-product; the expectile adds one reduction over all rows for the column
-means.
+Neither allocation sorts or copies all n scenario totals.  Both read the
+totals through the selection helpers of :mod:`tailrisk.risk_core` that
+the ratio tables also use: ``_select`` gives q_alpha, ES_alpha and the
+rows whose totals are at or above a threshold t <= q_alpha, found from a
+strided sample of the totals, so that on 1e6 rows it partitions about
+(1 - alpha) n totals, not n; ``_tail_expectile`` gives e_alpha, sorting
+only the totals above the paper's lower bound (1 - w) ES_alpha + w E[L],
+w = 1/(2 alpha) (the b = alpha case above), which it finds among those
+rows when the bound is >= t.  Past that, each allocation costs work
+proportional to the tail: the tail rows are gathered with ``np.take`` and
+summed by a matrix-vector product; the expectile adds one reduction over
+all rows for the column means.
 
 Only empirical (scenario) portfolios are supported; the asymptotic ratio
 helper additionally assumes the components have heavy Frechet-type tails,
@@ -48,7 +50,7 @@ from .asymptotics import frechet_first_order_constant
 from .risk_core import (
     _check_expectile_level,
     _check_var_level,
-    _partition_es,
+    _indices,
     _select,
     _tail_expectile,
 )
@@ -157,23 +159,23 @@ def es_euler(p: Portfolio, alpha: float, full_output: bool = False):
     (continuous data, n alpha an integer) this is the mean over {L > q}.
 
     q_alpha is the order statistic ``Sample(p.total).quantile`` returns,
-    found by selection rather than a sort.  The rows at or above it are
-    gathered and summed by one weighted matrix-vector product, so past the
-    selection the cost is proportional to the tail and the ties at q.
-    ``full_output=True`` returns ``(contributions, ES)``, with ES the
-    portfolio ES_alpha they allocate, from the same selection.
+    found by selection rather than a sort, and the rows at or above it are
+    read from the rows the selection keeps; they are gathered and summed by
+    one weighted matrix-vector product, so past the selection the cost is
+    proportional to the tail and the ties at q.  ``full_output=True``
+    returns ``(contributions, ES)``, with ES the portfolio ES_alpha they
+    allocate, from the same selection.
     """
     _check_var_level(alpha)
-    i, part = _select(p.total, alpha)
-    q = part[i - 1]
-    rows = np.flatnonzero(p.total >= q)
-    above = p.total[rows] > q
+    sel = _select(p.total, alpha)
+    rows = _indices(sel.rows, sel.vals >= sel.q)
+    above = p.total[rows] > sel.q
     n_above = int(np.count_nonzero(above))
     n_eq = rows.size - n_above
     m = min(max(p.n * (1.0 - alpha) - n_above, 0.0), n_eq)
     w = np.maximum(above, m / n_eq)  # 1 above q, m / n_eq <= 1 at q
-    contrib = w @ p.components[rows] / (n_above + m)
-    return (contrib, _partition_es(i, part, alpha)) if full_output else contrib
+    contrib = w @ np.take(p.components, rows, axis=0) / (n_above + m)
+    return (contrib, sel.es) if full_output else contrib
 
 
 def expectile_euler(
@@ -193,17 +195,19 @@ def expectile_euler(
     full allocation holds whichever side it is put on.  ``check=True``
     asserts full allocation, sum(contrib) = e to 1e-12 relative to
     sum |contrib|, and re-derives every contribution through the
-    ES-combination form to 1e-9, with the column means from their reduction
-    over all rows, not from the tail and body sums.  ``full_output=True`` returns
-    ``(contributions, e)``, with e the portfolio expectile they allocate.
+    ES-combination form (1 - w) ES_b(L_k|L) + w E[L_k] to 1e-9 relative to
+    the form's own terms, (1 - w)|ES_b(L_k|L)| + w|E[L_k]|, with the column
+    means from their reduction over all rows, not from the tail and body
+    sums.  ``full_output=True`` returns ``(contributions, e)``, with e the
+    portfolio expectile they allocate.
     """
     _check_expectile_level(alpha)
-    e, rows = _tail_expectile(p.total, alpha, _partition_es(*_select(p.total, alpha), alpha))
+    e, rows = _tail_expectile(p.total, alpha)
     n = p.n
     n_le = n - rows.size
     means = np.ones(n) @ p.components / n
     # BLAS sums a gathered row block faster than sum(axis=0) does
-    tail = np.ones(rows.size) @ p.components[rows] / n
+    tail = np.ones(rows.size) @ np.take(p.components, rows, axis=0) / n
     den = alpha + (1.0 - 2.0 * alpha) * (n_le / n)
     # alpha * tail + (1 - alpha) * body, with body = means - tail
     contrib = ((2.0 * alpha - 1.0) * tail + (1.0 - alpha) * means) / den
@@ -216,15 +220,20 @@ def expectile_euler(
             )
     if check and 0 < n_le < n:
         w = (1.0 - alpha) / den
-        es_contrib = tail * (n / (n - n_le))
-        alt = (1.0 - w) * es_contrib + w * means
-        scale = 1.0 + np.abs(contrib)
-        if np.any(np.abs(alt - contrib) > 1e-9 * scale):
-            raise AssertionError(
-                "expectile allocation cross-check failed: weighted average "
-                f"{contrib!r} vs ES-combination {alt!r} at alpha={alpha}"
-            )
+        _check_es_combination(contrib, tail * (n / (n - n_le)), means, w, alpha)
     return (contrib, e) if full_output else contrib
+
+
+def _check_es_combination(contrib, es_contrib, means, w, alpha):
+    """Raise unless contrib = (1 - w) es_contrib + w means to 1e-9 relative
+    to the terms (1 - w)|es_contrib| + w|means|."""
+    alt = (1.0 - w) * es_contrib + w * means
+    terms = (1.0 - w) * np.abs(es_contrib) + w * np.abs(means)
+    if np.any(np.abs(alt - contrib) > 1e-9 * terms):
+        raise AssertionError(
+            "expectile allocation cross-check failed: weighted average "
+            f"{contrib!r} vs ES-combination {alt!r} at alpha={alpha}"
+        )
 
 
 class AsymptoticRatioRow(NamedTuple):

@@ -71,6 +71,18 @@ class ExpansionResult(NamedTuple):
     alpha: float
 
 
+def _result(order: int, lead: float, corr: float, alpha: float) -> ExpansionResult:
+    """``ExpansionResult(order, lead, corr, lead * (1 + corr), alpha)``,
+    raising ValueError when a term is not finite in double precision."""
+    value = lead * (1.0 + corr)
+    if not (math.isfinite(lead) and math.isfinite(corr) and math.isfinite(value)):
+        raise ValueError(
+            f"the order-{order} expansion at alpha={alpha:g} is not finite in double "
+            f"precision (leading {lead:g}, correction {corr:g})"
+        )
+    return ExpansionResult(order, lead, corr, value, alpha)
+
+
 def _check_order(order: int) -> int:
     if order not in (1, 2):
         raise ValueError(f"expansion order must be 1 or 2, got {order!r}")
@@ -153,8 +165,7 @@ def frechet_ratio(
     alpha = _check_alpha(alpha)
     order = _check_order(order)
     if order == 1:
-        lead = frechet_first_order_constant(eta)
-        return ExpansionResult(1, lead, 0.0, lead, alpha)
+        return _result(1, frechet_first_order_constant(eta), 0.0, alpha)
     if rho is None:
         raise ValueError("second-order expansion needs rho (got None); use order=1")
     lead = (
@@ -163,7 +174,7 @@ def frechet_ratio(
         / eta
     )
     corr = -frechet_second_order_coefficient(eta, rho) * float(a_at_q)
-    return ExpansionResult(2, lead, corr, lead * (1.0 + corr), alpha)
+    return _result(2, lead, corr, alpha)
 
 
 def frechet_beta_star_ratio(
@@ -180,14 +191,13 @@ def frechet_beta_star_ratio(
     if not (eta > 1.0):
         raise ValueError(f"heavy-tail level ratio needs eta > 1, got {eta}")
     if order == 1:
-        lead = eta - 1.0
-        return ExpansionResult(1, lead, 0.0, lead, alpha)
+        return _result(1, eta - 1.0, 0.0, alpha)
     if rho is None:
         raise ValueError("second-order expansion needs rho (got None); use order=1")
     rho, denom = _frechet_rho(eta, rho)
     lead = (eta - 1.0) / (2.0 * alpha - 1.0)
     corr = -((eta - 1.0) ** (-rho / eta) / denom) * float(a_at_q)
-    return ExpansionResult(2, lead, corr, lead * (1.0 + corr), alpha)
+    return _result(2, lead, corr, alpha)
 
 
 def weibull_ratio(
@@ -220,7 +230,7 @@ def weibull_ratio(
         / ((eta + 1.0) * c_eta)
     )
     if order == 1:
-        return ExpansionResult(1, lead, 0.0, lead, alpha)
+        return _result(1, lead, 0.0, alpha)
     if rho is None:
         raise ValueError("second-order expansion needs rho (got None); use order=1")
     rho = float(rho)
@@ -232,7 +242,7 @@ def weibull_ratio(
         c_eta * (xhat - q_alpha) ** (eta / (eta + 1.0)) / ((eta + 1.0) * (xhat - mean))
         + c_eta ** (-rho) * float(a0_at_q) / (rho * (eta - rho + 1.0))
     )
-    return ExpansionResult(2, lead, corr, lead * (1.0 + corr), alpha)
+    return _result(2, lead, corr, alpha)
 
 
 def weibull_beta_star_ratio(
@@ -329,6 +339,18 @@ def _centered_tail(dist: Distribution, alpha: float, order: int):
     return ccls.eta, ccls.rho, float(ccls.auxiliary(centered.quantile(alpha)))
 
 
+def _endpoint_quantile(dist: Distribution, xhat: float, alpha: float) -> float:
+    """q_alpha of a law with right endpoint xhat, refusing one that rounds
+    to the endpoint, where the endpoint expansions divide by xhat - q."""
+    q = float(dist.quantile(alpha))
+    if not q < xhat:
+        raise ValueError(
+            f"the {alpha:g}-quantile of {dist.label} rounds to its right endpoint "
+            f"{xhat:g} in double precision"
+        )
+    return q
+
+
 def _polynomial_class(dist: Distribution):
     """``dist.mda()``, refusing the Gumbel class, which has no ratio expansion."""
     cls = dist.mda()
@@ -357,7 +379,7 @@ def ratio_expansion(dist: Distribution, alpha: float, order: int = 2) -> Expansi
         eta, rho, a_val = _centered_tail(dist, alpha, order)
         return frechet_ratio(eta, rho, a_val, alpha, order=order)
     xhat = cls.right_endpoint
-    q = dist.quantile(alpha)
+    q = _endpoint_quantile(dist, xhat, alpha)
     mean = dist.mean()
     if order == 1:
         return weibull_ratio(cls.eta, None, xhat, mean, q, 0.0, alpha, order=1)
@@ -382,10 +404,11 @@ def beta_star_expansion(dist: Distribution, alpha: float, order: int = 2) -> Exp
     if cls.mda == "frechet":
         eta, rho, a_val = _centered_tail(dist, alpha, order)
         return frechet_beta_star_ratio(eta, rho, a_val, alpha, order=order)
+    xhat = cls.right_endpoint
     lead = weibull_beta_star_ratio(
-        cls.eta, cls.right_endpoint, dist.quantile(alpha), alpha, mean=dist.mean()
+        cls.eta, xhat, _endpoint_quantile(dist, xhat, alpha), alpha, mean=dist.mean()
     )
-    return ExpansionResult(1, lead, 0.0, lead, alpha)
+    return _result(1, lead, 0.0, alpha)
 
 
 def exact_ratio(dist: Distribution, alpha: float) -> float:
@@ -393,20 +416,43 @@ def exact_ratio(dist: Distribution, alpha: float) -> float:
 
     Frechet class: e_alpha/ES_alpha of the centered law.  Weibull class:
     the endpoint gap ratio (xhat - ES_alpha)/(xhat - e_alpha) of the raw
-    variable.  Gumbel class: raises, as ``ratio_expansion`` does.
+    variable.  Gumbel class: raises, as ``ratio_expansion`` does.  Raises
+    ValueError when the denominator, positive for every non-constant law,
+    is not positive in double precision: the centered law has collapsed
+    (a huge tail index), or the expectile rounds to the endpoint.
     """
     alpha = _check_alpha(alpha)
     cls = _polynomial_class(dist)
     if cls.mda == "frechet":
         centered = dist.centered()
-        return expectile(centered, alpha) / expected_shortfall(centered, alpha)
-    xhat = cls.right_endpoint
-    return (xhat - expected_shortfall(dist, alpha)) / (xhat - expectile(dist, alpha))
+        num, den = expectile(centered, alpha), expected_shortfall(centered, alpha)
+        what = "ES of the centered law"
+    else:
+        xhat = cls.right_endpoint
+        num = xhat - expected_shortfall(dist, alpha)
+        den = xhat - expectile(dist, alpha)
+        what = "gap of the expectile to the right endpoint"
+    if not den > 0.0:
+        raise ValueError(
+            f"{dist.label} is degenerate in double precision at alpha={alpha:g}: "
+            f"the {what} is {den:g}, not positive"
+        )
+    return num / den
 
 
 def exact_beta_star_ratio(dist: Distribution, alpha: float) -> float:
-    """The exact (1 - beta*)/(1 - alpha) that ``beta_star_expansion`` approximates."""
-    return (1.0 - beta_star(dist, alpha).point) / (1.0 - alpha)
+    """The exact (1 - beta*)/(1 - alpha) that ``beta_star_expansion`` approximates.
+
+    Raises ValueError when beta* is not inside (0, 1) in double precision,
+    as for a law collapsed to a point by a huge tail index.
+    """
+    point = beta_star(dist, alpha).point
+    if not 0.0 < point < 1.0:
+        raise ValueError(
+            f"{dist.label} is degenerate in double precision at alpha={alpha:g}: "
+            f"beta* is {point:g}, not inside (0, 1)"
+        )
+    return (1.0 - point) / (1.0 - alpha)
 
 
 class ExpansionCurveRow(NamedTuple):

@@ -202,15 +202,21 @@ def _cmd_asympt(args) -> str:
             raise _ValidationError(
                 f"--order: {dist.label} has no second-order tail parametrization; use --order 1"
             )
-    if args.target == "ratio":
-        res = ratio_expansion(dist, alpha, order=args.order)
-        exact = exact_ratio(dist, alpha)
-        target = ("centered expectile/ES ratio" if cls_name == "frechet"
-                  else "endpoint gap ratio (xhat-ES)/(xhat-e)")
-    else:
-        res = beta_star_expansion(dist, alpha, order=args.order)
-        exact = exact_beta_star_ratio(dist, alpha)
-        target = "level ratio (1-beta*)/(1-alpha)"
+    # past the checks above, a ValueError from the expansions comes from the
+    # law's parameters, e.g. a tail index so large that the law is degenerate
+    # in double precision
+    try:
+        if args.target == "ratio":
+            res = ratio_expansion(dist, alpha, order=args.order)
+            exact = exact_ratio(dist, alpha)
+            target = ("centered expectile/ES ratio" if cls_name == "frechet"
+                      else "endpoint gap ratio (xhat-ES)/(xhat-e)")
+        else:
+            res = beta_star_expansion(dist, alpha, order=args.order)
+            exact = exact_beta_star_ratio(dist, alpha)
+            target = "level ratio (1-beta*)/(1-alpha)"
+    except ValueError as exc:
+        raise _ValidationError(f"--dist: {exc}") from None
     lines = [f"{dist.label}: {cls_name}-type tail", f"target: {target} at alpha={alpha:g}"]
     if args.target == "beta-star" and cls_name == "weibull":
         lines.append(f"leading-order value {res.value:.4f}")
@@ -298,10 +304,9 @@ def _cmd_figure(args) -> str:
     if kind == "weibull-beta" and value == 1.0:
         raise _ValidationError("--a: a = 1 is the uniform law, which has no second-order curve")
     try:
-        dist = family(value)
+        rows = expansion_curve(family(value), np.linspace(lo, hi, args.points))
     except ValueError as exc:
         raise _ValidationError(f"--{param}: {exc}") from None
-    rows = expansion_curve(dist, np.linspace(lo, hi, args.points))
     return render_csv(ExpansionCurveRow._fields, rows)
 
 

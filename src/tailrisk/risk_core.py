@@ -19,18 +19,24 @@ All functionals accept any loss source exposing the common interface from
   phi(t) = alpha t/((2 alpha - 1) t + 1 - alpha) dominating the expectile,
   and the smallest dominating two-point ES mixture.
 
-Raw loss values at one level, with no ``Sample`` built, go through three
-private helpers shared by the ratio tables and the Euler allocations:
-``_select`` (one ``np.partition``: VaR), ``_partition_es`` (ES from that
-partition) and ``_tail_expectile`` (the expectile, sorting only the values
-above the paper's ES lower bound).  They give the ``Sample`` values up to
-the rounding of the sums.
+Raw loss values at one level, with no ``Sample`` built, go through two
+private helpers shared by the ratio tables and the Euler allocations.
+``_select`` gives VaR, ES and the indices of every value at or above a
+threshold t <= q_alpha.  Above ``_SAMPLE_MIN_N`` values it finds t from a
+strided sample of about ``_SAMPLE`` of them (Floyd & Rivest 1975) and
+partitions only the values >= t, about (1 - alpha) n plus a few binomial
+standard deviations; below that size, for tails over an eighth of the
+values, or when the sample misjudges the tail, it partitions all n.
+``_tail_expectile`` gives the expectile, sorting only the values above the
+paper's ES lower bound, which it finds among those indices when the bound
+is >= t.  They give the ``Sample`` values up to the rounding of the sums.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
-from typing import NamedTuple, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -298,37 +304,92 @@ def _segment_root(x: np.ndarray, suffix: np.ndarray, n: int, total: float,
 # raw loss values at one level, by selection
 # ---------------------------------------------------------------------------
 
-def _select(values: np.ndarray, alpha: float):
-    """(i, the values partitioned at i - 1): the i-th smallest value is the
-    q_alpha of ``Sample(values).quantile``, found without a sort."""
-    i = int(order_index(values.size, alpha))
-    return i, np.partition(values, i - 1)
+# below this many values a selection partitions them all; above it, a
+# strided sample of about _SAMPLE values first bounds q_alpha from below
+_SAMPLE = 4096
+_SAMPLE_MIN_N = 8 * _SAMPLE
+# binomial standard deviations between the expected tail count of the
+# sample and the rank taken as the threshold: it misses q_alpha about once
+# in 3e4 draws in random order, and then costs one compare pass
+_SAMPLE_Z = 4.0
 
 
-def _partition_es(i: int, part: np.ndarray, alpha: float) -> float:
-    """ES_alpha of the values from their partition at i - 1 (``_select``)."""
-    n = part.size
-    return float(empirical_es(part[i - 1], part[i:].sum(), n - i, n, alpha))
+class _Tail(NamedTuple):
+    """n equally likely values at one level, by selection: q = q_alpha,
+    es = ES_alpha, and the values ``vals`` at the ascending indices ``rows``,
+    which hold every value >= t (rows None: all values, and t = -inf)."""
+
+    q: float
+    es: float
+    t: float
+    rows: Optional[np.ndarray]
+    vals: np.ndarray
 
 
-def _tail_expectile(values: np.ndarray, alpha: float, es: float):
-    """(e_alpha of the values, the indices of the values > e), from their
-    ES_alpha ``es`` (``_partition_es``), sorting only the values above the
-    paper's lower bound.
+def _indices(rows: Optional[np.ndarray], mask: np.ndarray) -> np.ndarray:
+    """The ascending indices of the values a mask over ``_Tail.vals`` keeps."""
+    return np.flatnonzero(mask) if rows is None else rows[mask]
+
+
+def _select(values: np.ndarray, alpha: float) -> _Tail:
+    """q_alpha (the order statistic ``Sample(values).quantile`` returns),
+    ES_alpha and the values at or above a threshold t <= q_alpha.
+
+    The k = n - i + 1 values at or above the i-th smallest hold q_alpha and
+    the tail.  For n >= ``_SAMPLE_MIN_N`` and k <= n/8, t is the value of
+    a strided sample ``values[::n // _SAMPLE]`` of rank ``_SAMPLE_Z``
+    binomial standard deviations above its expected count of tail values.
+    If at least k values are >= t, t <= q_alpha (a t above q_alpha leaves
+    at most n - i values at or above it), and only those values are
+    partitioned; if fewer, or more than a quarter of the values (heavy ties
+    at t), all n are, at the cost of one compare pass more.  Past those
+    bounds, gathering the kept values costs about what it saves.
+    """
+    n = values.size
+    i = int(order_index(n, alpha))
+    k = n - i + 1
+    t, rows, vals = -np.inf, None, values
+    if n >= _SAMPLE_MIN_N and 8 * k <= n:
+        sample = values[:: n // _SAMPLE]
+        m = sample.size
+        p = k / n
+        # r < m / 4 since p <= 1/8 and m >= _SAMPLE
+        r = math.ceil(m * p + _SAMPLE_Z * math.sqrt(m * p * (1.0 - p))) + 1
+        cut = float(np.partition(sample, m - r)[m - r])
+        mask = values >= cut
+        if k <= np.count_nonzero(mask) <= n // 4:
+            t, rows = cut, np.flatnonzero(mask)
+            vals = values[rows]
+    j = vals.size - k
+    part = np.partition(vals, j)
+    q = part[j]
+    return _Tail(float(q), float(empirical_es(q, part[j + 1:].sum(), k - 1, n, alpha)),
+                 t, rows, vals)
+
+
+def _tail_expectile(values: np.ndarray, alpha: float, sel: Optional[_Tail] = None):
+    """(e_alpha of the values, the indices of the values > e), sorting only
+    the values above the paper's lower bound; ``sel`` is ``_select``'s
+    result at alpha, made here when not given.
 
     The bound (1 - w) ES_alpha + w E[L] <= e_alpha, w = 1/(2 alpha), leaves
     about 1.3 (1 - alpha) n values above it for heavy tails; only those are
     sorted, and the segment search over them solves for e exactly, as for a
-    ``Sample``.  If rounding puts the bound at or past the root, every value
-    is sorted instead.  At alpha = 1/2 e is the mean and ``es`` is not read.
+    ``Sample``.  They are found among ``sel``'s values when the bound is at
+    or above its threshold, else by a pass over all of them.  If rounding
+    puts the bound at or past the root, every value is sorted instead.  At
+    alpha = 1/2 e is the mean, and no selection is made.
     """
     n = values.size
     s0 = float(values.sum())
     if alpha == 0.5:
         e = s0 / n
         return e, np.flatnonzero(values > e)
-    lower = _combination(es, s0 / n, alpha, alpha)
-    rows = np.flatnonzero(values > lower)
+    if sel is None:
+        sel = _select(values, alpha)
+    lower = _combination(sel.es, s0 / n, alpha, alpha)
+    rows, vals = (sel.rows, sel.vals) if lower >= sel.t else (None, values)
+    rows = _indices(rows, vals > lower)
     tail = values[rows]
     k = tail.size
     if not (k and _residual(alpha, s0 / n, lower, (tail.sum() - k * lower) / n) > 0.0):

@@ -101,6 +101,21 @@ def test_expectile_check_asserts_full_allocation(monkeypatch):
     expectile_euler(p, 0.9, check=False)
 
 
+@pytest.mark.parametrize("scale", [1e-15, 1.0, 1e15])
+def test_expectile_combination_check_is_relative_to_its_terms(monkeypatch, scale):
+    # a contribution off by 1e-6 of itself reaches the ES-combination check
+    # and fails it at every scale; unplanted, nothing fires
+    p = Portfolio(np.random.default_rng(8).pareto(2.1, size=(2000, 3)) * scale)
+    check = allocation._check_es_combination
+    for a in (0.6, 0.9, 0.99):
+        expectile_euler(p, a, check=True)
+    monkeypatch.setattr(allocation, "_check_es_combination",
+                        lambda contrib, *args: check(contrib * (1.0 + 1e-6), *args))
+    for a in (0.6, 0.9, 0.99):
+        with pytest.raises(AssertionError, match="ES-combination"):
+            expectile_euler(p, a, check=True)
+
+
 def test_single_component_self_allocation():
     rng = np.random.default_rng(2)
     v = rng.standard_exponential(150)
@@ -315,6 +330,27 @@ def test_expectile_sorts_only_the_totals_above_the_lower_bound(monkeypatch):
     p = Portfolio(np.random.default_rng(5).pareto(2.1, size=(100_000, 3)))
     expectile_euler(p, 0.99, check=True)
     assert len(sizes) == 1 and sizes[0] < 0.02 * p.n
+
+
+def test_allocations_partition_only_the_tail(monkeypatch):
+    sizes = []
+    partition = np.partition
+
+    def counted(a, *args, **kwargs):
+        sizes.append(np.size(a))
+        return partition(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "partition", counted)
+    p = Portfolio(np.random.default_rng(5).pareto(2.1, size=(100_000, 3)))
+    for a in (0.9, 0.99, 0.999):
+        for call in (es_euler, expectile_euler):
+            sizes.clear()
+            call(p, a)
+            assert len(sizes) == 2 and max(sizes) < 0.15 * p.n
+    # at alpha = 1/2 the expectile is the mean: no selection
+    sizes.clear()
+    expectile_euler(p, 0.5, check=True)
+    assert sizes == []
 
 
 def test_expectile_solves_over_every_total_when_the_bound_overshoots(monkeypatch):

@@ -201,6 +201,44 @@ def test_exact_beta_star_ratio_matches_beta_star(dist):
         assert exact_beta_star_ratio(dist, alpha) == want
 
 
+# A tail index of 1e300 collapses each law in double precision: Pareto
+# quantiles all round to 0, so the centered law has ES -1e-300; the Student
+# auxiliary value at the quantile is inf; the power law's 0.99-quantile
+# rounds to its endpoint 1.  Each refusal is a ValueError naming the cause.
+DEGENERATE = [
+    (ratio_expansion, Pareto(1e300), 2, "order-2 expansion .* not finite"),
+    (ratio_expansion, StudentT(1e300), 2, "order-2 expansion .* not finite"),
+    (ratio_expansion, PowerBeta(1e300), 2, "rounds to its right endpoint"),
+    (ratio_expansion, PowerBeta(1e300), 1, "rounds to its right endpoint"),
+    (beta_star_expansion, Pareto(1e300), 2, "order-2 expansion .* not finite"),
+    (beta_star_expansion, PowerBeta(1e300), 1, "rounds to its right endpoint"),
+]
+
+
+@pytest.mark.parametrize("func, dist, order, match", DEGENERATE)
+def test_expansions_refuse_laws_degenerate_in_double_precision(func, dist, order, match):
+    with pytest.raises(ValueError, match=match):
+        func(dist, 0.99, order=order)
+
+
+def test_exact_ratios_refuse_laws_degenerate_in_double_precision():
+    with pytest.raises(ValueError, match="ES of the centered law is -1e-300"):
+        exact_ratio(Pareto(1e300), 0.99)
+    with pytest.raises(ValueError, match="expectile to the right endpoint is 0"):
+        exact_ratio(PowerBeta(1e300), 0.99)
+    with pytest.raises(ValueError, match="beta\\* is 0, not inside"):
+        exact_beta_star_ratio(Pareto(1e300), 0.99)
+    # first order needs no auxiliary value and stays finite
+    assert ratio_expansion(Pareto(1e300), 0.99, order=1).value == 1.0
+
+
+def test_expansion_formulas_refuse_non_finite_inputs():
+    with pytest.raises(ValueError, match="not finite"):
+        frechet_ratio(2.1, -1.0, float("inf"), 0.99)
+    with pytest.raises(ValueError, match="not finite"):
+        frechet_beta_star_ratio(2.1, -1.0, float("nan"), 0.99)
+
+
 # -------------------------------------------------------------- weibull
 
 def test_weibull_ratio_second_order_beats_first():

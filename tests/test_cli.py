@@ -652,9 +652,21 @@ GOLDEN = [
         "error: --dist: twopoint:x1=0,x2=1,p=0.5 has no tail classification\n",
         id="asympt-no-class-exit2"),
     pytest.param(
-        ["asympt", "--dist", "power:a=1e300", "--alpha", "0.99"], 1,
+        ["asympt", "--dist", "power:a=1e300", "--alpha", "0.99"], 2,
         "",
-        "error: 0.0 cannot be raised to a negative power\n", id="asympt-exit1"),
+        "error: --dist: the 0.99-quantile of power:a=1e+300 rounds to its right endpoint 1"
+        " in double precision\n", id="asympt-quantile-at-endpoint-exit2"),
+    pytest.param(
+        ["asympt", "--dist", "pareto:a=1e300", "--alpha", "0.99"], 2,
+        "",
+        "error: --dist: the order-2 expansion at alpha=0.99 is not finite in double"
+        " precision (leading 1, correction nan)\n", id="asympt-nan-expansion-exit2"),
+    pytest.param(
+        ["asympt", "--dist", "pareto:a=1e300", "--alpha", "0.99", "--order", "1"], 2,
+        "",
+        "error: --dist: pareto:a=1e+300 is degenerate in double precision at alpha=0.99:"
+        " the ES of the centered law is -1e-300, not positive\n",
+        id="asympt-collapsed-centered-law-exit2"),
     pytest.param(
         ["sample-size", "--tail", "poly:q=3,s=2.5", "--gamma", "0.05", "--eps", "0.1",
          "--alpha", "0.99"], 0,
@@ -787,6 +799,17 @@ GOLDEN = [
         ["figure", "--kind", "frechet-student", "--nu", "2.3", "--points", "1"], 2,
         "",
         "error: --points: need at least 2, got 1\n", id="figure-points-exit2"),
+    pytest.param(
+        ["figure", "--kind", "frechet-pareto", "--a", "1e300", "--points", "3"], 2,
+        "",
+        "error: --a: pareto:a=1e+300 is degenerate in double precision at alpha=0.95:"
+        " the ES of the centered law is -1e-300, not positive\n",
+        id="figure-collapsed-centered-law-exit2"),
+    pytest.param(
+        ["figure", "--kind", "frechet-student", "--nu", "1e300", "--points", "3"], 2,
+        "",
+        "error: --nu: the order-2 expansion at alpha=0.95 is not finite in double"
+        " precision (leading 1, correction nan)\n", id="figure-nan-expansion-exit2"),
     pytest.param(
         ["figure", "--kind", "frechet-pareto", "--a", "inf"], 2,
         "",

@@ -101,8 +101,9 @@ def test_replications_take_cellwise_medians():
 
 
 def test_table_cells_build_no_sample_and_sort_only_the_tail(monkeypatch):
-    # a cell reads its raw draw: one partition of all n values, and a sort
-    # of the values above the ES lower bound on the expectile (~1.3% of n)
+    # a cell reads its raw draw: partitions of a strided sample and of the
+    # values above its threshold, none of all n values, and a sort of the
+    # values above the ES lower bound on the expectile (~1.3% of n)
     def refuse(self, x):
         raise AssertionError("a table cell built a Sample")
 
@@ -125,7 +126,7 @@ def test_table_cells_build_no_sample_and_sort_only_the_tail(monkeypatch):
         sorts.clear()
         partitions.clear()
         ratio_table(SimulationConfig(Pareto(2.1), (0.99,), (n,), seed=3, vs=vs))
-        assert partitions == [n]
+        assert partitions and max(partitions) <= 0.05 * n
         assert len(sorts) == 1 and sorts[0] < 0.02 * n
 
 
@@ -187,11 +188,10 @@ def test_cell_ratio_matches_exact_rational_evaluation(law, alpha, n, vs):
     assert abs(row.empirical[0] - want) <= 1e-14 * abs(want)
     # each part of the cell, from one selection of the raw draw
     x = dist._draw(n, cell_seed(1, 0, 0, 0))
-    i, part = risk_core._select(x, alpha)
-    got_es = risk_core._partition_es(i, part, alpha)
-    got_e, above = risk_core._tail_expectile(x, alpha, got_es)
-    assert part[i - 1] == var
-    assert abs(got_es - es) <= 1e-14 * abs(es)
+    sel = risk_core._select(x, alpha)
+    got_e, above = risk_core._tail_expectile(x, alpha, sel)
+    assert sel.q == var
+    assert abs(sel.es - es) <= 1e-14 * abs(es)
     assert abs(got_e - e) <= 1e-14 * abs(e)
     np.testing.assert_array_equal(above, np.flatnonzero(x > got_e))
 

@@ -1,6 +1,7 @@
 """Expectile, ES, VaR: closed forms, frozen references and properties."""
 
 import gc
+import math
 from fractions import Fraction
 
 import mpmath
@@ -507,3 +508,105 @@ def test_es_dominates_var(values, alpha):
     s = Sample(values)
     q = s.quantile(alpha)
     assert s.es(alpha) >= q - 1e-12 * (1 + abs(q))
+
+
+# ------------------------------------ selection of raw values at one level
+
+def _selection_values():
+    rng = np.random.default_rng(41)
+    for n in (1, 2, 3, 100, 4097, 32767, 32768, 50_001, 300_000):
+        heavy = rng.pareto(2.1, n)
+        yield f"pareto-{n}", heavy
+        if n >= 100:
+            yield f"sorted-{n}", np.sort(heavy)
+            yield f"reversed-{n}", np.sort(heavy)[::-1].copy()
+            yield f"constant-{n}", np.full(n, 2.5)
+            yield f"tied-{n}", rng.poisson(1.5, n).astype(float)
+    # spikes once per stride of the strided sample: the sample is all the
+    # spikes, so its threshold keeps too few values and the selection falls
+    # back, unless the tail is a value or two
+    n = 100_003
+    spiked = rng.random(n)
+    spiked[:: n // risk_core._SAMPLE] += 1000.0
+    yield "spikes-at-the-stride", spiked
+
+
+SELECTION_VALUES = list(_selection_values())
+
+
+def _selection_levels(n):
+    """n alpha integral (1/2, 3/4, 1 - 1/n) and not, over tails that are
+    sampled and tails over an eighth of the values."""
+    levels = {0.5, 0.75, 0.87, 0.88, 0.99, 0.9991, 1.0 - 1.0 / n, 1.0 - 0.5 / n}
+    return sorted(a for a in levels if 0.5 <= a < 1.0)
+
+
+def _exact_tail(values, alpha):
+    """(q_alpha, ES_alpha as a Fraction) of equally likely values, and the
+    scale of ES's terms, |q_alpha| + sum of |x| above it / (n (1 - alpha)).
+
+    The sum above q_alpha is ``math.fsum``'s, the exact sum rounded once,
+    so the Fraction is within eps of the terms of the exact ES."""
+    n = values.size
+    i = int(risk_core.order_index(n, alpha))
+    top = np.sort(values)[i - 1:]
+    a = Fraction(alpha)
+    above = Fraction(math.fsum(top[1:].tolist()))
+    es = ((Fraction(i, n) - a) * Fraction(top[0]) + above / n) / (1 - a)
+    return top[0], es, abs(top[0]) + float(np.sum(np.abs(top[1:]))) / (n * (1.0 - alpha))
+
+
+@pytest.mark.parametrize("scale", [1e-15, 1.0, 1e15])
+@pytest.mark.parametrize("name, values", SELECTION_VALUES, ids=[v[0] for v in SELECTION_VALUES])
+def test_selection_matches_full_partition_and_exact_tail(monkeypatch, name, values, scale):
+    x = values * scale
+    n = x.size
+    eps = float(np.finfo(float).eps)
+    for alpha in _selection_levels(n):
+        sel = risk_core._select(x, alpha)
+        q, es, terms = _exact_tail(x, alpha)
+        assert sel.q == q, (alpha, sel.q, q)
+        assert abs(sel.es - float(es)) <= 64 * eps * terms, (alpha, sel.es, float(es))
+        # the kept rows ascend and hold every value at or above the threshold
+        rows = np.arange(n) if sel.rows is None else sel.rows
+        assert sel.t <= q and np.all(np.diff(rows) > 0)
+        np.testing.assert_array_equal(sel.vals, x[rows])
+        np.testing.assert_array_equal(rows[sel.vals >= sel.t], np.flatnonzero(x >= sel.t))
+        np.testing.assert_array_equal(risk_core._indices(sel.rows, sel.vals >= sel.q),
+                                      np.flatnonzero(x >= q))
+        if n < risk_core._SAMPLE_MIN_N or alpha < 0.875 or name.startswith("constant"):
+            assert sel.rows is None
+        elif name == "spikes-at-the-stride":
+            assert (sel.rows is None) == (alpha < 1.0 - 3.0 / n)
+        else:
+            assert sel.rows is not None
+        # the same root and indices as from a partition of all n values
+        e, above = risk_core._tail_expectile(x, alpha, sel)
+        with monkeypatch.context() as m:
+            m.setattr(risk_core, "_SAMPLE_MIN_N", n + 1)
+            full = risk_core._select(x, alpha)
+            assert full.rows is None and full.q == sel.q
+            assert risk_core._tail_expectile(x, alpha, full)[0] == e
+        np.testing.assert_array_equal(above, np.flatnonzero(x > e))
+
+
+def test_selection_partitions_only_the_tail_of_a_random_draw(monkeypatch):
+    sizes = []
+    partition = np.partition
+
+    def counted(a, *args, **kwargs):
+        sizes.append(np.size(a))
+        return partition(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "partition", counted)
+    x = np.random.default_rng(43).pareto(2.1, 200_000)
+    for alpha in (0.88, 0.9, 0.99, 0.999):
+        sizes.clear()
+        sel = risk_core._select(x, alpha)
+        assert sel.rows is not None and len(sizes) == 2
+        k = x.size - int(risk_core.order_index(x.size, alpha)) + 1
+        assert sizes[0] < 0.05 * x.size and k <= sizes[1] < k + 0.05 * x.size
+    # at alpha = 1/2 the expectile is the mean: no selection at all
+    sizes.clear()
+    e, above = risk_core._tail_expectile(x, 0.5)
+    assert sizes == [] and e == x.sum() / x.size
