@@ -208,7 +208,9 @@ def expectile_euler(
     means = np.ones(n) @ p.components / n
     # BLAS sums a gathered row block faster than sum(axis=0) does
     tail = np.ones(rows.size) @ np.take(p.components, rows, axis=0) / n
-    den = alpha + (1.0 - 2.0 * alpha) * (n_le / n)
+    # alpha + (1 - 2 alpha) P[L <= e], written without its cancellation at
+    # levels near 1, where it is about 1 - alpha
+    den = (1.0 - alpha) + (2.0 * alpha - 1.0) * (rows.size / n)
     # alpha * tail + (1 - alpha) * body, with body = means - tail
     contrib = ((2.0 * alpha - 1.0) * tail + (1.0 - alpha) * means) / den
     if check:

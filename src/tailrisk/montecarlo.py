@@ -17,9 +17,13 @@ law and a model, w = int_0^1 |q_n(u) - q(u)| du, in closed form: the
 model quantile is integrated exactly between the empirical jumps through
 E(u) = (1-u) ES_u.  Each block between jumps lies above the model, below
 it, or crosses it; over a run of blocks on one side the E terms
-telescope, so a call costs one model CDF per sample point and the
-model's ES only at run boundaries and crossings (about a thousand levels
-for 1e5 Student t draws, not 2n).  It backs the deviation inequalities
+telescope, so the model's ES is needed only at run boundaries and
+crossings (about a thousand levels for 1e5 Student t draws, not 2n).  The
+side of a block follows from the model CDF at its sample point, and since
+the CDF is nondecreasing along the sorted sample, it is evaluated only
+where the CDF at already evaluated points leaves a block's side open: a
+bisection from a coarse grid, about 2-12k points for 1e5 Student t draws,
+not n.  It backs the deviation inequalities
 |ES_n - ES| <= w/(1-alpha) and |e_n - e| <= alpha w/(1-alpha), which
 are theorems and are asserted as such in the tests; ``transport_bounds``
 reports both deviations of a sample next to these bounds at one level.
@@ -204,6 +208,58 @@ def ratio_table_csv(rows: Sequence[RatioTableRow], ns: Sequence[int]) -> str:
     return render_csv(header, out_rows)
 
 
+_CDF_GRID = 256
+
+
+def _block_split(vals: np.ndarray, dist: Distribution, edges: np.ndarray) -> np.ndarray:
+    """u* = F(x_(k)) clipped into block k, for every k, from few F values.
+
+    With the values sorted and F nondecreasing, F(x_lo) >= edges[hi + 1]
+    puts every block lo..hi above the model (u* = (k+1)/n) and
+    F(x_hi) <= edges[lo] puts every one below it (u* = k/n).  F is
+    evaluated on a grid of every ``_CDF_GRID``-th index and the last one,
+    and then at the midpoints of the index ranges between evaluated points
+    that neither test decides, one vectorised ``dist.cdf`` call per
+    bisection level, until every range left with an interior is decided:
+    those ranges are the gaps between consecutive evaluated points.  A
+    block inside one clears its edge by at least 1/n, so u* equals
+    ``np.clip(dist.cdf(vals), edges[:-1], edges[1:])`` bit for bit unless
+    the computed F falls by 1/n along the sorted values.
+    """
+    n = vals.size
+    idx = np.append(np.arange(0, n - 1, _CDF_GRID), n - 1)
+    f = dist.cdf(vals[idx])
+    got_idx, got_f = [idx], [f]
+    lo, hi, flo, fhi = idx[:-1], idx[1:], f[:-1], f[1:]
+    while True:
+        open_ = (hi - lo > 1) & (flo < edges[hi + 1]) & (fhi > edges[lo])
+        if not open_.any():
+            break
+        lo, hi, flo, fhi = lo[open_], hi[open_], flo[open_], fhi[open_]
+        mid = (lo + hi) // 2
+        fmid = dist.cdf(vals[mid])
+        got_idx.append(mid)
+        got_f.append(fmid)
+        lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
+        flo, fhi = np.concatenate((flo, fmid)), np.concatenate((fmid, fhi))
+    got_idx = np.concatenate(got_idx)
+    evaluated = np.zeros(n, dtype=bool)
+    evaluated[got_idx] = True
+    k = np.flatnonzero(evaluated)
+    fk = np.empty(n)
+    fk[got_idx] = np.concatenate(got_f)
+    fk = fk[k]
+    # each evaluated point, then the gap after it: above when its left end
+    # decides so, else below
+    gap_above = np.zeros(2 * k.size - 1, dtype=bool)
+    gap_above[1::2] = fk[:-1] >= edges[k[1:] + 1]
+    length = np.ones(2 * k.size - 1, dtype=np.int64)
+    length[1::2] = np.diff(k) - 1
+    ustar = np.where(np.repeat(gap_above, length), edges[1:], edges[:-1])
+    ustar[k] = np.clip(fk, edges[k], edges[k + 1])
+    return ustar
+
+
 def wasserstein_exact(s: Sample, dist: Distribution) -> float:
     """Exact order-1 distance between an empirical law and a model.
 
@@ -215,16 +271,20 @@ def wasserstein_exact(s: Sample, dist: Distribution) -> float:
     (u* = b), *below* it when F(x) <= a (u* = a), and *crosses* it
     otherwise.  Over a run of blocks on one side the E terms telescope,
     so E is needed only at run boundaries, at the edges of crossing
-    blocks and at their u*: a call costs one model CDF per sample point
-    and one vectorised ES call on those few levels.
+    blocks and at their u*: one vectorised ES call on those few levels.
+    F(x) itself is evaluated only where monotonicity along the sorted
+    sample does not already decide a block's side (``_block_split``);
+    every block it infers gets the u* clamping would give it, so the sum
+    is that of evaluating F at every sample point, bit for bit.
     """
     vals = s.values
     n = len(vals)
     edges = np.arange(n + 1) / n
-    u = dist.cdf(vals)
-    above = u >= edges[1:]
-    below = u <= edges[:-1]
-    ustar = np.clip(u, edges[:-1], edges[1:])
+    ustar = _block_split(vals, dist, edges)
+    # u* sits on the right edge exactly when F(x) >= b, on the left when
+    # F(x) <= a
+    above = ustar >= edges[1:]
+    below = ustar <= edges[:-1]
     # weight of E(k/n) in the sum of the block areas: -1 from each
     # neighbouring block, +2 from a neighbour whose u* sits on that edge;
     # it is 0 between two blocks on the same side and at E(1) = 0

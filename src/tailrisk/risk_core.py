@@ -407,8 +407,9 @@ def oce(src: LossSource, a: float, b: float = 0.0, check: bool = False) -> float
 
     Equals (1-b) ES_{lam} + b E[L] with mixing level
     lam(a, b) = (1-a)/(1-ab); a = 1-alpha, b = 0 recovers ES_alpha.
-    ``check=True`` re-evaluates the objective at its minimizer, the
-    lam-quantile, and asserts 1e-9 agreement.
+    ``check=True`` re-evaluates the objective at its minimizer m, the
+    lam-quantile, and asserts agreement to 1e-9 relative to the direct
+    objective's own terms, |m| + E[(L-m)+]/a + b (E[(L-m)+] + |E[L]| + |m|).
     """
     a = float(a)
     b = float(b)
@@ -423,7 +424,8 @@ def oce(src: LossSource, a: float, b: float = 0.0, check: bool = False) -> float
         m = float(src.quantile(lam))
         ep = float(src.eplus(m))
         direct = m + ep / a - b * (ep - mu + m)
-        if abs(direct - val) > 1e-9 * (1.0 + abs(val)):
+        terms = abs(m) + ep / a + b * (ep + abs(mu) + abs(m))
+        if abs(direct - val) > 1e-9 * terms:
             raise AssertionError(
                 f"oce cross-check failed: representation {val!r} vs direct "
                 f"objective {direct!r} at (a={a}, b={b})"

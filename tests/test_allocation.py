@@ -87,6 +87,27 @@ def test_expectile_full_allocation_at_any_scale(scale):
         np.testing.assert_allclose(contrib / scale, unscaled, rtol=1e-12, atol=0.0)
 
 
+@pytest.fixture(scope="module")
+def heavy_million_rows():
+    # 1e6 Lomax rows with a shared shock: the tail past levels near 1
+    # holds a handful of rows
+    rng = np.random.default_rng(3)
+    common = rng.pareto(2.5, size=1_000_000)
+    tail_index = np.array([2.2, 2.5, 3.0, 3.5, 4.0])
+    return rng.pareto(tail_index, size=(1_000_000, 5)) + 0.3 * common[:, None]
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-13, 1e13])
+def test_expectile_full_allocation_near_level_one_on_many_rows(heavy_million_rows, scale):
+    # the denominator alpha + (1 - 2 alpha) P[L <= e] is about 1 - alpha;
+    # formed from terms of size 1 it cancelled, and check=True raised at
+    # 1 - 1e-6 with the sum 3.6e-11 off e
+    p = Portfolio(heavy_million_rows * scale)
+    for a in (0.99, 1 - 1e-4, 1 - 1e-6, 1 - 1e-7):
+        contrib, e = expectile_euler(p, a, check=True, full_output=True)
+        assert abs(contrib.sum() - e) <= 1e-14 * np.sum(np.abs(contrib)), (a, contrib.sum(), e)
+
+
 def test_expectile_check_asserts_full_allocation(monkeypatch):
     # both forms the cross-check compares share the body/tail split, so only
     # the sum against the portfolio expectile sees a root that is off

@@ -340,6 +340,18 @@ def _parity_samples():
 PARITY_SOURCES = [pytest.param(d, id=d.label) for d in PARITY_FAMILIES] + list(_parity_samples())
 
 
+@pytest.mark.parametrize("dist", PARITY_FAMILIES, ids=lambda d: d.label)
+def test_draw_is_the_quantile_of_its_uniforms(dist):
+    # _draw calls the family hook without quantile's level check, which its
+    # uniforms in [2^-53, 1) cannot fail: same values, bit for bit
+    for n, seed in ((1, 0), (1001, 7), (30000, 11)):
+        u = np.random.Generator(np.random.PCG64(seed)).random(n)
+        want = dist.quantile(np.maximum(u, _U_FLOOR))
+        got = dist._draw(n, seed)
+        assert got.dtype == want.dtype and got.shape == (n,)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def _parity_points(dist):
     """Points inside the support, on its edges, outside it and at +-inf."""
     lo, hi = dist.support()

@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import stdtr
 
-from tailrisk import risk_core
+from tailrisk import montecarlo, risk_core
 from tailrisk.asymptotics import ExpansionCurveRow, expansion_curve
 from tailrisk.distributions import (
     Exponential,
@@ -336,6 +336,81 @@ def test_exact_asks_es_only_at_run_boundaries_and_crossings():
     smp = d.sample(n, seed=1)
     wasserstein_exact(smp, d)
     assert 0 < sum(asked) < n / 20
+
+
+def _w1_every_point(s, dist):
+    """``wasserstein_exact`` with the model CDF evaluated at every sample
+    point, the formula as it stood before the CDF was inferred."""
+    vals = s.values
+    n = len(vals)
+    edges = np.arange(n + 1) / n
+    u = dist.cdf(vals)
+    above = u >= edges[1:]
+    below = u <= edges[:-1]
+    ustar = np.clip(u, edges[:-1], edges[1:])
+    edge_weight = np.full(n + 1, -2)
+    edge_weight[0] = -1
+    edge_weight[1:] += 2 * above
+    edge_weight[:-1] += 2 * below
+    k = np.flatnonzero(edge_weight[:-1])
+    cross = ~(above | below)
+    levels = np.concatenate((edges[k], ustar[cross]))
+    weight = np.concatenate((edge_weight[k], np.full(np.count_nonzero(cross), 2)))
+    big_e = (1.0 - levels) * dist.es(levels)
+    total = math.fsum((weight * big_e).tolist()) + float(
+        np.sum(vals * (2.0 * ustar - edges[:-1] - edges[1:]))
+    )
+    return max(total, 0.0)
+
+
+def _w1_bit_cases():
+    models = (StudentT(2.3), Pareto(2.1), Pareto(2.1, shift=-1.0), Exponential(),
+              Uniform01(), PowerBeta(1.1), TwoPoint(-1.0, 2.5, 0.3))
+    for dist in models:
+        for n in (1, 2, 3, 17, 1000, 100_000):
+            yield pytest.param(dist, dist.sample(n, seed=n % 7), id=f"{dist.label} n={n}")
+        # ties: the model's own draws rounded, and one value repeated
+        drawn = dist.sample(1000, seed=2).values
+        yield pytest.param(dist, Sample(np.round(drawn, 1)), id=f"{dist.label} rounded")
+        yield pytest.param(dist, Sample(np.full(3000, drawn[700])), id=f"{dist.label} constant")
+    rng = np.random.default_rng(6)
+    # partly and wholly outside the support
+    yield pytest.param(Uniform01(), Sample(rng.uniform(-0.5, 1.5, 4000)), id="uniform straddling")
+    yield pytest.param(Uniform01(), Sample(rng.uniform(2.0, 3.0, 4000)), id="uniform above")
+    yield pytest.param(Pareto(2.1), Sample(rng.uniform(-3.0, -1.0, 4000)), id="pareto below")
+    yield pytest.param(PowerBeta(1.1), Sample(np.r_[-np.ones(500), 2.0 * np.ones(500)]),
+                       id="power both sides")
+    # 0/s samples against the two-point model, every value tied
+    for s in (1e-15, 1e-5, 1.0, 1e5, 1e15):
+        for k in range(3):
+            hits = rng.random(5000) < 0.3
+            yield pytest.param(TwoPoint(0.0, s, 0.75), Sample(s * hits), id=f"0/s x {s:g} #{k}")
+
+
+@pytest.mark.parametrize("dist,smp", list(_w1_bit_cases()))
+def test_exact_has_the_bits_of_evaluating_every_point(dist, smp):
+    assert wasserstein_exact(smp, dist).hex() == _w1_every_point(smp, dist).hex()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_exact_evaluates_the_model_cdf_only_where_the_side_is_open(seed):
+    # the side of most blocks follows from the CDF at evaluated points, so
+    # the model CDF sees about 2-12k of the 1e5 sample points, not n
+    d = StudentT(2.3)
+    cdf = d.cdf
+    points = []
+
+    def counting_cdf(x):
+        points.append(np.size(x))
+        return cdf(x)
+
+    d.cdf = counting_cdf
+    n = 100_000
+    smp = d.sample(n, seed=seed)
+    wasserstein_exact(smp, d)
+    assert 0 < sum(points) <= n / 8
+    # one call for the grid, then one per bisection level
+    assert len(points) <= 1 + math.log2(montecarlo._CDF_GRID)
 
 
 def test_self_distance_shrinks_with_sample_size():

@@ -282,6 +282,26 @@ def test_oce_matches_es_mixture():
                 assert abs(got - want) < 1e-12 * (1 + abs(want))
 
 
+@pytest.mark.parametrize("scale", [1e-15, 1.0, 1e15])
+def test_oce_check_is_relative_to_its_terms(monkeypatch, scale):
+    # an ES off by 1e-6 of itself makes the representation miss the direct
+    # objective and fails the check at every scale; unplanted, nothing fires
+    draws = Pareto(2.1).sample(1000, seed=5).values
+    sources = (Sample(scale * draws), Sample(scale * np.round(draws)),
+               TwoPoint(0.0, scale, 0.75))
+    grid = [(a, b) for a in (0.05, 0.3, 0.7) for b in (0.0, 0.25, 0.8)]
+    for src in sources:
+        for a, b in grid:
+            oce(src, a, b, check=True)
+    es = risk_core.expected_shortfall
+    monkeypatch.setattr(risk_core, "expected_shortfall",
+                        lambda src, level: es(src, level) * (1.0 + 1e-6))
+    for src in sources:
+        for a, b in grid:
+            with pytest.raises(AssertionError, match="oce cross-check"):
+                oce(src, a, b, check=True)
+
+
 def test_oce_rejects_bad_parameters():
     d = Uniform01()
     for a, b in ((0.0, 0.0), (1.0, 0.0), (0.5, -0.1), (0.5, 1.1)):
