@@ -124,37 +124,56 @@ def expected_shortfall(src: LossSource, alpha: float, check: bool = False) -> fl
     ``check=True`` re-derives the value independently (adaptive
     quadrature of the quantile for parametric sources, the plug-in
     q_alpha + E[(L-q_alpha)+]/(1-alpha) for empirical ones) and asserts
-    1e-9 relative agreement.
+    agreement to 1e-9 of the reference's own terms: |q_alpha| +
+    E[(L-q_alpha)+]/(1-alpha) for the plug-in, and for the quadrature (or
+    the mean at alpha = 0) the average of |q| it takes,
+    (2 (1-b) ES_b - (1-alpha) ES_alpha)/(1-alpha) with b = max(alpha,
+    P[L < 0]), q being negative below b and not above it.  The quadrature
+    runs to 1e-12 of the same terms, so the check is scale-free.
     """
     _check_es_level(alpha)
     val = float(src.es(alpha))
     if check:
-        if alpha == 0.0:
-            ref = float(src.mean())
-        elif isinstance(src, Sample):
+        if isinstance(src, Sample) and alpha > 0.0:
             q = float(src.quantile(alpha))
-            ref = q + float(src.eplus(q)) / (1.0 - alpha)
+            excess = float(src.eplus(q)) / (1.0 - alpha)
+            ref, terms = q + excess, abs(q) + excess
+        elif alpha == 0.0:
+            ref, terms = float(src.mean()), _abs_tail_mean(src, alpha, val)
         else:
             # imported on use: scipy.integrate takes about as long to import
             # as the rest of the package
             from scipy.integrate import IntegrationWarning, quad
 
+            terms = _abs_tail_mean(src, alpha, val)
             # the quantile is singular at u=1 for unbounded families; the
             # extrapolating quadrature handles it but grumbles about
-            # roundoff near machine tolerance, so check abserr ourselves
+            # roundoff near machine tolerance, so check abserr ourselves.
+            # The absolute tolerance is 1e-12 of the terms: at unit terms
+            # the fixed 1e-12 it replaces, and a law of any magnitude is
+            # integrated to the same relative accuracy
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", IntegrationWarning)
                 integral, abserr = quad(
                     lambda u: src.quantile(u), alpha, 1.0,
-                    epsabs=1e-12, epsrel=1e-12, limit=400,
+                    epsabs=1e-12 * terms, epsrel=1e-12, limit=400,
                 )
             ref = integral / (1.0 - alpha)
-        if abs(val - ref) > 1e-9 * (1.0 + abs(val)):
+        if abs(val - ref) > 1e-9 * terms:
             raise AssertionError(
                 f"expected-shortfall cross-check failed: closed form {val!r} vs "
                 f"reference {ref!r} at alpha={alpha}"
             )
     return val
+
+
+def _abs_tail_mean(src: LossSource, alpha: float, es_alpha: float) -> float:
+    """(1/(1-alpha)) int_alpha^1 |q(u)| du from ES alone: on (alpha, 1) q is
+    negative exactly below b = max(alpha, P[L < 0]), and (1-b) ES_b reads as
+    0 at b = 1, so no second quadrature is needed."""
+    b = max(alpha, float(src.prob_lt(0.0)))
+    es_b = float(src.es(b)) if alpha < b < 1.0 else es_alpha
+    return (2.0 * (1.0 - b) * es_b - (1.0 - alpha) * es_alpha) / (1.0 - alpha)
 
 
 def foc_residual(src: LossSource, alpha: float, m: float) -> float:

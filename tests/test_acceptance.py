@@ -18,18 +18,14 @@ mixes two ways of printing: seventeen cells are the exact ratio rounded
 to four decimals and eight are it truncated (pareto:a=2.1 e/VaR at
 0.987 is 1.0759995, printed 1.0759), so each cell is accepted if it is
 either.  The exact values themselves are pinned to 1e-9 relative against
-an independent reference that bypasses ``tailrisk.risk_core``.
+the 40-digit references of ``tests/oracle.py``.
 
 Everything else is green and asserted at the stated tolerances.
 """
 
-import math
-
 import numpy as np
+import oracle
 import pytest
-from scipy.optimize import brentq
-from scipy.special import lambertw
-from scipy.stats import t as student_t
 
 from tailrisk.allocation import (
     Portfolio,
@@ -79,42 +75,6 @@ DISTS = {
 }
 
 
-def _lomax_reference(a, alpha):
-    """(expectile, ES, VaR) of F(x) = 1 - (1+x)^-a from closed forms."""
-    m = 1.0 / (a - 1.0)
-    var = (1.0 - alpha) ** (-1.0 / a) - 1.0
-    es = a / (a - 1.0) * (1.0 - alpha) ** (-1.0 / a) - 1.0
-
-    def g(e):  # E[(X - e)+]
-        return (1.0 + e) ** (1.0 - a) / (a - 1.0)
-
-    e = brentq(lambda e: alpha * g(e) - (1.0 - alpha) * (e - m + g(e)),
-               m, es, xtol=1e-15, rtol=1e-15)
-    return e, es, var
-
-
-def _student_reference(nu, alpha):
-    """(expectile, ES, VaR) of the standard Student t from scipy.stats."""
-    t = student_t(nu)
-    var = float(t.isf(1.0 - alpha))
-    es = (nu + var * var) / (nu - 1.0) * float(t.pdf(var)) / (1.0 - alpha)
-
-    def g(e):  # E[(X - e)+]
-        return (nu + e * e) / (nu - 1.0) * float(t.pdf(e)) - e * float(t.sf(e))
-
-    e = brentq(lambda e: alpha * g(e) - (1.0 - alpha) * (e + g(e)),
-               0.0, es, xtol=1e-15, rtol=1e-15)
-    return e, es, var
-
-
-REFERENCE = {
-    "pareto:a=2.1": lambda alpha: _lomax_reference(2.1, alpha),
-    "pareto:a=2.3": lambda alpha: _lomax_reference(2.3, alpha),
-    "student:nu=2.1": lambda alpha: _student_reference(2.1, alpha),
-    "student:nu=2.3": lambda alpha: _student_reference(2.3, alpha),
-}
-
-
 def test_criterion_1_printed_table_ratios():
     """Every reference table cell is the exact ratio rounded or truncated
     to four decimals, and the exact ratio matches an independent
@@ -132,8 +92,9 @@ def test_criterion_1_printed_table_ratios():
                     f"{label} e/{vs} alpha={alpha}: table {cell:.4f} vs "
                     f"exact {got:.6f} (dev {got - cell:+.2e})"
                 )
-            e, es, var = REFERENCE[label](alpha)
-            ref = e / (es if vs == "es" else var)
+            law = oracle.of(dist)
+            den = law.es(alpha) if vs == "es" else law.var(alpha)
+            ref = float(law.expectile(alpha).value / den.value)
             if abs(got / ref - 1.0) > 1e-9:
                 failures.append(
                     f"{label} e/{vs} alpha={alpha}: exact {got:.12f} vs "
@@ -167,11 +128,11 @@ def test_criterion_3_closed_form_expectiles():
     worst = 0.0
     for a in grid:
         u = expectile(Uniform01(), a)
-        u_ref = (math.sqrt(a * (1.0 - a)) - a) / (1.0 - 2.0 * a)
+        u_ref = float(oracle.of(Uniform01()).expectile(a).value)
         x = expectile(Exponential(), a)
-        x_ref = 1.0 + float(lambertw((2.0 * a - 1.0) / ((1.0 - a) * math.e)).real)
+        x_ref = float(oracle.of(Exponential()).expectile(a).value)
         p = expectile(Pareto(2.0), a)
-        p_ref = math.sqrt(a * (1.0 - a)) / (1.0 - a)
+        p_ref = float(oracle.of(Pareto(2.0)).expectile(a).value)
         worst = max(worst, abs(u - u_ref), abs(x - x_ref), abs(p - p_ref))
     assert worst <= 1e-9, f"max closed-form deviation {worst:.2e}"
 
@@ -195,18 +156,21 @@ def test_criterion_4_bound_chain_properties():
         beta = float(rng.uniform(0.0, 0.995))
         e = expectile(src, alpha)
         m = float(src.mean())
+        law = oracle.of(src)
         b = expectile_bounds(src, alpha, beta)
         if not (b.lower <= e + 1e-12 and e <= b.upper + 1e-12 and e <= b.es_cap + 1e-12):
             violations.append(f"chain #{k}")
         bs = beta_star(src, alpha)
         for bb in (bs.lower, 0.5 * (bs.lower + bs.upper), bs.upper):
-            if abs(expectile_from_es(src, alpha, bb) - e) > 1e-9 * (1.0 + abs(e)):
+            terms = law.expectile(alpha).terms + oracle.reconstruction(law, alpha, bb).terms
+            if oracle.ulps(expectile_from_es(src, alpha, bb), e, terms) > 4:
                 violations.append(f"reconstruction #{k} at beta={bb:.6f}")
-        if abs(expectile(src, 0.5) - m) > 1e-9 * (1.0 + abs(m)):
+        if oracle.ulps(expectile(src, 0.5), m, law.mean().terms) > 4:
             violations.append(f"half-level mean #{k}")
-        if abs(expected_shortfall(src, 0.0) - m) > 1e-9 * (1.0 + abs(m)):
+        if oracle.ulps(expected_shortfall(src, 0.0), m, law.mean().terms) > 4:
             violations.append(f"es-at-zero mean #{k}")
-        if e > expected_shortfall(src, alpha) + 1e-12 * (1.0 + abs(e)):
+        terms = law.expectile(alpha).terms + law.es(alpha).terms
+        if oracle.ulps_above(e, expected_shortfall(src, alpha), terms) > 4:
             violations.append(f"expectile/es order #{k}")
     assert not violations, f"{len(violations)} violations: {violations[:10]}"
 
@@ -269,7 +233,8 @@ def test_criterion_7_euler_allocation():
         alpha = float(rng.uniform(0.5, 0.99))
         contrib = expectile_euler(p, alpha, check=False)
         total = expectile(Sample(p.total), alpha)
-        assert abs(contrib.sum() - total) <= 1e-9 * (1.0 + abs(total))
+        terms = sum(c.terms for c in oracle.expectile_euler(p.total, p.components, alpha))
+        assert oracle.ulps(contrib.sum(), total, terms) <= 16
 
     single = Portfolio(rng.lognormal(0.0, 1.0, (500, 1)))
     alone = expectile_euler(single, 0.9)

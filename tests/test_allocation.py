@@ -1,8 +1,7 @@
 """Euler risk contributions for scenario portfolios."""
 
-from fractions import Fraction
-
 import numpy as np
+import oracle
 import pytest
 
 from tailrisk import allocation, distributions, risk_core
@@ -71,7 +70,8 @@ def test_full_allocation_random_portfolios():
         a = float(rng.uniform(0.55, 0.99))
         contrib = expectile_euler(p, a)
         total = expectile(Sample(p.total), a)
-        assert abs(contrib.sum() - total) < 1e-9 * (1 + abs(total))
+        terms = sum(c.terms for c in oracle.expectile_euler(p.total, p.components, a))
+        assert oracle.ulps(contrib.sum(), total, terms) <= 16
 
 
 @pytest.mark.parametrize("scale", [10.0 ** k for k in range(-15, 16, 2)])
@@ -141,9 +141,10 @@ def test_single_component_self_allocation():
     rng = np.random.default_rng(2)
     v = rng.standard_exponential(150)
     p = Portfolio(v[:, None])
+    law = oracle.Discrete(v)
     for a in (0.6, 0.9, 0.99):
         got = expectile_euler(p, a)
-        assert abs(got[0] - expectile(Sample(v), a)) < 1e-12 * (1 + abs(got[0]))
+        assert oracle.ulps(got[0], expectile(Sample(v), a), law.expectile(a).terms) <= 8
 
 
 def test_comonotone_columns_split_proportionally():
@@ -153,8 +154,9 @@ def test_comonotone_columns_split_proportionally():
     for a in (0.7, 0.95):
         c = expectile_euler(p, a)
         total = expectile(Sample(3.0 * v), a)
-        assert abs(c[0] - total / 3.0) < 1e-9 * (1 + abs(total))
-        assert abs(c[1] - 2.0 * total / 3.0) < 1e-9 * (1 + abs(total))
+        terms = oracle.Discrete(3.0 * v).expectile(a).terms
+        assert oracle.ulps(c[0], total / 3.0, terms) <= 4
+        assert oracle.ulps(c[1], 2.0 * total / 3.0, terms) <= 4
 
 
 def test_constant_column_gets_its_constant():
@@ -240,29 +242,6 @@ def test_selection_es_matches_dense_indicator(comp, scale):
 
 # ------------------------------------------ ES with the fractional atom
 
-def _exact_es_contributions(p, alpha):
-    """The tail integral (1/(1-alpha)) int_alpha^1 E[L_k | L = q(u)] du over
-    the scenario totals in rational arithmetic, and the same integral of
-    |L_k|, the scale of the rounding in each contribution.  Each distinct
-    total t holds the levels (F(t-), F(t)]; the part above alpha weights the
-    mean of its scenarios' components."""
-    a = Fraction(alpha)
-    groups = {}
-    for t, row in zip(p.total.tolist(), p.components.tolist()):
-        groups.setdefault(t, []).append([Fraction(v) for v in row])
-    value, scale = [Fraction(0)] * p.d, [Fraction(0)] * p.d
-    below = 0
-    for t in sorted(groups):
-        rows = groups[t]
-        share = max(Fraction(below + len(rows), p.n) - max(Fraction(below, p.n), a), 0)
-        below += len(rows)
-        for k in range(p.d):
-            value[k] += share * sum(r[k] for r in rows) / len(rows)
-            scale[k] += share * sum(abs(r[k]) for r in rows) / len(rows)
-    return (np.array([float(v / (1 - a)) for v in value]),
-            np.array([float(v / (1 - a)) for v in scale]))
-
-
 ROADMAP_8X2 = np.array([[2, 1], [1, 0], [0, 0], [0, 0], [0, 2], [1, 2], [1, 1], [2, 2]], float)
 ROADMAP_8X2_ES = {0.5: 3.0, 0.6: 3.25, 0.75: 3.5, 0.9: 4.0}
 
@@ -285,9 +264,9 @@ def _fraction_portfolios():
 def test_es_contributions_match_exact_tail_integral(comp, scale):
     p = Portfolio(comp * scale)
     for a in (0.1, 0.5, 0.6, 0.75, 0.9, 0.95, 0.99, 1 - 1e-6):
-        want, size = _exact_es_contributions(p, a)
+        want = oracle.es_euler(p.total, p.components, a)
         got = es_euler(p, a)
-        assert np.all(np.abs(got - want) <= 1e-12 * size), (a, got, want)
+        assert all(w.ulps(g) <= 16 for w, g in zip(want, got)), (a, got, want)
 
 
 @pytest.mark.parametrize("scale", [1e-15, 1.0, 1e15])

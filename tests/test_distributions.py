@@ -2,12 +2,11 @@
 
 import math
 import re
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+import oracle
 import pytest
-from scipy import integrate
 
 from tailrisk.distributions import (
     _FAMILY_PARAMS,
@@ -125,37 +124,26 @@ def test_mean_zero_at_half_exponent_student():
 
 # ------------------------------------------------ quadrature cross-checks
 
-def _upper_tail_integral(dist, lo_level):
-    """integral of q(u) over (lo_level, 1) via u = 1 - exp(-t).
-
-    The substitution turns the quantile blow-up at u = 1 into an
-    exponentially damped integrand that quad copes with for every family.
-    Truncated at t = 45 where the damped integrand is ~1e-10 for the
-    heaviest tail in the suite; the cutoff is folded into the error.
-    """
-    t0 = -np.log1p(-lo_level)
-    umax = np.nextafter(1.0, 0.0)
-    val, err = integrate.quad(
-        lambda t: dist.quantile(min(-np.expm1(-t), umax)) * np.exp(-t),
-        t0, 45.0, limit=300)
-    return val, err + 1e-8
-
-
+# the quadrature is good to its own error estimate: the tolerance is that,
+# plus ulps of the integral of |q| the value averages
 @pytest.mark.parametrize("dist", CONTINUOUS, ids=lambda d: repr(d))
 def test_es_matches_quantile_quadrature(dist):
     for beta in (0.1, 0.7, 0.95):
-        raw, err = _upper_tail_integral(dist, beta)
+        raw, err = oracle.es_quadrature(dist.quantile, beta)
+        terms, _ = oracle.es_quadrature(lambda u: abs(dist.quantile(u)), beta)
         want = raw / (1.0 - beta)
-        assert abs(dist.es(beta) - want) < 1e-9 * (1 + abs(want)) + 10 * err
+        assert abs(dist.es(beta) - want) <= 64 * oracle.EPS * terms / (1.0 - beta) + 10 * err
 
 
 @pytest.mark.parametrize("dist", CONTINUOUS, ids=lambda d: repr(d))
 def test_eplus_matches_quantile_quadrature(dist):
     m = dist.quantile(0.9)
     level = dist.cdf(m)
-    raw, err = _upper_tail_integral(dist, level)
+    raw, err = oracle.es_quadrature(dist.quantile, level)
+    terms, _ = oracle.es_quadrature(lambda u: abs(dist.quantile(u)), level)
     want = raw - (1.0 - level) * m
-    assert abs(dist.eplus(m) - want) < 1e-9 * (1 + abs(want)) + 10 * err
+    terms += (1.0 - level) * abs(m)
+    assert abs(dist.eplus(m) - want) <= 64 * oracle.EPS * terms + 10 * err
 
 
 @pytest.mark.parametrize("dist", CONTINUOUS, ids=lambda d: repr(d))
@@ -446,15 +434,6 @@ def test_distortion_scalar_call_matches_array_element_bit_for_bit(phi):
 
 # ------------------------------------------- empirical ES, exactly
 
-def _exact_es(xs, suffix, beta):
-    """The tail average at level beta of the sorted sample ``xs`` (exact
-    rationals, ``suffix[i]`` = sum of xs[i:]), in exact arithmetic."""
-    n, b = len(xs), Fraction(beta)
-    i = math.ceil(n * b)
-    partial = (Fraction(i, n) - b) * xs[i - 1] if i else 0
-    return (partial + suffix[i] / n) / (1 - b)
-
-
 def _es_samples():
     rng = np.random.default_rng(11)
     yield pytest.param(np.r_[np.zeros(990), np.ones(10)], id="ten 1s in 1000")
@@ -476,22 +455,16 @@ def _es_levels(n):
 
 @pytest.mark.parametrize("values", list(_es_samples()))
 def test_sample_es_matches_exact_rational_evaluation(values):
-    s = Sample(values)
+    s, law = Sample(values), oracle.Discrete(values)
     levels = _es_levels(s.n)
     got_all = s.es(np.array(levels))
-    eps = np.finfo(float).eps
-    xs = [Fraction(float(v)) for v in s.values]
-    suffix = [Fraction(0)] * (s.n + 1)
-    for j in range(s.n - 1, -1, -1):
-        suffix[j] = suffix[j + 1] + xs[j]
     for k, beta in enumerate(levels):
         got = s.es(beta)
         assert got == got_all[k]
-        want = _exact_es(xs, suffix, beta)
+        want = law.es(beta)
         # relative to the tail's magnitude: the suffix sum carries n roundings
-        i = max(math.ceil(s.n * Fraction(beta)), 1)
-        scale = float(np.max(np.abs(s.values[i - 1:])))
-        assert abs(Fraction(got) - want) <= 4 * s.n * eps * scale, (beta, got, float(want))
+        scale = max(abs(law.var(beta).value), abs(law.x[-1]))
+        assert oracle.ulps(got, want.value, scale) <= 4 * s.n, (beta, got, float(want.value))
         if beta > 0.0:
             assert got >= s.quantile(beta), (beta, got, s.quantile(beta))
 

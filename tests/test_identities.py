@@ -1,0 +1,115 @@
+"""The paper's identities on tied and atomic laws at any magnitude, against
+the exact references of ``tests/oracle.py``.
+
+Samples of integers over 1, 3 or 10 (ties) and two-point laws with
+p = k/64, scaled by 10^U(-15, 15), at levels up to 1 - 1e-10.  Every
+tolerance is a number of ulps of the identity's own terms (``oracle.ulps``).
+"""
+
+import numpy as np
+import oracle
+from hypothesis import given, settings, strategies as st
+
+from tailrisk.allocation import Portfolio, es_euler, expectile_euler
+from tailrisk.distributions import Sample, TwoPoint
+from tailrisk.risk_core import (
+    beta_star,
+    expectile,
+    expectile_bounds,
+    expectile_from_es,
+    expected_shortfall,
+    value_at_risk,
+)
+
+scales = st.floats(-15.0, 15.0).map(lambda u: 10.0 ** u)
+tied_values = st.tuples(st.lists(st.integers(-50, 50), min_size=2, max_size=40),
+                        st.sampled_from([1.0, 3.0, 10.0])).map(lambda t: np.array(t[0]) / t[1])
+
+
+@st.composite
+def sources(draw):
+    """A Sample with ties, or a two-point law, at a scale 10^U(-15, 15)."""
+    s = draw(scales)
+    if draw(st.booleans()):
+        return Sample(s * draw(tied_values.filter(lambda v: v.max() > v.min())))
+    lo, gap = draw(st.integers(-50, 50)), draw(st.integers(1, 50))
+    return TwoPoint(s * lo, s * (lo + gap), draw(st.integers(1, 63)) / 64)
+
+
+expectile_levels = st.floats(0.5, 1.0 - 1e-10)
+es_levels = st.floats(0.0, 1.0 - 1e-10)
+inner_levels = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@settings(deadline=None, max_examples=150)
+@given(sources(), expectile_levels, inner_levels)
+def test_bound_chain(src, alpha, beta):
+    # lower <= e <= upper <= es_cap, with e the oracle's
+    law, b = oracle.of(src), expectile_bounds(src, alpha, beta)
+    e = law.expectile(alpha)
+    wu = (1 - alpha) / alpha
+    upper_terms = (1 - wu) * law.es(alpha).terms + wu * law.mean().terms
+    cap_terms = law.es((2 * alpha - 1) / alpha).terms
+    assert oracle.ulps_above(b.lower, e.value, oracle.reconstruction(law, alpha, beta).terms) <= 4
+    assert oracle.ulps_above(e.value, b.upper, upper_terms) <= 4
+    assert oracle.ulps_above(b.upper, b.es_cap, upper_terms + cap_terms) <= 4
+
+
+@settings(deadline=None, max_examples=150)
+@given(sources(), expectile_levels)
+def test_beta_star_reconstruction(src, alpha):
+    # every level in [P[L < e], P[L <= e]] gives back the oracle's e
+    law, bs = oracle.of(src), beta_star(src, alpha)
+    e = law.expectile(alpha)
+    assert e.ulps(bs.expectile) <= 4
+    for beta in (bs.lower, 0.5 * (bs.lower + bs.upper), bs.upper):
+        if 0.0 < beta < 1.0:
+            terms = e.terms + oracle.reconstruction(law, alpha, beta).terms
+            assert oracle.ulps(expectile_from_es(src, alpha, beta), e.value, terms) <= 4
+
+
+def _transformed(src, scale, shift):
+    if isinstance(src, Sample):
+        return Sample(scale * src.values + shift)
+    return TwoPoint(scale * src.x1 + shift, scale * src.x2 + shift, src.p)
+
+
+@settings(deadline=None, max_examples=150)
+@given(sources(), expectile_levels, es_levels, scales, st.floats(-1.0, 1.0))
+def test_translation_and_scale_equivariance(src, alpha, level, scale, shift):
+    # a monotone map of the values maps the order statistics: VaR exactly;
+    # ES and the expectile to ulps of their terms, against the oracle too
+    q, es, e = value_at_risk(src, alpha), expected_shortfall(src, level), expectile(src, alpha)
+    for c, t in ((scale, 0.0), (1.0, shift * float(np.max(np.abs(oracle.of(src).x))))):
+        moved = _transformed(src, c, t)
+        law = oracle.of(moved)
+        assert value_at_risk(moved, alpha) == c * q + t
+        es_want, e_want = law.es(level), law.expectile(alpha)
+        assert es_want.ulps(expected_shortfall(moved, level)) <= 8
+        assert e_want.ulps(expectile(moved, alpha)) <= 8
+        # c x + t rounds with the terms of both its parts
+        es_terms, e_terms = es_want.terms + abs(c * es) + abs(t), e_want.terms + abs(c * e) + abs(t)
+        assert oracle.ulps(expected_shortfall(moved, level), c * es + t, es_terms) <= 8
+        assert oracle.ulps(expectile(moved, alpha), c * e + t, e_terms) <= 8
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(tied_values, min_size=1, max_size=4), scales,
+       st.floats(0.0, 1.0 - 1e-10, exclude_min=True), expectile_levels)
+def test_full_allocation(columns, scale, es_level, alpha):
+    # the contributions are the oracle's, the expectile's split at the
+    # library's root, and add up to the portfolio's ES and exact expectile.
+    # check=False: the library's own full-allocation check bounds the sum by
+    # the contributions, which cancel where e is near 0 against losses of
+    # either sign, and raises there
+    n = min(map(len, columns))
+    p = Portfolio(scale * np.column_stack([c[:n] for c in columns]))
+    contrib, e = expectile_euler(p, alpha, check=False, full_output=True)
+    for got, want, total in (
+        (es_euler(p, es_level), oracle.es_euler(p.total, p.components, es_level),
+         oracle.of(Sample(p.total)).es(es_level)),
+        (contrib, oracle.expectile_euler(p.total, p.components, alpha, e),
+         oracle.of(Sample(p.total)).expectile(alpha)),
+    ):
+        assert all(w.ulps(c) <= 8 for c, w in zip(got, want)), (got, want)
+        assert oracle.ulps(got.sum(), total.value, sum(w.terms for w in want)) <= 8

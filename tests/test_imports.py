@@ -10,7 +10,9 @@ name an ``import`` binds must be read somewhere in the same module; names
 re-exported through ``__all__`` and ``from __future__`` imports are
 exempt.  Dead private names: every single-underscore name bound at module
 or class level in the package must be read somewhere in the package, as a
-name or as an attribute.
+name or as an attribute.  Unused references: every public function of
+``tests/oracle.py``, and every public method of its classes, must be read
+by another test module, and its private names within it.
 """
 
 import ast
@@ -28,6 +30,7 @@ from tailrisk import StudentT
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "tailrisk").glob("*.py"))
 MODULES = PACKAGE + [p for d in ("demos", "tests") for p in sorted((ROOT / d).glob("*.py"))]
+ORACLE = ROOT / "tests" / "oracle.py"
 
 
 def _exported(tree: ast.Module) -> set:
@@ -85,7 +88,7 @@ def dead_private_names(sources: dict) -> list:
 
 
 def test_scan_covers_package_demos_and_tests():
-    assert len(MODULES) == 24
+    assert len(MODULES) == 26 and ORACLE in MODULES
 
 
 def test_scan_flags_unused_and_spares_used_names():
@@ -134,6 +137,32 @@ def test_dead_name_scan_flags_unread_and_spares_read_names():
 
 def test_no_dead_private_names():
     assert dead_private_names({p.stem: p.read_text() for p in PACKAGE}) == []
+
+
+def unused_functions(source: str, readers: list) -> list:
+    """Public functions of ``source``, and public methods of its classes,
+    that no module in ``readers`` reads as a name or attribute."""
+    read = set()
+    for tree in map(ast.parse, readers):
+        read |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        read |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    body = ast.parse(source).body
+    body += [m for n in body if isinstance(n, ast.ClassDef) for m in n.body]
+    return [n.name for n in body if isinstance(n, ast.FunctionDef)
+            and not n.name.startswith("_") and n.name not in read]
+
+
+def test_unused_function_scan_flags_what_no_reader_calls():
+    source = ("def used(): pass\ndef unused(): pass\ndef _private(): pass\n"
+              "class Law:\n    def mean(self): pass\n    def spare(self): pass\n")
+    assert unused_functions(source, ["used()\nLaw().mean()\n"]) == ["unused", "spare"]
+
+
+def test_every_oracle_reference_is_called_from_a_test():
+    # a reference that no test calls is dead code that nothing checks
+    readers = [p.read_text() for p in MODULES if p.parent.name == "tests" and p != ORACLE]
+    assert unused_functions(ORACLE.read_text(), readers) == []
+    assert dead_private_names({"oracle": ORACLE.read_text()}) == []
 
 
 def _fresh(code: str, *args: str) -> str:

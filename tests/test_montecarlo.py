@@ -1,12 +1,10 @@
 """Simulation tables, seeding, Wasserstein machinery, figure data."""
 
 import math
-from fractions import Fraction
 
 import numpy as np
+import oracle
 import pytest
-from scipy.integrate import quad
-from scipy.special import stdtr
 
 from tailrisk import montecarlo, risk_core
 from tailrisk.asymptotics import ExpansionCurveRow, expansion_curve
@@ -130,29 +128,6 @@ def test_table_cells_build_no_sample_and_sort_only_the_tail(monkeypatch):
         assert len(sorts) == 1 and sorts[0] < 0.02 * n
 
 
-def _exact_cell(values, alpha):
-    """(VaR, ES, expectile) at alpha of equally likely values, as Fractions.
-
-    VaR is the i-th smallest value, i = ceil(n alpha); ES the tail average
-    [(i/n - alpha) x_(i) + sum_{j>i} x_(j)/n] / (1 - alpha); the expectile
-    the zero of (2 alpha - 1) E[(L-m)+] + (1 - alpha)(E[L] - m), linear in m
-    while the values above m stay fixed.
-    """
-    x = sorted(Fraction(v) for v in values)
-    n, a = len(x), Fraction(alpha)
-    i = max(math.ceil(n * a), 1)
-    suffix = [Fraction(0)] * (n + 1)
-    for j in range(n - 1, -1, -1):
-        suffix[j] = suffix[j + 1] + x[j]
-    es = ((Fraction(i, n) - a) * x[i - 1] + suffix[i] / n) / (1 - a)
-    a1, a0 = 2 * a - 1, 1 - a
-    for j in range(1, n + 1):  # the values above m are x[j:]
-        m = (a1 * suffix[j] + a0 * suffix[0]) / (a1 * (n - j) + a0 * n)
-        if x[j - 1] <= m and (j == n or m <= x[j]):
-            return x[i - 1], es, m
-    raise AssertionError("no segment holds the root")
-
-
 # (law, alpha, n, ratio denominator): tied draws (9 ones among 2000 for
 # master seed 1, so at 0.99 the tie block at 0 straddles the quantile and at
 # 0.9961 the one at 1 does), a constant law, n = 1 and 2, alpha = 1/2, and
@@ -181,8 +156,8 @@ CELL_CASES = [
 @pytest.mark.parametrize("law,alpha,n,vs", CELL_CASES)
 def test_cell_ratio_matches_exact_rational_evaluation(law, alpha, n, vs):
     dist = parse_distribution(law)
-    values = dist.sample(n, seed=cell_seed(1, 0, 0, 0)).values
-    var, es, e = _exact_cell(values, alpha)
+    law = oracle.Discrete(dist.sample(n, seed=cell_seed(1, 0, 0, 0)).values)
+    var, es, e = law.var(alpha).value, law.es(alpha).value, law.expectile(alpha).value
     want = float(e / (es if vs == "es" else var))
     row = ratio_table(SimulationConfig(dist, (alpha,), (n,), seed=1, vs=vs))[0]
     assert abs(row.empirical[0] - want) <= 1e-14 * abs(want)
@@ -240,57 +215,19 @@ def test_two_point_distance_by_hand():
     assert abs(wasserstein_exact(s, d) - 0.25) < 1e-12
 
 
-def _w1_reference(values, cdf, sf, lower):
-    """int |F_n(x) - F(x)| dx by adaptive quadrature in x.
-
-    One piece per gap between consecutive distinct order statistics, where
-    F_n is constant, plus int F below the sample minimum and int (1 - F)
-    above its maximum.  Shares nothing with ``wasserstein_exact``, which
-    integrates quantiles in u through the model's ES.
-    """
-    z, counts = np.unique(values, return_counts=True)
-    level = np.cumsum(counts) / len(values)
-    opts = dict(epsabs=0.0, epsrel=1e-13, limit=200)
-    total = quad(cdf, lower, z[0], **opts)[0] if lower < z[0] else 0.0
-    for a, b, c in zip(z[:-1], z[1:], level[:-1]):
-        total += quad(lambda x: abs(c - cdf(x)), a, b, **opts)[0]
-    return total + quad(sf, z[-1], np.inf, **opts)[0]
-
-
-def _pareto_cdf(x):
-    return -np.expm1(-2.1 * np.log1p(x)) if x > 0.0 else 0.0
-
-
-def _pareto_sf(x):
-    return (1.0 + x) ** -2.1 if x > 0.0 else 1.0
-
-
-def _power_cdf(x):
-    return min(max(x, 0.0), 1.0) ** 1.1
-
-
-# (model, cdf, survival function, lower end of the support), the CDFs in
-# closed form or straight from scipy.special, valid (clipped to [0, 1])
-# outside the support too
-W1_MODELS = (
-    (Pareto(2.1), _pareto_cdf, _pareto_sf, 0.0),
-    (Exponential(), lambda x: -np.expm1(-x), lambda x: np.exp(-x), 0.0),
-    (Uniform01(), lambda x: min(max(x, 0.0), 1.0), lambda x: min(max(1.0 - x, 0.0), 1.0), 0.0),
-    (StudentT(2.3), lambda x: stdtr(2.3, x), lambda x: stdtr(2.3, -x), -np.inf),
-    (PowerBeta(1.1), _power_cdf, lambda x: 1.0 - _power_cdf(x), 0.0),
-)
+W1_MODELS = (Pareto(2.1), Exponential(), Uniform01(), StudentT(2.3), PowerBeta(1.1))
 
 
 def test_exact_matches_fine_quadrature():
-    for dist, cdf, sf, lower in W1_MODELS:
+    for dist in W1_MODELS:
         for n in (1, 20, 200):
             smp = dist.sample(n, seed=9)
-            want = _w1_reference(smp.values, cdf, sf, lower)
+            want = oracle.w1_quadrature(smp.values, dist)
             assert wasserstein_exact(smp, dist) == pytest.approx(want, rel=1e-8, abs=0.0)
     # ties in the sample; the model's atoms sit on sample points
     smp = Sample(np.array([0.0, 0.0, 1.0, 1.0, 1.0, 2.0]))
     d = TwoPoint(0.0, 2.0, 0.5)
-    want = _w1_reference(smp.values, d.cdf, lambda x: 1.0 - d.cdf(x), 0.0)
+    want = oracle.w1_quadrature(smp.values, d)
     assert want == pytest.approx(0.5, rel=1e-12)
     assert wasserstein_exact(smp, d) == pytest.approx(0.5, rel=1e-12)
 
@@ -298,9 +235,9 @@ def test_exact_matches_fine_quadrature():
 def test_exact_matches_quadrature_over_many_runs():
     # at n = 5000 the sample crosses the model hundreds of times, so the
     # sum runs over many same-side runs and crossing blocks
-    for dist, cdf, sf, lower in (W1_MODELS[0], W1_MODELS[3]):
+    for dist in (W1_MODELS[0], W1_MODELS[3]):
         smp = dist.sample(5000, seed=4)
-        want = _w1_reference(smp.values, cdf, sf, lower)
+        want = oracle.w1_quadrature(smp.values, dist)
         assert wasserstein_exact(smp, dist) == pytest.approx(want, rel=1e-8, abs=0.0)
 
 
@@ -308,13 +245,13 @@ def test_exact_with_sample_points_outside_the_support():
     # below the support F = 0, above it F = 1: whole blocks on one side,
     # including the last block, whose right edge carries E(1) = 0
     uniform, pareto = W1_MODELS[2], W1_MODELS[0]
-    for (dist, cdf, sf, lower), values in (
+    for dist, values in (
         (uniform, [-0.2, 1.5]),
         (pareto, [-0.5, -0.1, 0.3, 2.0]),
         (pareto, [-2.0, -1.0]),
     ):
         smp = Sample(np.array(values))
-        want = _w1_reference(smp.values, cdf, sf, lower)
+        want = oracle.w1_quadrature(smp.values, dist)
         assert wasserstein_exact(smp, dist) == pytest.approx(want, rel=1e-8, abs=0.0)
     # by hand: int_0^1/2 (u + 0.2) du + int_1/2^1 (1.5 - u) du
     assert wasserstein_exact(Sample(np.array([-0.2, 1.5])), Uniform01()) == pytest.approx(0.6)

@@ -1,14 +1,13 @@
-"""Expectile, ES, VaR: closed forms, frozen references and properties."""
+"""Expectile, ES, VaR: closed forms and properties, against the 40-digit
+and exact laws of ``oracle``."""
 
 import gc
-import math
-from fractions import Fraction
 
 import mpmath
 import numpy as np
+import oracle
 import pytest
 from hypothesis import given, settings, strategies as st_h
-from scipy.special import lambertw
 
 from tailrisk import risk_core
 from tailrisk.distributions import (
@@ -35,42 +34,15 @@ from tailrisk.risk_core import (
     value_at_risk,
 )
 
-# Reference values computed with 30-digit arithmetic from the closed-form
-# tail functionals of each family (first-order condition solved by
-# bisection + Newton); 12 significant digits, keyed (spec, alpha) ->
-# (expectile, value at risk, expected shortfall).
-REFERENCE = {
-    ("pareto:a=2.1", 0.983): ("6.52186407182", "5.96054700723", "12.2883170138"),
-    ("pareto:a=2.1", 0.987): ("7.43409332592", "6.90901161227", "14.0990221689"),
-    ("pareto:a=2.1", 0.991): ("8.88715787562", "8.42258868280", "16.9885783944"),
-    ("pareto:a=2.1", 0.995): ("11.8035939348", "11.4660415293", "22.7988065559"),
-    ("pareto:a=2.1", 0.999): ("25.5390571757", "25.8269579528", "50.2151015462"),
-    ("student:nu=2.1", 0.983): ("4.79882073569", "5.01078905197", "9.75730988435"),
-    ("student:nu=2.1", 0.987): ("5.48907851864", "5.73354567931", "11.1137865237"),
-    ("student:nu=2.1", 0.991): ("6.58299629110", "6.87894341310", "13.2731459010"),
-    ("student:nu=2.1", 0.995): ("8.76712075945", "9.16566586145", "17.6041200463"),
-    ("student:nu=2.1", 0.999): ("18.9933404790", "19.8697957998", "37.9823935389"),
-    ("pareto:a=2.3", 0.983): ("5.01307403630", "4.87990127443", "9.40290225476"),
-    ("pareto:a=2.3", 0.987): ("5.66448746536", "5.60730917896", "10.6898547012"),
-    ("pareto:a=2.3", 0.991): ("6.68893207939", "6.75282138508", "12.7165301428"),
-    ("pareto:a=2.3", 0.995): ("8.70534195434", "9.01031685153", "16.7105605835"),
-    ("pareto:a=2.3", 0.999): ("17.7558942101", "19.1533768594", "34.6559744436"),
-    ("student:nu=2.3", 0.983): ("4.10694160025", "4.57807110661", "8.30112629300"),
-    ("student:nu=2.3", 0.987): ("4.65085879575", "5.18863668826", "9.35863625227"),
-    ("student:nu=2.3", 0.991): ("5.50010777041", "6.14195939201", "11.0183974986"),
-    ("student:nu=2.3", 0.995): ("7.15887759515", "8.00374526687", "14.2776921964"),
-    ("student:nu=2.3", 0.999): ("14.5361405969", "16.2794159827", "28.8600519030"),
-}
-
-
-@pytest.mark.parametrize("key", sorted(REFERENCE), ids=lambda k: f"{k[0]}-{k[1]}")
-def test_frozen_reference_values(key):
-    spec, alpha = key
+@pytest.mark.parametrize("spec", ["pareto:a=2.1", "student:nu=2.1", "pareto:a=2.3",
+                                  "student:nu=2.3"])
+@pytest.mark.parametrize("alpha", [0.983, 0.987, 0.991, 0.995, 0.999])
+def test_reference_values(spec, alpha):
     d = parse_distribution(spec)
-    want_e, want_q, want_es = (float(v) for v in REFERENCE[key])
-    assert abs(expectile(d, alpha) / want_e - 1) < 1e-10
-    assert abs(value_at_risk(d, alpha) / want_q - 1) < 1e-10
-    assert abs(expected_shortfall(d, alpha) / want_es - 1) < 1e-10
+    law = oracle.of(d)
+    assert abs(expectile(d, alpha) / law.expectile(alpha).value - 1) < 1e-10
+    assert abs(value_at_risk(d, alpha) / law.var(alpha).value - 1) < 1e-10
+    assert abs(expected_shortfall(d, alpha) / law.es(alpha).value - 1) < 1e-10
 
 
 # ------------------------------------------------------ closed forms
@@ -81,22 +53,20 @@ ALPHA_GRID_50 = np.linspace(0.501, 0.9995, 50)
 def test_uniform_expectile_closed_form():
     d = Uniform01()
     for a in ALPHA_GRID_50:
-        want = (np.sqrt(a * (1 - a)) - a) / (1 - 2 * a)
+        want = float(oracle.of(Uniform01()).expectile(a).value)
         assert abs(expectile(d, a) - want) <= 1e-9
 
 
 def test_exponential_expectile_closed_form():
     d = Exponential()
     for a in ALPHA_GRID_50:
-        want = 1 + lambertw((2 * a - 1) / ((1 - a) * np.e)).real
-        assert abs(expectile(d, a) - want) <= 1e-9 * (1 + want)
+        assert oracle.of(d).expectile(a).ulps(expectile(d, a)) <= 4
 
 
 def test_pareto2_expectile_closed_form():
     d = Pareto(2.0)
     for a in ALPHA_GRID_50:
-        want = np.sqrt(a * (1 - a)) / (1 - a)
-        assert abs(expectile(d, a) - want) <= 1e-9 * (1 + want)
+        assert oracle.of(d).expectile(a).ulps(expectile(d, a)) <= 4
 
 
 # levels down to tail probability 1e-10, where an absolute solver
@@ -104,47 +74,13 @@ def test_pareto2_expectile_closed_form():
 SOLVER_LEVELS = [0.6, 0.9, 0.99, 0.999, 1 - 1e-4, 1 - 1e-6, 1 - 1e-8, 1 - 1e-10]
 
 
-def _uniform_exact(a):
-    return (mpmath.sqrt(a * (1 - a)) - a) / (1 - 2 * a)
-
-
-def _exponential_exact(a):
-    return 1 + mpmath.lambertw((2 * a - 1) / ((1 - a) * mpmath.e)).real
-
-
-def _pareto2_exact(a):
-    return mpmath.sqrt(a * (1 - a)) / (1 - a)
-
-
 @pytest.mark.parametrize("alpha", SOLVER_LEVELS)
-@pytest.mark.parametrize("dist, exact", [
-    (Uniform01(), _uniform_exact),
-    (Exponential(), _exponential_exact),
-    (Pareto(2.0), _pareto2_exact),
-], ids=["uniform", "exp", "pareto2"])
-def test_expectile_solver_matches_closed_form_to_1e13(dist, exact, alpha):
+@pytest.mark.parametrize("dist", [Uniform01(), Exponential(), Pareto(2.0)],
+                         ids=["uniform", "exp", "pareto2"])
+def test_expectile_solver_matches_closed_form_to_1e13(dist, alpha):
     with mpmath.workdps(40):
-        want = exact(mpmath.mpf(alpha))
+        want = oracle.of(dist).expectile(alpha).value
         assert abs(expectile(dist, alpha) / want - 1) <= 1e-13
-
-
-def _segment_roots_exact(values, alpha):
-    """Every zero of the first-order condition, solved segment by segment in
-    rational arithmetic: on (u_j, u_{j+1}) the losses above m are those
-    >= u_{j+1}, so g is linear there."""
-    xs = [Fraction(v) for v in values]
-    a, n = Fraction(alpha), len(xs)
-    mean = sum(xs) / n
-    distinct = sorted(set(xs))
-    roots = []
-    for lo, hi in zip(distinct, distinct[1:]):
-        above = [x for x in xs if x >= hi]
-        # (2a-1)(sum(above) - k m)/n + (1-a)(mean - m) = 0
-        m = ((2 * a - 1) * sum(above) / n + (1 - a) * mean) / (
-            (2 * a - 1) * len(above) / n + (1 - a))
-        if lo <= m <= hi:
-            roots.append(m)
-    return roots
 
 
 TIED_SAMPLES = [
@@ -158,12 +94,11 @@ TIED_SAMPLES = [
 
 @pytest.mark.parametrize("values", TIED_SAMPLES, ids=range(len(TIED_SAMPLES)))
 def test_sample_expectile_is_exact_segment_root(values):
+    law = oracle.Discrete(values)
     for a in (0.5 + 1e-9, 0.6, 0.7, 0.75, 0.9, 0.99, 1 - 1e-10):
-        roots = _segment_roots_exact(values, a)
-        assert len(set(roots)) == 1
-        want = roots[0]
+        want = law.expectile(a).value
         got = expectile(Sample(values), a)
-        assert abs(Fraction(got) - want) <= 4 * np.finfo(float).eps * abs(want)
+        assert oracle.ulps(got, want, abs(float(want))) <= 4
 
 
 def test_expectile_leaves_no_reference_cycle():
@@ -225,7 +160,8 @@ def test_foc_residual_vanishes_at_expectile():
     for src in (Pareto(2.1), StudentT(2.3), Sample([0.0, 1.0, 1.0, 6.0])):
         for a in (0.6, 0.9, 0.99):
             e = expectile(src, a)
-            assert abs(foc_residual(src, a, e)) < 1e-9 * (1 + abs(e))
+            terms = oracle.foc(oracle.of(src), a, e).terms
+            assert oracle.ulps(foc_residual(src, a, e), 0.0, terms) <= 8
             assert foc_residual(src, a, e - 0.5) > 0
             assert foc_residual(src, a, e + 0.5) < 0
 
@@ -255,6 +191,34 @@ def test_expected_shortfall_check_flag():
                 expected_shortfall(src, a)
 
 
+def _es_check_sources():
+    draws = Pareto(2.1).sample(1000, seed=5).values
+    for s in (1e-15, 1.0, 1e15):
+        for name, values in (("", draws), ("tied ", np.round(draws)), ("negative ", -draws)):
+            yield pytest.param(Sample(s * values), 0.0, id=f"{name}sample x {s:g}")
+        yield pytest.param(TwoPoint(0.0, s, 0.5), 0.0, id=f"two-point x {s:g}")
+    for base in (Pareto(2.1), StudentT(2.3)):
+        for shift in (-1e6, 1e6):
+            yield pytest.param(base.with_shift(shift), shift, id=f"{base.label} shift {shift:g}")
+
+
+@pytest.mark.parametrize("src, shift", list(_es_check_sources()))
+def test_es_check_is_relative_to_its_terms(monkeypatch, src, shift):
+    # unplanted, the check passes on the oracle's value; an ES off by 1e-6
+    # of itself fails it at every scale and shift
+    levels = (0.0, 0.3, 0.9, 0.99) if isinstance(src, Sample) else (0.3, 0.9, 0.99)
+    law = oracle.of(src if isinstance(src, Sample) else src.with_shift(0.0))
+    for a in levels:
+        want = law.es(a)
+        got = expected_shortfall(src, a, check=True)
+        assert oracle.ulps(got, want.value + shift, want.terms + abs(shift)) <= 32, (a, got)
+    es = type(src).es
+    monkeypatch.setattr(type(src), "es", lambda self, beta: es(self, beta) * (1.0 + 1e-6))
+    for a in levels:
+        with pytest.raises(AssertionError, match="expected-shortfall cross-check"):
+            expected_shortfall(src, a, check=True)
+
+
 def test_two_point_expectile_anchor():
     # symmetric unit two-point law at alpha = 0.9: e = 0.9 exactly
     d = TwoPoint(0.0, 1.0, 0.5)
@@ -272,14 +236,16 @@ def test_expectile_is_scale_free(s):
 
 def test_oce_matches_es_mixture():
     for src in (Pareto(2.3), Uniform01(), Sample([0.0, 1.0, 1.0, 6.0])):
-        mu = src.mean()
+        mu, ref = src.mean(), oracle.of(src)
         for a in (0.05, 0.3, 0.7):
             for b in (0.0, 0.25, 0.8, 1.0):
                 lam = (1 - a) / (1 - a * b)
                 want = mu if b == 1.0 else \
                     (1 - b) * expected_shortfall(src, lam) + b * mu
                 got = oce(src, a, b, check=True)
-                assert abs(got - want) < 1e-12 * (1 + abs(want))
+                terms = ref.mean().terms if b == 1.0 else \
+                    (1 - b) * ref.es(lam).terms + b * ref.mean().terms
+                assert oracle.ulps(got, want, terms) <= 4
 
 
 @pytest.mark.parametrize("scale", [1e-15, 1.0, 1e15])
@@ -314,17 +280,19 @@ def test_oce_rejects_bad_parameters():
 def test_beta_star_interval_and_reconstruction():
     for src in (Pareto(2.1), Uniform01(), Sample([0.0, 1.0, 1.0, 6.0]),
                 TwoPoint(0.0, 1.0, 0.5)):
+        ref = oracle.of(src)
         for a in (0.6, 0.9, 0.99):
             bs = beta_star(src, a)
             e = expectile(src, a)
-            assert abs(bs.expectile - e) < 1e-12 * (1 + abs(e))
+            assert bs.expectile == e
             assert bs.lower <= bs.point <= bs.upper
             assert abs(bs.lower - src.prob_lt(e)) < 1e-12
             assert abs(bs.upper - src.cdf(e)) < 1e-12
             for beta in (bs.lower, 0.5 * (bs.lower + bs.upper), bs.upper):
                 if 0.0 < beta < 1.0:
                     back = expectile_from_es(src, a, beta)
-                    assert abs(back - e) < 1e-9 * (1 + abs(e))
+                    terms = oracle.reconstruction(ref, a, beta).terms
+                    assert oracle.ulps(back, e, terms) <= 4
 
 
 def test_beta_star_two_point_value():
@@ -376,13 +344,19 @@ def test_bounds_chain():
     rng = np.random.default_rng(3)
     for src in (Pareto(2.1), StudentT(2.3), Uniform01(),
                 Sample(rng.standard_normal(200))):
+        ref = oracle.of(src)
         for a in (0.6, 0.9, 0.99):
             e = expectile(src, a)
+            e_terms = ref.expectile(a).terms
+            wu = (1 - a) / a
+            upper_terms = (1 - wu) * ref.es(a).terms + wu * ref.mean().terms
             for beta in (0.1, a, 0.95):
                 b = expectile_bounds(src, a, beta)
-                assert b.lower <= e + 1e-12 * (1 + abs(e))
-                assert e <= b.upper + 1e-12 * (1 + abs(e))
-                assert e <= b.es_cap + 1e-12 * (1 + abs(e))
+                lower_terms = oracle.reconstruction(ref, a, beta).terms
+                cap_terms = ref.es((2 * a - 1) / a).terms
+                assert oracle.ulps_above(b.lower, e, e_terms + lower_terms) <= 4
+                assert oracle.ulps_above(e, b.upper, e_terms + upper_terms) <= 4
+                assert oracle.ulps_above(e, b.es_cap, e_terms + cap_terms) <= 4
 
 
 def test_bounds_two_point_upper_value():
@@ -472,10 +446,11 @@ levels = st_h.floats(min_value=0.5, max_value=0.995)
 @settings(deadline=None, max_examples=120)
 @given(finite_arrays, levels)
 def test_expectile_between_mean_and_es(values, alpha):
-    s = Sample(values)
+    s, law = Sample(values), oracle.Discrete(values)
     e = expectile(s, alpha)
-    scale = 1 + abs(s.mean()) + abs(s.es(alpha))
-    assert s.mean() - 1e-9 * scale <= e <= s.es(alpha) + 1e-9 * scale
+    terms = law.expectile(alpha).terms + law.mean().terms + law.es(alpha).terms
+    assert oracle.ulps_above(s.mean(), e, terms) <= 4
+    assert oracle.ulps_above(e, s.es(alpha), terms) <= 4
 
 
 @settings(deadline=None, max_examples=120)
@@ -487,7 +462,9 @@ def test_reconstruction_identity_property(values, alpha):
     mid = 0.5 * (bs.lower + bs.upper)
     if 0.0 < mid < 1.0:
         back = expectile_from_es(s, alpha, mid)
-        assert abs(back - e) < 1e-9 * (1 + abs(e))
+        law = oracle.Discrete(values)
+        terms = law.expectile(alpha).terms + oracle.reconstruction(law, alpha, mid).terms
+        assert oracle.ulps(back, e, terms) <= 4
 
 
 @settings(deadline=None, max_examples=120)
@@ -498,9 +475,13 @@ def test_expectile_monetary_axioms(values, alpha, shift, scale):
     e = expectile(s, alpha)
     shifted = expectile(Sample(np.asarray(values) + shift), alpha)
     scaled = expectile(Sample(np.asarray(values) * scale), alpha)
-    tol = 1e-9 * (1 + abs(e) + abs(shift)) * max(scale, 1.0)
-    assert abs(shifted - (e + shift)) < tol
-    assert abs(scaled - scale * e) < tol
+    # the shifted and scaled values are rounded: their own terms, and those
+    # of e carried over
+    e_terms = oracle.Discrete(values).expectile(alpha).terms
+    shifted_terms = oracle.Discrete(np.asarray(values) + shift).expectile(alpha).terms
+    scaled_terms = oracle.Discrete(np.asarray(values) * scale).expectile(alpha).terms
+    assert oracle.ulps(shifted, e + shift, shifted_terms + e_terms + abs(shift)) <= 16
+    assert oracle.ulps(scaled, scale * e, scaled_terms + scale * e_terms) <= 16
 
 
 @settings(deadline=None, max_examples=80)
@@ -519,15 +500,18 @@ def test_expectile_subadditive_on_joint_scenarios(pairs, alpha):
     y = np.array([p[1] for p in pairs])
     ex, ey = expectile(Sample(x), alpha), expectile(Sample(y), alpha)
     exy = expectile(Sample(x + y), alpha)
-    assert exy <= ex + ey + 1e-9 * (1 + abs(ex) + abs(ey))
+    terms = sum(oracle.Discrete(v).expectile(alpha).terms for v in (x, y, x + y))
+    assert oracle.ulps_above(exy, ex + ey, terms) <= 8
 
 
 @settings(deadline=None, max_examples=80)
 @given(finite_arrays, levels)
 def test_es_dominates_var(values, alpha):
+    # ES is q plus a mean excess that is never negative, also in floating
+    # point: no tolerance at all
     s = Sample(values)
     q = s.quantile(alpha)
-    assert s.es(alpha) >= q - 1e-12 * (1 + abs(q))
+    assert s.es(alpha) >= q
 
 
 # ------------------------------------ selection of raw values at one level
@@ -561,32 +545,19 @@ def _selection_levels(n):
     return sorted(a for a in levels if 0.5 <= a < 1.0)
 
 
-def _exact_tail(values, alpha):
-    """(q_alpha, ES_alpha as a Fraction) of equally likely values, and the
-    scale of ES's terms, |q_alpha| + sum of |x| above it / (n (1 - alpha)).
-
-    The sum above q_alpha is ``math.fsum``'s, the exact sum rounded once,
-    so the Fraction is within eps of the terms of the exact ES."""
-    n = values.size
-    i = int(risk_core.order_index(n, alpha))
-    top = np.sort(values)[i - 1:]
-    a = Fraction(alpha)
-    above = Fraction(math.fsum(top[1:].tolist()))
-    es = ((Fraction(i, n) - a) * Fraction(top[0]) + above / n) / (1 - a)
-    return top[0], es, abs(top[0]) + float(np.sum(np.abs(top[1:]))) / (n * (1.0 - alpha))
-
-
 @pytest.mark.parametrize("scale", [1e-15, 1.0, 1e15])
 @pytest.mark.parametrize("name, values", SELECTION_VALUES, ids=[v[0] for v in SELECTION_VALUES])
 def test_selection_matches_full_partition_and_exact_tail(monkeypatch, name, values, scale):
     x = values * scale
     n = x.size
-    eps = float(np.finfo(float).eps)
+    law = oracle.Discrete(x)
     for alpha in _selection_levels(n):
         sel = risk_core._select(x, alpha)
-        q, es, terms = _exact_tail(x, alpha)
+        # at the library's order statistic, which reads n alpha to 1e-14
+        i = int(risk_core.order_index(n, alpha))
+        q, es = law.var(alpha, i).value, law.es(alpha, i)
         assert sel.q == q, (alpha, sel.q, q)
-        assert abs(sel.es - float(es)) <= 64 * eps * terms, (alpha, sel.es, float(es))
+        assert es.ulps(sel.es) <= 64, (alpha, sel.es, float(es.value))
         # the kept rows ascend and hold every value at or above the threshold
         rows = np.arange(n) if sel.rows is None else sel.rows
         assert sel.t <= q and np.all(np.diff(rows) > 0)

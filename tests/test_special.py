@@ -3,8 +3,8 @@ scipy references (the hooks are backed by scipy.special.stdtr/stdtrit)."""
 
 import math
 
-import mpmath as mp
 import numpy as np
+import oracle
 import pytest
 import scipy.stats as st
 from scipy.special import stdtr
@@ -113,28 +113,16 @@ def test_student_es_is_finite_and_monotone_down_to_1e_300(nu):
     assert normal.sum() < b.size
 
 
-def _mp_student_es(nu, alpha):
-    """ES_alpha of the standard t to 40 digits: the tail average
-    E[T 1{T > q}]/(1 - alpha) = f(q) (nu + q^2)/((nu - 1)(1 - alpha)),
-    with q solved from the regularized incomplete beta tail."""
-    with mp.workdps(40):
-        nu, alpha = mp.mpf(nu), mp.mpf(alpha)
-        log_c = mp.loggamma((nu + 1) / 2) - mp.loggamma(nu / 2) - mp.log(nu * mp.pi) / 2
-        sf = lambda q: mp.betainc(nu / 2, mp.mpf(1) / 2, 0, nu / (nu + q * q),
-                                  regularized=True) / 2
-        q = mp.findroot(lambda q: sf(q) - (1 - alpha), mp.sqrt(2) * mp.erfinv(2 * alpha - 1))
-        f = mp.exp(log_c - (nu + 1) / 2 * mp.log1p(q * q / nu))
-        return float(f * (nu + q * q) / ((nu - 1) * (1 - alpha)))
-
-
 @pytest.mark.parametrize("nu", [1.01, 2.3, 100.0, 1e4, 1e8, 1e12, 1e17])
 def test_student_es_keeps_relative_accuracy_at_any_nu(nu):
     # the density's normalization differences two lgamma values, which
     # cancel as nu grows: ES was 9e-12 off at nu = 1e4, 1e-8 at 1e8 and
-    # 100% at 1e17 before large nu took the series
+    # 100% at 1e17 before large nu took the series; the reference is the
+    # tail average with q from the incomplete beta, at 40 digits
     d = StudentT(nu)
+    ref = oracle.of(d)
     for alpha in (0.9, 0.99):
-        want = _mp_student_es(nu, alpha)
+        want = float(ref.es(alpha).value)
         assert abs(d.es(alpha) - want) <= 1e-13 * want, (alpha, d.es(alpha), want)
 
 
@@ -142,11 +130,7 @@ def test_student_es_keeps_relative_accuracy_at_any_nu(nu):
                                 1e17, 1e300])
 def test_student_log_normalization_against_mpmath(nu):
     # within 2 ulps of its size (about 0.92) above nu = 100, where the
-    # series replaces the two lgamma values; within 1e-13 below it.  The
-    # reference differences two log-gammas of size nu log nu: 40 digits
-    # past those
-    with mp.workdps(40 + int(math.log10(nu))):
-        n = mp.mpf(nu)
-        want = mp.loggamma((n + 1) / 2) - mp.loggamma(n / 2) - mp.log(n * mp.pi) / 2
+    # series replaces the two lgamma values; within 1e-13 below it
+    want = oracle.student_log_norm(nu)
     tol = 2.5e-16 if nu > 100.0 else 1e-13
     assert abs(_t_log_norm(nu) - float(want)) <= tol, (nu, _t_log_norm(nu), float(want))
