@@ -48,6 +48,7 @@ import numpy as np
 
 from .asymptotics import frechet_first_order_constant
 from .risk_core import (
+    _agree,
     _check_expectile_level,
     _check_var_level,
     _indices,
@@ -193,13 +194,14 @@ def expectile_euler(
     The body is {total <= e}, with no tolerance: a scenario tied with the
     root e adds nothing to either side of the first-order condition, so
     full allocation holds whichever side it is put on.  ``check=True``
-    asserts full allocation, sum(contrib) = e to 1e-12 relative to
-    sum |contrib|, and re-derives every contribution through the
-    ES-combination form (1 - w) ES_b(L_k|L) + w E[L_k] to 1e-9 relative to
-    the form's own terms, (1 - w)|ES_b(L_k|L)| + w|E[L_k]|, with the column
-    means from their reduction over all rows, not from the tail and body
-    sums.  ``full_output=True`` returns ``(contributions, e)``, with e the
-    portfolio expectile they allocate.
+    raises AssertionError (never RuntimeError: there is no quadrature)
+    unless the contributions add up to e to 1e-12 of the sum's terms,
+    sum_k ((2 alpha - 1) sum_{L > e} |L_k| + (1 - alpha) sum |L_k|) / (n den),
+    den = alpha + (1 - 2 alpha) P[L <= e], and each equals the ES-combination
+    form (1 - w) ES_b(L_k|L) + w E[L_k] to 1e-9 of its terms
+    (1 - w)|ES_b(L_k|L)| + w|E[L_k]|, the column means from their reduction
+    over all rows.  ``full_output=True`` returns ``(contributions, e)``,
+    with e the portfolio expectile they allocate.
     """
     _check_expectile_level(alpha)
     e, rows = _tail_expectile(p.total, alpha)
@@ -215,27 +217,20 @@ def expectile_euler(
     contrib = ((2.0 * alpha - 1.0) * tail + (1.0 - alpha) * means) / den
     if check:
         total = float(np.sum(contrib))
-        if abs(total - e) > 1e-12 * float(np.sum(np.abs(contrib))):
-            raise AssertionError(
-                f"expectile full allocation failed: contributions sum to {total!r}, "
-                f"portfolio expectile {e!r} at alpha={alpha}"
-            )
+        # sum |contrib| bounds the terms from below: only a miss of it pays
+        # the pass over the matrix that the terms take
+        if not abs(total - e) <= 1e-12 * float(np.sum(np.abs(contrib))):
+            tail_abs = np.abs(np.take(p.components, rows, axis=0)).sum()
+            terms = ((2.0 * alpha - 1.0) * tail_abs
+                     + (1.0 - alpha) * np.abs(p.components).sum()) / (n * den)
+            _agree(f"expectile full allocation at alpha={alpha}", total, e, terms, 1e-12)
     if check and 0 < n_le < n:
         w = (1.0 - alpha) / den
-        _check_es_combination(contrib, tail * (n / (n - n_le)), means, w, alpha)
+        es_contrib = tail * (n / (n - n_le))
+        _agree(f"expectile ES-combination cross-check at alpha={alpha}", contrib,
+               (1.0 - w) * es_contrib + w * means,
+               (1.0 - w) * np.abs(es_contrib) + w * np.abs(means), 1e-9)
     return (contrib, e) if full_output else contrib
-
-
-def _check_es_combination(contrib, es_contrib, means, w, alpha):
-    """Raise unless contrib = (1 - w) es_contrib + w means to 1e-9 relative
-    to the terms (1 - w)|es_contrib| + w|means|."""
-    alt = (1.0 - w) * es_contrib + w * means
-    terms = (1.0 - w) * np.abs(es_contrib) + w * np.abs(means)
-    if np.any(np.abs(alt - contrib) > 1e-9 * terms):
-        raise AssertionError(
-            "expectile allocation cross-check failed: weighted average "
-            f"{contrib!r} vs ES-combination {alt!r} at alpha={alpha}"
-        )
 
 
 class AsymptoticRatioRow(NamedTuple):

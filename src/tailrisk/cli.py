@@ -278,9 +278,9 @@ def _cmd_table(args) -> str:
     return ratio_table_csv(rows, ns)
 
 
-# --kind: (flag, the value it must exceed, family); power a > 0, finite mean otherwise
-_FIGURE_MODELS = {"weibull-beta": ("a", 0.0, PowerBeta), "frechet-pareto": ("a", 1.0, Pareto),
-                  "frechet-student": ("nu", 1.0, StudentT)}
+# --kind: (flag, family); the family rejects a parameter out of its range
+_FIGURE_MODELS = {"weibull-beta": ("a", PowerBeta), "frechet-pareto": ("a", Pareto),
+                  "frechet-student": ("nu", StudentT)}
 
 
 def _cmd_figure(args) -> str:
@@ -295,12 +295,10 @@ def _cmd_figure(args) -> str:
     hi = _expectile_level(args.alpha_max, flag="alpha-max")
     if not (lo < hi):
         raise _ValidationError(f"--alpha-min: {lo:g} must be below --alpha-max {hi:g}")
-    param, floor, family = _FIGURE_MODELS[kind]
+    param, family = _FIGURE_MODELS[kind]
     value = getattr(args, param)
     if value is None:
         raise _ValidationError(f"--{param}: required for kind {kind}")
-    if not value > floor:
-        raise _ValidationError(f"--{param}: kind {kind} needs {param} > {floor:g}, got {value:g}")
     if kind == "weibull-beta" and value == 1.0:
         raise _ValidationError("--a: a = 1 is the uniform law, which has no second-order curve")
     try:

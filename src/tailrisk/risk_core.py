@@ -108,6 +108,61 @@ def _is_constant(src: LossSource) -> bool:
     return lo == hi
 
 
+def _agree(check: str, value, ref, terms, tol: float, err: float = 0.0):
+    """Raise AssertionError naming ``check`` unless |value - ref| <= tol *
+    terms elementwise, ``terms`` being the magnitudes the identity adds up;
+    NaN fails.  ``err`` is the error estimate of a quadrature that gave a
+    scalar ``ref``: a miss it covers raises RuntimeError instead, since that
+    reference cannot resolve the tolerance."""
+    miss = abs(value - ref)
+    within = miss <= tol * terms  # False at NaN; a bool from scalars needs no numpy
+    if within if isinstance(within, bool) else within.all():
+        return
+    if err and miss <= tol * terms + err:
+        raise RuntimeError(f"{check}: the quadrature cannot resolve {tol:g} x terms {terms:.6g}: "
+                           f"its error estimate {err:.3g} covers the miss between {value!r} "
+                           f"and its reference {ref!r}")
+    raise AssertionError(f"{check} failed: {value!r} vs reference {ref!r}, "
+                         f"beyond {tol:g} x terms {terms!r}")
+
+
+def _quantile_quad(src: Distribution, lo: float, epsabs: float, weight=None):
+    """(int_lo^1 w q du, int_lo^1 w |q| du, error estimate of the first) by
+    adaptive quadrature of the quantile q, w = ``weight`` (positive) or 1,
+    to ``epsabs`` or 1e-12 relative, every node at or below 1 - 2^-53.
+
+    Cuts at 1/2 and at P[L < 0] inside the range give each end singularity
+    a piece and q one sign per piece.  Where P[L < 0] cuts a half, the
+    piece at the half's end lo or 1 is integrated and the other taken as
+    the half less it: a quadrature that ends close to a singular end, but
+    not at it, can miss the singularity in its value and its estimate."""
+    # imported on use: it takes about as long to import as the whole package
+    from scipy.integrate import IntegrationWarning, quad
+
+    def q(u):  # a node next to u = 1 can round to 1.0
+        return src.quantile(u if u < 1.0 else 1.0 - 2.0 ** -53)
+
+    f = q if weight is None else lambda u: weight(u) * q(u)
+
+    def integral(a, b):
+        return quad(f, a, b, epsabs=epsabs, epsrel=1e-12, limit=400)
+
+    p0 = float(src.prob_lt(0.0))
+    value = terms = err = 0.0
+    # a singular end makes quad warn of roundoff; the callers weigh its estimate
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        for a, b in ((lo, 0.5), (0.5, 1.0)) if lo < 0.5 else ((lo, 1.0),):
+            half, half_err = integral(a, b)
+            outer = half
+            if a < p0 < b:
+                outer = integral(a, p0)[0] if b == 0.5 else integral(p0, b)[0]
+            value += half
+            terms += abs(outer) + abs(half - outer)
+            err += half_err
+    return value, terms, err
+
+
 def value_at_risk(src: LossSource, alpha: float) -> float:
     """Left quantile q(alpha) = inf{m : P[L <= m] >= alpha}."""
     _check_var_level(alpha)
@@ -121,59 +176,28 @@ def expected_shortfall(src: LossSource, alpha: float, check: bool = False) -> fl
     formulas for parametric sources, exact order statistics and partial
     sums for empirical ones; both equal the tail average
     (1/(1-alpha)) int_alpha^1 q(u) du for every law, atoms included.
-    ``check=True`` re-derives the value independently (adaptive
-    quadrature of the quantile for parametric sources, the plug-in
-    q_alpha + E[(L-q_alpha)+]/(1-alpha) for empirical ones) and asserts
-    agreement to 1e-9 of the reference's own terms: |q_alpha| +
-    E[(L-q_alpha)+]/(1-alpha) for the plug-in, and for the quadrature (or
-    the mean at alpha = 0) the average of |q| it takes,
-    (2 (1-b) ES_b - (1-alpha) ES_alpha)/(1-alpha) with b = max(alpha,
-    P[L < 0]), q being negative below b and not above it.  The quadrature
-    runs to 1e-12 of the same terms, so the check is scale-free.
+    ``check=True`` compares it, through ``_agree``, to 1e-9 of the terms of
+    an independent reference.  For a sample that is the plug-in
+    q + E[(L-q)+]/(1-alpha) at q = q_alpha (the minimum at alpha = 0), with
+    terms |q| + E[(L-q)+]/(1-alpha); for a model, the quadrature
+    (1/(1-alpha)) int_alpha^1 q(u) du, run to 1e-12 of |ES_alpha|, with
+    terms (1/(1-alpha)) int_alpha^1 |q(u)| du.  A miss raises AssertionError,
+    or RuntimeError where the quadrature's error estimate covers it, as on
+    heavy tails past about alpha = 1 - 1e-4.
     """
     _check_es_level(alpha)
     val = float(src.es(alpha))
     if check:
-        if isinstance(src, Sample) and alpha > 0.0:
-            q = float(src.quantile(alpha))
+        check_name = f"expected-shortfall cross-check at alpha={alpha}"
+        if isinstance(src, Sample):
+            q = float(src.quantile(alpha)) if alpha > 0.0 else float(src.values[0])
             excess = float(src.eplus(q)) / (1.0 - alpha)
-            ref, terms = q + excess, abs(q) + excess
-        elif alpha == 0.0:
-            ref, terms = float(src.mean()), _abs_tail_mean(src, alpha, val)
+            _agree(check_name, val, q + excess, abs(q) + excess, 1e-9)
         else:
-            # imported on use: scipy.integrate takes about as long to import
-            # as the rest of the package
-            from scipy.integrate import IntegrationWarning, quad
-
-            terms = _abs_tail_mean(src, alpha, val)
-            # the quantile is singular at u=1 for unbounded families; the
-            # extrapolating quadrature handles it but grumbles about
-            # roundoff near machine tolerance, so check abserr ourselves.
-            # The absolute tolerance is 1e-12 of the terms: at unit terms
-            # the fixed 1e-12 it replaces, and a law of any magnitude is
-            # integrated to the same relative accuracy
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", IntegrationWarning)
-                integral, abserr = quad(
-                    lambda u: src.quantile(u), alpha, 1.0,
-                    epsabs=1e-12 * terms, epsrel=1e-12, limit=400,
-                )
-            ref = integral / (1.0 - alpha)
-        if abs(val - ref) > 1e-9 * terms:
-            raise AssertionError(
-                f"expected-shortfall cross-check failed: closed form {val!r} vs "
-                f"reference {ref!r} at alpha={alpha}"
-            )
+            integral, terms, err = _quantile_quad(src, alpha, 1e-12 * abs(val))
+            a = 1.0 - alpha
+            _agree(check_name, val, integral / a, terms / a, 1e-9, err / a)
     return val
-
-
-def _abs_tail_mean(src: LossSource, alpha: float, es_alpha: float) -> float:
-    """(1/(1-alpha)) int_alpha^1 |q(u)| du from ES alone: on (alpha, 1) q is
-    negative exactly below b = max(alpha, P[L < 0]), and (1-b) ES_b reads as
-    0 at b = 1, so no second quadrature is needed."""
-    b = max(alpha, float(src.prob_lt(0.0)))
-    es_b = float(src.es(b)) if alpha < b < 1.0 else es_alpha
-    return (2.0 * (1.0 - b) * es_b - (1.0 - alpha) * es_alpha) / (1.0 - alpha)
 
 
 def foc_residual(src: LossSource, alpha: float, m: float) -> float:
@@ -427,8 +451,9 @@ def oce(src: LossSource, a: float, b: float = 0.0, check: bool = False) -> float
     Equals (1-b) ES_{lam} + b E[L] with mixing level
     lam(a, b) = (1-a)/(1-ab); a = 1-alpha, b = 0 recovers ES_alpha.
     ``check=True`` re-evaluates the objective at its minimizer m, the
-    lam-quantile, and asserts agreement to 1e-9 relative to the direct
-    objective's own terms, |m| + E[(L-m)+]/a + b (E[(L-m)+] + |E[L]| + |m|).
+    lam-quantile, and raises AssertionError (never RuntimeError: there is
+    no quadrature) unless the two agree to 1e-9 of the direct objective's
+    own terms, |m| + E[(L-m)+]/a + b (E[(L-m)+] + |E[L]| + |m|).
     """
     a = float(a)
     b = float(b)
@@ -444,11 +469,7 @@ def oce(src: LossSource, a: float, b: float = 0.0, check: bool = False) -> float
         ep = float(src.eplus(m))
         direct = m + ep / a - b * (ep - mu + m)
         terms = abs(m) + ep / a + b * (ep + abs(mu) + abs(m))
-        if abs(direct - val) > 1e-9 * terms:
-            raise AssertionError(
-                f"oce cross-check failed: representation {val!r} vs direct "
-                f"objective {direct!r} at (a={a}, b={b})"
-            )
+        _agree(f"oce cross-check at (a={a}, b={b})", val, direct, terms, 1e-9)
     return val
 
 
@@ -601,9 +622,11 @@ def distortion_value(src: LossSource, d: DistortionSpec) -> float:
     """Distorted expectation of the loss under ``d``.
 
     MixtureES evaluates exactly as (1-lam) ES_beta + lam ES_delta.  The
-    expectile distortion integrates phi'(t) q(1-t): exactly (piecewise
-    antiderivative) for atomic sources, by adaptive quadrature for the
-    continuous families.
+    expectile distortion integrates phi'(1-u) q(u): exactly (piecewise
+    antiderivative) for atomic sources, by adaptive quadrature to 1e-12
+    relative for the continuous families.  A quadrature error estimate above
+    1e-7 of the terms int_0^1 phi'(1-u) |q(u)| du raises RuntimeError, and
+    one above 1e-9 of them warns.
     """
     if isinstance(d, MixtureES):
         return (1.0 - d.lam) * expected_shortfall(src, d.beta) \
@@ -617,29 +640,12 @@ def distortion_value(src: LossSource, d: DistortionSpec) -> float:
         levels = [0.0, src.p, 1.0]
         atoms = [src.x1 + src.shift, src.x2 + src.shift]
         return _distortion_exact_atomic(d, levels, atoms)
-    from scipy.integrate import IntegrationWarning, quad
-
-    val = 0.0
-    err = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        for lo, hi in ((0.0, 0.5), (0.5, 1.0)):
-            part, aerr = quad(
-                lambda u: d.phi_prime(1.0 - u) * src.quantile(u),
-                lo, hi, epsabs=1e-12, epsrel=1e-12, limit=500,
-            )
-            val += part
-            err += aerr
-    if err > 1e-7 * (1.0 + abs(val)):
-        raise RuntimeError(
-            f"distortion quadrature did not converge: estimated error {err:g} "
-            f"for value {val:g}"
-        )
-    if err > 1e-9 * (1.0 + abs(val)):
-        warnings.warn(
-            f"distortion quadrature achieved only {err:g} estimated error",
-            stacklevel=2,
-        )
+    val, terms, err = _quantile_quad(src, 0.0, 0.0, lambda u: d.phi_prime(1.0 - u))
+    if err > 1e-7 * terms:
+        raise RuntimeError(f"distortion quadrature did not converge: estimated error {err:g} "
+                           f"for value {val:g} of terms {terms:g}")
+    if err > 1e-9 * terms:
+        warnings.warn(f"distortion quadrature achieved only {err:g} estimated error", stacklevel=2)
     return val
 
 

@@ -127,14 +127,28 @@ def test_expectile_combination_check_is_relative_to_its_terms(monkeypatch, scale
     # a contribution off by 1e-6 of itself reaches the ES-combination check
     # and fails it at every scale; unplanted, nothing fires
     p = Portfolio(np.random.default_rng(8).pareto(2.1, size=(2000, 3)) * scale)
-    check = allocation._check_es_combination
+    agree = allocation._agree
     for a in (0.6, 0.9, 0.99):
         expectile_euler(p, a, check=True)
-    monkeypatch.setattr(allocation, "_check_es_combination",
-                        lambda contrib, *args: check(contrib * (1.0 + 1e-6), *args))
-    for a in (0.6, 0.9, 0.99):
-        with pytest.raises(AssertionError, match="ES-combination"):
-            expectile_euler(p, a, check=True)
+    for plant in (1.0 + 1e-6, np.nan):
+        monkeypatch.setattr(allocation, "_agree", lambda check, value, *args: agree(
+            check, value * plant if "ES-combination" in check else value, *args))
+        for a in (0.6, 0.9, 0.99):
+            with pytest.raises(AssertionError, match="ES-combination"):
+                expectile_euler(p, a, check=True)
+
+
+def test_expectile_full_allocation_is_relative_to_its_terms(monkeypatch):
+    # e = 0 against losses of either sign: sum |contrib| is about 1e-16, no
+    # scale for the rounding of a sum whose terms are about 12
+    p = Portfolio(10 ** 1.5 * np.array([0] * 13 + [-1, -2, 3.0]))
+    contrib, e = expectile_euler(p, 0.5, check=True, full_output=True)
+    assert abs(contrib.sum() - e) <= 1e-12 * 12
+    # a NaN root fails the check
+    p = Portfolio(np.random.default_rng(0).pareto(2.1, size=(200, 2)))
+    monkeypatch.setattr(risk_core, "_segment_root", lambda *args: np.nan)
+    with pytest.raises(AssertionError, match="full allocation"):
+        expectile_euler(p, 0.9, check=True)
 
 
 def test_single_component_self_allocation():

@@ -548,6 +548,13 @@ GOLDEN = [
         "es[exp] alpha=0.9 = 3.3026\n",
         "", id="risk-es-check"),
     pytest.param(
+        ["risk", "--dist", "student:nu=2.3", "--alpha", "0.9999", "--measure", "es", "--check"], 1,
+        "",
+        "error: expected-shortfall cross-check at alpha=0.9999: the quadrature cannot resolve"
+        " 1e-09 x terms 78.6267: its error estimate 3.22e-07 covers the miss between"
+        " 78.62668528428003 and its reference 78.62668510316324\n",
+        id="risk-es-check-unresolved-exit1"),
+    pytest.param(
         ["risk", "--dist", "student:nu=2.3", "--alpha", "0.99", "--measure", "var"], 0,
         "var[student:nu=2.3] alpha=0.99 = 5.8539\n",
         "", id="risk-var"),
@@ -815,6 +822,16 @@ GOLDEN = [
         "",
         "error: --a: pareto family needs a > 1 for a finite mean, got a=inf\n",
         id="figure-infinite-a"),
+    pytest.param(
+        ["figure", "--kind", "frechet-pareto", "--a", "0.5"], 2,
+        "",
+        "error: --a: pareto family needs a > 1 for a finite mean, got a=0.5\n",
+        id="figure-infinite-mean-pareto"),
+    pytest.param(
+        ["figure", "--kind", "frechet-student", "--nu", "1"], 2,
+        "",
+        "error: --nu: student family needs nu > 1 for a finite mean, got nu=1.0\n",
+        id="figure-infinite-mean-student"),
     pytest.param(
         ["wasserstein", "--dist", "exp", "--n", "200"], 0,
         "w(sample n=200, exp) exact = 0.0519974\n"

@@ -99,12 +99,9 @@ def test_translation_and_scale_equivariance(src, alpha, level, scale, shift):
 def test_full_allocation(columns, scale, es_level, alpha):
     # the contributions are the oracle's, the expectile's split at the
     # library's root, and add up to the portfolio's ES and exact expectile.
-    # check=False: the library's own full-allocation check bounds the sum by
-    # the contributions, which cancel where e is near 0 against losses of
-    # either sign, and raises there
     n = min(map(len, columns))
     p = Portfolio(scale * np.column_stack([c[:n] for c in columns]))
-    contrib, e = expectile_euler(p, alpha, check=False, full_output=True)
+    contrib, e = expectile_euler(p, alpha, check=True, full_output=True)
     for got, want, total in (
         (es_euler(p, es_level), oracle.es_euler(p.total, p.components, es_level),
          oracle.of(Sample(p.total)).es(es_level)),

@@ -12,13 +12,17 @@ exempt.  Dead private names: every single-underscore name bound at module
 or class level in the package must be read somewhere in the package, as a
 name or as an attribute.  Unused references: every public function of
 ``tests/oracle.py``, and every public method of its classes, must be read
-by another test module, and its private names within it.
+by another test module, and its private names within it.  Scale-free
+tolerances: no ``1.0 + abs(`` or ``1.0 + np.abs(`` in the package, a
+tolerance that turns absolute below magnitude 1; a check compares to a
+share of its identity's own terms.
 """
 
 import ast
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -137,6 +141,21 @@ def test_dead_name_scan_flags_unread_and_spares_read_names():
 
 def test_no_dead_private_names():
     assert dead_private_names({p.stem: p.read_text() for p in PACKAGE}) == []
+
+
+_ABSOLUTE_FLOOR = re.compile(r"1\.0\s*\+\s*(np\.)?abs\(")
+
+
+def test_floor_scan_flags_tolerances_absolute_below_magnitude_one():
+    assert _ABSOLUTE_FLOOR.search("if err > 1e-7 * (1.0 + abs(val)):")
+    assert _ABSOLUTE_FLOOR.search("np.any(d > tol * (1.0 +np.abs(x)))")
+    assert not _ABSOLUTE_FLOOR.search("if err > 1e-7 * terms:")
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=[p.name for p in PACKAGE])
+def test_no_absolute_tolerance_floors(path):
+    lines = enumerate(path.read_text().splitlines(), 1)
+    assert [f"{i}: {line}" for i, line in lines if _ABSOLUTE_FLOOR.search(line)] == []
 
 
 def unused_functions(source: str, readers: list) -> list:

@@ -2,6 +2,7 @@
 and exact laws of ``oracle``."""
 
 import gc
+import warnings
 
 import mpmath
 import numpy as np
@@ -206,10 +207,10 @@ def _es_check_sources():
 def test_es_check_is_relative_to_its_terms(monkeypatch, src, shift):
     # unplanted, the check passes on the oracle's value; an ES off by 1e-6
     # of itself fails it at every scale and shift
-    levels = (0.0, 0.3, 0.9, 0.99) if isinstance(src, Sample) else (0.3, 0.9, 0.99)
+    levels = (0.0, 0.3, 0.9, 0.99)
     law = oracle.of(src if isinstance(src, Sample) else src.with_shift(0.0))
     for a in levels:
-        want = law.es(a)
+        want = law.es(a) if a > 0.0 else law.mean()
         got = expected_shortfall(src, a, check=True)
         assert oracle.ulps(got, want.value + shift, want.terms + abs(shift)) <= 32, (a, got)
     es = type(src).es
@@ -217,6 +218,44 @@ def test_es_check_is_relative_to_its_terms(monkeypatch, src, shift):
     for a in levels:
         with pytest.raises(AssertionError, match="expected-shortfall cross-check"):
             expected_shortfall(src, a, check=True)
+
+
+@pytest.mark.parametrize("src", [Sample(Pareto(2.1).sample(1000, seed=5).values), Pareto(2.1)],
+                         ids=["sample", "pareto"])
+def test_es_check_at_level_zero_has_its_own_reference(monkeypatch, src):
+    # es(0) is the mean by construction, so a mean off by 1e-6 of itself is
+    # an ES_0 off by as much; the reference must not be the mean
+    mean, es = type(src).mean, type(src).es
+    monkeypatch.setattr(type(src), "mean", lambda self: mean(self) * (1.0 + 1e-6))
+    monkeypatch.setattr(type(src), "es",
+                        lambda self, beta: self.mean() if beta == 0.0 else es(self, beta))
+    with pytest.raises(AssertionError, match="expected-shortfall cross-check"):
+        expected_shortfall(src, 0.0, check=True)
+
+
+@pytest.mark.parametrize("src, alpha", [(Pareto(2.1), 1 - 1e-6), (StudentT(2.3), 0.9999),
+                                        (Exponential(), 1 - 1e-8)],
+                         ids=["pareto-1e-6", "student-1e-4", "exp-1e-8"])
+def test_es_check_blames_the_quadrature_it_cannot_trust(src, alpha):
+    # the closed forms are right (tests/oracle.py); the quadrature of the
+    # quantile misses them by less than its own error estimate
+    assert oracle.ulps(expected_shortfall(src, alpha), oracle.of(src).es(alpha).value,
+                       oracle.of(src).es(alpha).terms) <= 32
+    with pytest.raises(RuntimeError, match="expected-shortfall cross-check.*error estimate"):
+        expected_shortfall(src, alpha, check=True)
+
+
+def test_checks_fail_on_nan(monkeypatch):
+    # a NaN is never within a tolerance
+    sources = (Sample([0.0, 1.0, 1.0, 6.0]), Pareto(2.1))
+    for src in sources:
+        monkeypatch.setattr(type(src), "es", lambda self, beta: np.nan)
+    for src in sources:
+        for a in (0.0, 0.3, 0.99):
+            with pytest.raises(AssertionError, match="expected-shortfall cross-check"):
+                expected_shortfall(src, a, check=True)
+        with pytest.raises(AssertionError, match="oce cross-check"):
+            oce(src, 0.3, 0.25, check=True)
 
 
 def test_two_point_expectile_anchor():
@@ -399,10 +438,32 @@ def test_distortion_phi_shape():
 
 
 def test_distortion_value_majorizes_expectile():
-    for src in (Pareto(2.1), Uniform01(), Sample([0.0, 1.0, 1.0, 6.0])):
-        for a in (0.7, 0.9, 0.99):
+    # at 0.999 a Student t quadrature node next to u = 1 rounds to 1.0
+    for src in (Pareto(2.1), Uniform01(), Sample([0.0, 1.0, 1.0, 6.0]), StudentT(2.3),
+                StudentT(2.3, shift=-3.0)):
+        for a in (0.7, 0.9, 0.99, 0.999):
             r = distortion_value(src, ExpectileDistortion(a))
-            assert r >= expectile(src, a) - 1e-10
+            assert np.isfinite(r) and r >= expectile(src, a) - 1e-10
+
+
+@pytest.mark.parametrize("shift", [-1e6, 0.0, 1e6])
+def test_distortion_gate_is_relative_to_its_terms(monkeypatch, shift):
+    # R(L + s) = R(L) + s; an error estimate above 1e-7 of the terms raises
+    # and one above 1e-9 of them warns, whatever the shift
+    d, src = ExpectileDistortion(0.9), StudentT(2.3, shift=shift)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = distortion_value(src, d)
+    assert abs(got - shift - distortion_value(StudentT(2.3), d)) <= 1e-12 * (abs(shift) + 4.0)
+    quantile_quad = risk_core._quantile_quad
+    for share, outcome in ((2e-7, pytest.raises(RuntimeError, match="did not converge")),
+                           (2e-9, pytest.warns(UserWarning, match="estimated error"))):
+        def planted(*args):
+            value, terms, _ = quantile_quad(*args)
+            return value, terms, share * terms
+        monkeypatch.setattr(risk_core, "_quantile_quad", planted)
+        with outcome:
+            distortion_value(src, d)
 
 
 def test_distortion_two_point_exact():
