@@ -151,31 +151,26 @@ def es_euler(p: Portfolio, alpha: float, full_output: bool = False):
     """ES contributions: the Euler allocation of the tail average
     ES_alpha = (1/(1-alpha)) int_alpha^1 q(u) du of the totals,
 
-        (sum_{L > q} L_k + (m / n_eq) sum_{L = q} L_k) / (n_above + m),
+        (sum_{L > x} L_k + (m / n_eq) sum_{L = x} L_k) / (n (1 - alpha)),
 
-    q = q_alpha, n_above = #{L > q}, n_eq = #{L = q}, and m the part of the
-    atom at q in the tail: n (1 - alpha) - n_above, clamped to [0, n_eq].
-    The denominator is n (1 - alpha), so the contributions add up to
-    ``expected_shortfall(Sample(p.total), alpha)``, ties or not.  With m = 0
-    (continuous data, n alpha an integer) this is the mean over {L > q}.
+    x = x_(j) ES's order statistic, j = ceil(n alpha) taken exactly
+    (``order_stats``), n_eq = #{L = x}, and m = n (1 - alpha) - #{L > x} in
+    [0, n_eq] the part of the atom at x in the tail.  The contributions add
+    up to ``expected_shortfall(Sample(p.total), alpha)``, ties or not.
 
-    q_alpha is the order statistic ``Sample(p.total).quantile`` returns,
-    found by selection rather than a sort, and the rows at or above it are
-    read from the rows the selection keeps; they are gathered and summed by
-    one weighted matrix-vector product, so past the selection the cost is
-    proportional to the tail and the ties at q.  ``full_output=True``
-    returns ``(contributions, ES)``, with ES the portfolio ES_alpha they
-    allocate, from the same selection.
+    x, n (1 - alpha) and ES_alpha come from one selection of the totals
+    (``_select``), and the rows at or above x from the rows it keeps; one
+    weighted matrix-vector product sums them, so past the selection the
+    cost is proportional to the tail and the ties at x.
+    ``full_output=True`` returns ``(contributions, ES)``.
     """
     _check_var_level(alpha)
     sel = _select(p.total, alpha)
-    rows = _indices(sel.rows, sel.vals >= sel.q)
-    above = p.total[rows] > sel.q
+    rows = _indices(sel.rows, sel.vals >= sel.atom)
+    above = p.total[rows] > sel.atom
     n_above = int(np.count_nonzero(above))
-    n_eq = rows.size - n_above
-    m = min(max(p.n * (1.0 - alpha) - n_above, 0.0), n_eq)
-    w = np.maximum(above, m / n_eq)  # 1 above q, m / n_eq <= 1 at q
-    contrib = w @ np.take(p.components, rows, axis=0) / (n_above + m)
+    w = np.maximum(above, (sel.mass - n_above) / (rows.size - n_above))
+    contrib = w @ np.take(p.components, rows, axis=0) / sel.mass
     return (contrib, sel.es) if full_output else contrib
 
 

@@ -640,12 +640,27 @@ class TwoPoint(Distribution):
         return TwoPoint(self.x1, self.x2, self.p, shift=shift)
 
 
-def order_index(n: int, u):
-    """Smallest i with i/n >= u (1-based, clipped to [1, n]): the order
-    statistic of the left empirical quantile, robust to fp noise in n*u.
-    A NaN level gives 1, without a warning."""
-    nu = n * np.asarray(u, dtype=float)
-    return np.fmin(np.fmax(np.ceil(nu * (1.0 - 1e-14)), 1.0), n).astype(np.int64)
+def order_stats(n: int, u):
+    """(i, j, w): the 1-based order statistics that level u picks among n
+    equally likely values for VaR (i) and ES (j), and the part w = j - n u
+    in [0, 1] of x_(j)'s unit weight in ES's tail.  VaR reads n u to 1e-14
+    of itself, so n = 100, u = 0.88 gives x_(88) though the binary u is
+    4e-18 above 0.88.  ES takes j = ceil(n u) exactly, from n u = p + e (p
+    its rounding, e its error by Dekker's two-product), so w >= 0 and ES is
+    the tail average at u, at most the maximum.  One formula serves a
+    scalar u or an array; a NaN level gives i = 1, j = 0 and w = NaN.
+    """
+    u = np.asarray(u, dtype=float)
+    p = n * u
+    i = np.fmin(np.fmax(np.ceil(p * (1.0 - 1e-14)), 1.0), n).astype(np.int64)
+    # u split by 2^27 + 1 (Veltkamp) and n at 2^27: products of halves are exact
+    c = 134217729.0 * u
+    uh, nl = c - (c - u), n % 2 ** 27
+    e = ((((n - nl) * uh - p) + (n - nl) * (u - uh)) + nl * uh) + nl * (u - uh)
+    j = np.ceil(p)
+    w = (j - p) - e
+    up = w < 0.0  # p = j, and the exact n u lies above it
+    return i, np.fmax(j + up, 0.0).astype(np.int64), w + up
 
 
 def suffix_sums(x: np.ndarray) -> np.ndarray:
@@ -657,18 +672,15 @@ def suffix_sums(x: np.ndarray) -> np.ndarray:
     return s
 
 
-def empirical_es(x, above, n_above, n, beta):
-    """ES_beta of n equally likely losses from x = x_(i), i = ceil(n beta) >= 1,
-    and the sum ``above`` of the n_above = n - i losses above it.
-
-    The tail average [(i/n - beta) x_(i) + above/n] / (1 - beta), evaluated as
-    x_(i) plus the mean excess over it: the excess sum_{j>i} (x_(j) - x_(i))
-    is >= 0 and only the rounding of ``above`` can push it below, so a tail
-    of ties gives x_(i) exactly and ES >= VaR holds in floating point.  At
-    beta = i/n exactly both neighbouring i give the same value, so an
-    off-by-one from fp noise in n*beta changes nothing.
-    """
-    return x + np.maximum(above - n_above * x, 0.0) / (n * (1.0 - beta))
+def empirical_es(x, above, n_above, mass):
+    """ES of equally likely losses from ES's order statistic x = x_(j) of
+    ``order_stats``, the sum ``above`` of n_above losses >= x that hold all
+    those above it, and the tail's size mass = n - j + w in losses: the tail
+    average [w x + sum_{k>j} x_(k)] / mass as x plus the mean excess over x.
+    The excess is >= 0 (a tie adds nothing) but for the rounding of
+    ``above``, so a tail of ties gives x exactly and ES >= VaR holds in
+    floating point; as w >= 0, ES is at most the maximum up to its rounding."""
+    return x + np.maximum(above - n_above * x, 0.0) / mass
 
 
 class Sample:
@@ -677,13 +689,12 @@ class Sample:
     Exposes the same risk interface as the parametric families with exact
     order-statistic / partial-sum formulas:
 
-    - ``quantile(u)``: left quantile, the ceil(n u)-th order statistic, for
-      u in (0, 1]; ``quantile(1)`` is the maximum;
+    - ``quantile(u)``: left quantile x_(ceil(n u)), n u read to 1e-14 of
+      itself (``order_stats``), u in (0, 1]; ``quantile(1)`` is the maximum;
     - ``cdf(x)`` / ``prob_lt(x)``: the share of values <= x / < x;
-    - ``es(beta)``: exact tail average
-      [(i/n - beta) x_(i) + sum_{j>i} x_(j)/n] / (1-beta) with i = ceil(n beta),
-      evaluated as x_(i) + sum_{j>i} (x_(j) - x_(i)) / (n (1-beta));
-      ``es(0)`` is the mean;
+    - ``es(beta)``: exact tail average ``empirical_es``
+      [(j/n - beta) x_(j) + sum_{k>j} x_(k)/n] / (1-beta), j = ceil(n beta)
+      taken exactly, so it never exceeds the maximum; ``es(0)`` is the mean;
     - ``eplus(m)``: exact partial mean sum (x_j - m)+ / n, for a scalar m.
 
     All of them keep the families' scalar contract (module docstring).
@@ -724,7 +735,7 @@ class Sample:
         if np.count_nonzero((u <= 0.0) | (u > 1.0)):
             raise ValueError("empirical quantile level must lie in (0, 1]")
         # sign(u) is 1 at every valid level and NaN at a NaN one
-        return self.values[order_index(self.n, u) - 1] * np.sign(u)
+        return self.values[order_stats(self.n, u)[0] - 1] * np.sign(u)
 
     def cdf(self, x):
         return _at(lambda v: self._share(v, "right"), x)
@@ -744,12 +755,10 @@ class Sample:
         if np.count_nonzero((beta < 0.0) | (beta >= 1.0)):
             raise ValueError(_ES_LEVEL)
         n = self.n
-        # fmax/fmin send a NaN level to i = 0, from where the formula
-        # carries the NaN through 1 - beta without a warning
-        i = np.fmin(np.fmax(np.ceil(beta * n), 0.0), n).astype(np.int64)
-        x = self.values[np.maximum(i, 1) - 1]
+        _, j, w = order_stats(n, beta)
+        x = self.values[np.maximum(j, 1) - 1]
         return np.where(beta == 0.0, self._suffix[0] / n,
-                        empirical_es(x, self._suffix[i], n - i, n, beta))
+                        empirical_es(x, self._suffix[j], n - j, n - j + w))
 
     def eplus(self, m):
         """E[(L - m)+] under the empirical law, exact."""

@@ -46,7 +46,7 @@ from .distributions import (
     TwoPoint,
     _at,
     empirical_es,
-    order_index,
+    order_stats,
     suffix_sums,
 )
 
@@ -178,7 +178,7 @@ def expected_shortfall(src: LossSource, alpha: float, check: bool = False) -> fl
     (1/(1-alpha)) int_alpha^1 q(u) du for every law, atoms included.
     ``check=True`` compares it, through ``_agree``, to 1e-9 of the terms of
     an independent reference.  For a sample that is the plug-in
-    q + E[(L-q)+]/(1-alpha) at q = q_alpha (the minimum at alpha = 0), with
+    q + E[(L-q)+]/(1-alpha) at ES's order statistic q (``order_stats``), with
     terms |q| + E[(L-q)+]/(1-alpha); for a model, the quadrature
     (1/(1-alpha)) int_alpha^1 q(u) du, run to 1e-12 of |ES_alpha|, with
     terms (1/(1-alpha)) int_alpha^1 |q(u)| du.  A miss raises AssertionError,
@@ -190,7 +190,7 @@ def expected_shortfall(src: LossSource, alpha: float, check: bool = False) -> fl
     if check:
         check_name = f"expected-shortfall cross-check at alpha={alpha}"
         if isinstance(src, Sample):
-            q = float(src.quantile(alpha)) if alpha > 0.0 else float(src.values[0])
+            q = float(src.values[max(order_stats(src.n, alpha)[1], 1) - 1])
             excess = float(src.eplus(q)) / (1.0 - alpha)
             _agree(check_name, val, q + excess, abs(q) + excess, 1e-9)
         else:
@@ -358,12 +358,15 @@ _SAMPLE_Z = 4.0
 
 
 class _Tail(NamedTuple):
-    """n equally likely values at one level, by selection: q = q_alpha,
-    es = ES_alpha, and the values ``vals`` at the ascending indices ``rows``,
-    which hold every value >= t (rows None: all values, and t = -inf)."""
+    """n equally likely values at one level, by selection: q = q_alpha, es =
+    ES_alpha, its order statistic ``atom`` and n (1 - alpha) as ``mass``
+    (``order_stats``), and the values ``vals`` at the ascending indices
+    ``rows``, which hold every value >= t (rows None: all, t = -inf)."""
 
     q: float
     es: float
+    atom: float
+    mass: float
     t: float
     rows: Optional[np.ndarray]
     vals: np.ndarray
@@ -375,21 +378,22 @@ def _indices(rows: Optional[np.ndarray], mask: np.ndarray) -> np.ndarray:
 
 
 def _select(values: np.ndarray, alpha: float) -> _Tail:
-    """q_alpha (the order statistic ``Sample(values).quantile`` returns),
-    ES_alpha and the values at or above a threshold t <= q_alpha.
+    """q_alpha and ES_alpha at the order statistics ``Sample(values)``
+    reads (``order_stats``), and the values at or above a threshold t <= q_alpha.
 
     The k = n - i + 1 values at or above the i-th smallest hold q_alpha and
-    the tail.  For n >= ``_SAMPLE_MIN_N`` and k <= n/8, t is the value of
-    a strided sample ``values[::n // _SAMPLE]`` of rank ``_SAMPLE_Z``
-    binomial standard deviations above its expected count of tail values.
-    If at least k values are >= t, t <= q_alpha (a t above q_alpha leaves
-    at most n - i values at or above it), and only those values are
-    partitioned; if fewer, or more than a quarter of the values (heavy ties
-    at t), all n are, at the cost of one compare pass more.  Past those
-    bounds, gathering the kept values costs about what it saves.
+    the tail, whose order statistic is the i-th or the next.  For
+    n >= ``_SAMPLE_MIN_N`` and k <= n/8, t is the value of a strided sample
+    ``values[::n // _SAMPLE]`` of rank ``_SAMPLE_Z`` binomial standard
+    deviations above its expected count of tail values.  If at least k
+    values are >= t, t <= q_alpha (a t above q_alpha leaves at most n - i
+    values at or above it), and only those values are partitioned; if
+    fewer, or more than a quarter of the values (heavy ties at t), all n
+    are, at the cost of one compare pass more.  Past those bounds,
+    gathering the kept values costs about what it saves.
     """
     n = values.size
-    i = int(order_index(n, alpha))
+    i, i_es, w = order_stats(n, alpha)
     k = n - i + 1
     t, rows, vals = -np.inf, None, values
     if n >= _SAMPLE_MIN_N and 8 * k <= n:
@@ -405,8 +409,9 @@ def _select(values: np.ndarray, alpha: float) -> _Tail:
             vals = values[rows]
     j = vals.size - k
     part = np.partition(vals, j)
-    q = part[j]
-    return _Tail(float(q), float(empirical_es(q, part[j + 1:].sum(), k - 1, n, alpha)),
+    q, top = float(part[j]), part[j + 1:]
+    atom, mass = q if i_es == i else float(top.min()), float(n - i_es + w)
+    return _Tail(q, float(empirical_es(atom, top.sum(), k - 1, mass)), atom, mass,
                  t, rows, vals)
 
 

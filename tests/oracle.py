@@ -116,15 +116,14 @@ class Discrete:
         q = self._xs[self._k(alpha, index)]
         return Exact(q, abs(q))
 
-    def _k(self, alpha, index) -> int:
+    def _k(self, alpha, index=None) -> int:
         i = math.ceil(self.n * Fraction(alpha)) if index is None else index
         return min(max(i, 1), self.n) - 1
 
-    def es(self, alpha, index=None) -> Exact:
+    def es(self, alpha) -> Exact:
         """[(F(q) - alpha) q + E[L 1{L > q}]]/(1 - alpha) at q = q_alpha, the
-        atom weighted by its share of the tail: the tail average, or its
-        linear continuation from the order statistic ``index`` given."""
-        k = self._k(alpha, index)
+        atom weighted by its share of the tail: the tail average."""
+        k = self._k(alpha)
         a, q = Fraction(alpha), Fraction(self._xs[k])
         value = ((Fraction(k + 1, self.n) - a) * q + self._tail(k + 1)) / (1 - a)
         return Exact(value, abs(self._xs[k]) + self._abs_tail(k + 1) / (1.0 - float(alpha)))

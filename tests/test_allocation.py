@@ -194,12 +194,12 @@ def test_es_contributions_match_sample_quantile(n, alpha):
     tail = p.total > Sample(p.total).quantile(alpha)
     want = comp[tail].mean(axis=0)
     np.testing.assert_allclose(es_euler(p, alpha), want, rtol=1e-12, atol=0.0)
-    assert tail.sum() == n - distributions.order_index(n, alpha)
+    assert tail.sum() == n - distributions.order_stats(n, alpha)[0]
 
 
 def test_es_and_sample_share_one_order_index():
-    assert risk_core.order_index is distributions.order_index
-    assert not hasattr(Sample, "_index")
+    assert risk_core.order_stats is distributions.order_stats
+    assert not hasattr(distributions, "order_index") and not hasattr(Sample, "_index")
 
 
 # -------------------------------------------------- selection, not sorts

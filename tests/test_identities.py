@@ -2,8 +2,10 @@
 the exact references of ``tests/oracle.py``.
 
 Samples of integers over 1, 3 or 10 (ties) and two-point laws with
-p = k/64, scaled by 10^U(-15, 15), at levels up to 1 - 1e-10.  Every
-tolerance is a number of ulps of the identity's own terms (``oracle.ulps``).
+p = k/64, scaled by 10^U(-15, 15), at levels up to 1 - 1e-10, and for
+VaR <= ES <= max L also at the levels k/n where n alpha rounds to an
+integer that its exact value is not.  Every tolerance is a number of ulps
+of the identity's own terms (``oracle.ulps``).
 """
 
 import numpy as np
@@ -11,8 +13,9 @@ import oracle
 from hypothesis import given, settings, strategies as st
 
 from tailrisk.allocation import Portfolio, es_euler, expectile_euler
-from tailrisk.distributions import Sample, TwoPoint
+from tailrisk.distributions import Pareto, Sample, TwoPoint
 from tailrisk.risk_core import (
+    _select,
     beta_star,
     expectile,
     expectile_bounds,
@@ -39,6 +42,56 @@ def sources(draw):
 expectile_levels = st.floats(0.5, 1.0 - 1e-10)
 es_levels = st.floats(0.0, 1.0 - 1e-10)
 inner_levels = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@st.composite
+def sources_and_es_levels(draw):
+    """A source and an ES level: a uniform one, or k/n for the source's n
+    equally likely values (64 for a two-point law) or the float either side
+    of it, where n alpha may round to k though its exact ceiling is k + 1."""
+    src = draw(sources())
+    if draw(st.booleans()):
+        return src, draw(es_levels)
+    n = len(src) if isinstance(src, Sample) else 64
+    k = draw(st.integers(1, n - 1))
+    return src, float(np.nextafter(k / n, k / n + draw(st.sampled_from([-1.0, 0.0, 1.0]))))
+
+
+@settings(deadline=None, max_examples=150)
+@given(sources_and_es_levels())
+def test_var_es_max_chain(case):
+    # VaR <= ES <= max L, with ES the oracle's tail average; the bounds hold
+    # to the rounding of the terms, as x + (M - x) may round above M
+    src, alpha = case
+    want, es = oracle.of(src).es(alpha), expected_shortfall(src, alpha)
+    assert want.ulps(es) <= 8, (alpha, es, float(want.value))
+    assert oracle.ulps_above(es, src.support()[1], want.terms) <= 4
+    if alpha > 0.0:
+        assert oracle.ulps_above(value_at_risk(src, alpha), es, want.terms) <= 4
+
+
+def _top_levels(n):
+    """The top 50 levels k/n and the float either side of each, all >= 1/2."""
+    for k in range(n - 1, max(n - 51, 0), -1):
+        for alpha in (np.nextafter(k / n, 0.0), k / n, np.nextafter(k / n, 1.0)):
+            if alpha >= 0.5:
+                yield float(alpha)
+
+
+def test_sample_es_at_top_levels_is_the_tail_average():
+    # Sample.es, the selection and the Euler allocation read ES's order
+    # statistic exactly: at a level a hair above k/n that is the (k+1)-th,
+    # whose weight is nearly 1, and never the k-th continued past the maximum
+    levels = 0
+    for n in (7, 100, 1000, 50001, 99991):
+        x = Pareto(2.1)._draw(n, 7)
+        s, law, p = Sample(x), oracle.Discrete(x), Portfolio(x[:, None])
+        for alpha in _top_levels(n):
+            want = law.es(alpha)
+            for got in (s.es(alpha), _select(x, alpha).es, es_euler(p, alpha).sum()):
+                assert got <= x.max() and want.ulps(got) <= 8, (n, alpha, got, float(want.value))
+            levels += 1
+    assert levels == 608
 
 
 @settings(deadline=None, max_examples=150)

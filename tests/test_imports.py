@@ -15,7 +15,10 @@ name or as an attribute.  Unused references: every public function of
 by another test module, and its private names within it.  Scale-free
 tolerances: no ``1.0 + abs(`` or ``1.0 + np.abs(`` in the package, a
 tolerance that turns absolute below magnitude 1; a check compares to a
-share of its identity's own terms.
+share of its identity's own terms.  One level-to-order-statistic rule: the
+package calls ``ceil`` only in ``distributions.order_stats``, which turns
+levels into order statistics, and at the listed sites that round a sample
+size, a window or a rank.
 """
 
 import ast
@@ -25,6 +28,7 @@ import pickle
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -156,6 +160,58 @@ def test_floor_scan_flags_tolerances_absolute_below_magnitude_one():
 def test_no_absolute_tolerance_floors(path):
     lines = enumerate(path.read_text().splitlines(), 1)
     assert [f"{i}: {line}" for i, line in lines if _ABSOLUTE_FLOOR.search(line)] == []
+
+
+# (module, function) -> calls of ceil: the level-to-order-statistic rule,
+# the selection's strided-sample rank, two sample sizes and the Hill window
+_CEIL_SITES = {
+    ("distributions", "order_stats"): 2,
+    ("risk_core", "_select"): 1,
+    ("concentration", "size"): 1,
+    ("concentration", "var_sample_size"): 1,
+    ("asymptotics", "hill_estimator"): 1,
+}
+
+
+def ceil_sites(source: str) -> list:
+    """The function around each call of a ``ceil`` (``math.ceil``,
+    ``np.ceil`` or a bare ``ceil``) in ``source``, in order; "<module>"
+    outside any function."""
+    sites = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                if (f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)) == "ceil":
+                    sites.append(func)
+            visit(child, func)
+
+    visit(ast.parse(source), "<module>")
+    return sites
+
+
+def test_ceil_scan_names_the_function_around_each_call():
+    source = (
+        "import math, numpy as np\n"
+        "K = math.ceil(2.5)\n"
+        "def f(x):\n"
+        "    return int(np.ceil(x)) + ceil(x)\n"
+        "class C:\n"
+        "    def g(self, n):\n"
+        "        '''ceil(n) in a docstring is no call'''\n"
+        "        return math.floor(n) + self.ceil\n"
+    )
+    assert ceil_sites(source) == ["<module>", "f", "f"]
+
+
+def test_levels_become_order_statistics_in_one_function():
+    # a fifth level-to-index rule next to order_stats would be a new site
+    sites = Counter((p.stem, f) for p in PACKAGE for f in ceil_sites(p.read_text()))
+    assert sites == _CEIL_SITES
 
 
 def unused_functions(source: str, readers: list) -> list:

@@ -3,6 +3,7 @@ and exact laws of ``oracle``."""
 
 import gc
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -614,11 +615,14 @@ def test_selection_matches_full_partition_and_exact_tail(monkeypatch, name, valu
     law = oracle.Discrete(x)
     for alpha in _selection_levels(n):
         sel = risk_core._select(x, alpha)
-        # at the library's order statistic, which reads n alpha to 1e-14
-        i = int(risk_core.order_index(n, alpha))
-        q, es = law.var(alpha, i).value, law.es(alpha, i)
+        # VaR at the library's order statistic, which reads n alpha to
+        # 1e-14; ES, its order statistic and the tail's size exactly
+        i, _, _ = risk_core.order_stats(n, alpha)
+        q, es = law.var(alpha, int(i)).value, law.es(alpha)
         assert sel.q == q, (alpha, sel.q, q)
         assert es.ulps(sel.es) <= 64, (alpha, sel.es, float(es.value))
+        assert sel.atom == law.var(alpha).value
+        assert oracle.ulps(sel.mass, n * (1 - Fraction(alpha)), n) <= 1
         # the kept rows ascend and hold every value at or above the threshold
         rows = np.arange(n) if sel.rows is None else sel.rows
         assert sel.t <= q and np.all(np.diff(rows) > 0)
@@ -656,7 +660,7 @@ def test_selection_partitions_only_the_tail_of_a_random_draw(monkeypatch):
         sizes.clear()
         sel = risk_core._select(x, alpha)
         assert sel.rows is not None and len(sizes) == 2
-        k = x.size - int(risk_core.order_index(x.size, alpha)) + 1
+        k = x.size - int(risk_core.order_stats(x.size, alpha)[0]) + 1
         assert sizes[0] < 0.05 * x.size and k <= sizes[1] < k + 0.05 * x.size
     # at alpha = 1/2 the expectile is the mean: no selection at all
     sizes.clear()
