@@ -12,11 +12,10 @@ from tailrisk.asymptotics import (
     expansion_curve,
     extreme_expectile_estimate,
     frechet_first_order_constant,
-    gumbel_relation,
     hill_estimator,
     ratio_expansion,
 )
-from tailrisk.distributions import Pareto, PowerBeta, StudentT
+from tailrisk.distributions import Exponential, Pareto, PowerBeta, StudentT
 from tailrisk.risk_core import expectile
 
 
@@ -43,7 +42,7 @@ def main():
     print()
     print("light tails have no polynomial rate; the exponential satisfies the")
     print("second-order condition, so expectile and ES are",
-          gumbel_relation(satisfies_second_order=True), "as alpha -> 1")
+          Exponential().mda().relation, "as alpha -> 1")
 
     print()
     s = Pareto(2.1).sample(100_000, seed=3)

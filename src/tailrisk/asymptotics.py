@@ -11,7 +11,8 @@ extreme-value class of the loss law:
   polynomial rate;
 - Gumbel class: no universal ratio expansion exists; the expectile and
   the quantile/ES are either log-equivalent or (under a second-order
-  condition) asymptotically equivalent.
+  condition) asymptotically equivalent, and the law's classification
+  states which in ``EvClassification.relation``.
 
 The level-ratio expansions (1 - beta*)/(1 - alpha), where beta* is the
 tail level at which ES-based combinations reproduce the expectile, come
@@ -24,7 +25,8 @@ distribution through its own classification, and ``exact_ratio`` and
 ``exact_beta_star_ratio`` give the exact values they approximate.  Frechet
 expansions are expansions of the *centered* ratio e(L - E[L])/ES(L - E[L]);
 Weibull gap ratios are location-invariant in their inputs and are computed
-for the raw variable.
+for the raw variable.  A second-order term asked of a tail that has none
+(``rho`` is None) raises ``NoSecondOrder``, a ValueError.
 """
 
 from __future__ import annotations
@@ -39,13 +41,13 @@ from .risk_core import beta_star, expected_shortfall, expectile
 
 __all__ = [
     "ExpansionResult",
+    "NoSecondOrder",
     "frechet_first_order_constant",
     "frechet_second_order_coefficient",
     "frechet_ratio",
     "frechet_beta_star_ratio",
     "weibull_ratio",
     "weibull_beta_star_ratio",
-    "gumbel_relation",
     "hill_estimator",
     "extreme_expectile_estimate",
     "ratio_expansion",
@@ -81,6 +83,26 @@ def _result(order: int, lead: float, corr: float, alpha: float) -> ExpansionResu
             f"precision (leading {lead:g}, correction {corr:g})"
         )
     return ExpansionResult(order, lead, corr, value, alpha)
+
+
+class NoSecondOrder(ValueError):
+    """A second-order expansion was asked of a tail without a second-order
+    parametrization (``rho`` is None); first order is available."""
+
+
+def _second_order(rho: Optional[float]) -> float:
+    """rho as a float, refusing the None of a tail with no second-order term."""
+    if rho is None:
+        raise NoSecondOrder("the tail has no second-order term (rho is None); use order=1")
+    return float(rho)
+
+
+def _tail_index(eta: float, floor: float, what: str) -> float:
+    """eta as a float, refusing eta <= floor with "<what> needs eta > floor"."""
+    eta = float(eta)
+    if not eta > floor:
+        raise ValueError(f"{what} needs eta > {floor:g}, got {eta}")
+    return eta
 
 
 def _check_order(order: int) -> int:
@@ -129,9 +151,7 @@ def _endpoint_inputs(xhat: float, q_alpha: float, mean: float) -> Tuple[float, f
 
 def frechet_first_order_constant(eta: float) -> float:
     """Limit of e_alpha/ES_alpha for a tail index eta > 1."""
-    eta = float(eta)
-    if not (eta > 1.0):
-        raise ValueError(f"heavy-tail ratio limit needs eta > 1, got {eta}")
+    eta = _tail_index(eta, 1.0, "heavy-tail ratio limit")
     return (eta - 1.0) ** ((eta - 1.0) / eta) / eta
 
 
@@ -141,9 +161,7 @@ def frechet_second_order_coefficient(eta: float, rho: float) -> float:
     The rho = 0 case is a genuinely different formula, not the rho -> 0
     limit of the generic one.
     """
-    eta = float(eta)
-    if not (eta > 1.0):
-        raise ValueError(f"second-order coefficient needs eta > 1, got {eta}")
+    eta = _tail_index(eta, 1.0, "second-order coefficient")
     rho, denom = _frechet_rho(eta, rho)
     if rho == 0.0:
         return (math.log(eta - 1.0) + 1.0 / (eta - 1.0)) / eta
@@ -166,8 +184,7 @@ def frechet_ratio(
     order = _check_order(order)
     if order == 1:
         return _result(1, frechet_first_order_constant(eta), 0.0, alpha)
-    if rho is None:
-        raise ValueError("second-order expansion needs rho (got None); use order=1")
+    rho = _second_order(rho)
     lead = (
         (eta - 1.0) ** ((eta - 1.0) / eta)
         * (2.0 * alpha - 1.0) ** (1.0 / eta)
@@ -187,15 +204,12 @@ def frechet_beta_star_ratio(
     """Expansion of (1 - beta*)/(1 - alpha) in the heavy-tailed class."""
     alpha = _check_alpha(alpha)
     order = _check_order(order)
-    eta = float(eta)
-    if not (eta > 1.0):
-        raise ValueError(f"heavy-tail level ratio needs eta > 1, got {eta}")
+    eta = _tail_index(eta, 1.0, "heavy-tail level ratio")
     if order == 1:
         return _result(1, eta - 1.0, 0.0, alpha)
-    if rho is None:
-        raise ValueError("second-order expansion needs rho (got None); use order=1")
-    rho, denom = _frechet_rho(eta, rho)
-    lead = (eta - 1.0) / (2.0 * alpha - 1.0)
+    rho, denom = _frechet_rho(eta, _second_order(rho))
+    # the leading term has a pole at alpha = 1/2, refused as not finite
+    lead = (eta - 1.0) / (2.0 * alpha - 1.0) if alpha > 0.5 else math.inf
     corr = -((eta - 1.0) ** (-rho / eta) / denom) * float(a_at_q)
     return _result(2, lead, corr, alpha)
 
@@ -219,9 +233,7 @@ def weibull_ratio(
     """
     alpha = _check_alpha(alpha)
     order = _check_order(order)
-    eta = float(eta)
-    if not (eta > 0.0):
-        raise ValueError(f"endpoint gap expansion needs eta > 0, got {eta}")
+    eta = _tail_index(eta, 0.0, "endpoint gap expansion")
     xhat, q_alpha, mean = _endpoint_inputs(xhat, q_alpha, mean)
     c_eta = ((xhat - mean) * (eta + 1.0)) ** (1.0 / (eta + 1.0))
     lead = (
@@ -231,9 +243,7 @@ def weibull_ratio(
     )
     if order == 1:
         return _result(1, lead, 0.0, alpha)
-    if rho is None:
-        raise ValueError("second-order expansion needs rho (got None); use order=1")
-    rho = float(rho)
+    rho = _second_order(rho)
     if not (rho < 0.0):
         raise ValueError(f"endpoint second-order parameter rho must be < 0, got {rho}")
     if eta - rho + 1.0 == 0.0:
@@ -257,27 +267,9 @@ def weibull_beta_star_ratio(
     symmetry.
     """
     _check_alpha(alpha)
-    eta = float(eta)
-    if not (eta > 0.0):
-        raise ValueError(f"endpoint level ratio needs eta > 0, got {eta}")
+    eta = _tail_index(eta, 0.0, "endpoint level ratio")
     xhat, q_alpha, mean = _endpoint_inputs(xhat, q_alpha, mean)
     return ((xhat - mean) * (eta + 1.0) / (xhat - q_alpha)) ** (eta / (eta + 1.0))
-
-
-def gumbel_relation(
-    has_finite_endpoint: bool = False, satisfies_second_order: bool = False
-) -> str:
-    """Qualitative expectile/quantile relation in the light-tailed class.
-
-    Returns ``"equivalent"`` when e_alpha/q_alpha -> 1 (finite endpoint,
-    or an unbounded law whose integrated tail satisfies the second-order
-    von Mises refinement, e.g. the exponential), else
-    ``"log-equivalent"`` (only log e_alpha / log q_alpha -> 1 is
-    guaranteed).
-    """
-    if has_finite_endpoint or satisfies_second_order:
-        return "equivalent"
-    return "log-equivalent"
 
 
 def hill_estimator(sample: Sample, k: Optional[int] = None) -> float:
@@ -328,15 +320,17 @@ def extreme_expectile_estimate(
 def _centered_tail(dist: Distribution, alpha: float, order: int):
     """(eta, rho, A(q_alpha)) of the centered law of a Frechet-class ``dist``.
 
-    At first order only eta is used: rho comes back None and A as 0.0.
+    At first order A is not evaluated and comes back 0.0.  A's pole at 0,
+    the centered median of a symmetric law, gives an infinite A, which the
+    second-order formulas refuse as not finite.
     """
     centered = dist.centered()
     ccls = centered.mda()
     if order == 1:
-        return ccls.eta, None, 0.0
-    if ccls.rho is None:
-        raise ValueError(f"{dist.label} has no second-order tail parametrization; use order=1")
-    return ccls.eta, ccls.rho, float(ccls.auxiliary(centered.quantile(alpha)))
+        return ccls.eta, ccls.rho, 0.0
+    with np.errstate(all="ignore"):
+        a_val = float(ccls.auxiliary(np.float64(centered.quantile(alpha))))
+    return ccls.eta, ccls.rho, a_val
 
 
 def _endpoint_quantile(dist: Distribution, xhat: float, alpha: float) -> float:
@@ -357,7 +351,7 @@ def _polynomial_class(dist: Distribution):
     if cls.mda == "gumbel":
         raise ValueError(
             f"{dist.label} has a light (Gumbel-type) tail: no polynomial ratio "
-            "expansion exists; see gumbel_relation() for the qualitative statement"
+            "expansion exists; see mda().relation for the qualitative statement"
         )
     return cls
 
@@ -369,24 +363,19 @@ def ratio_expansion(dist: Distribution, alpha: float, order: int = 2) -> Expansi
     L~ = L - E[L], with the auxiliary function taken from the centered
     law's own classification.  Weibull class: expansion of
     (xhat - ES)/(xhat - e) for the raw variable.  Gumbel class: no
-    numeric expansion exists; raises with a pointer to
-    ``gumbel_relation``.
+    numeric expansion exists; raises with a pointer to the
+    classification's ``relation``.  A second-order request for a tail
+    without a second-order term raises ``NoSecondOrder``.
     """
     alpha = _check_alpha(alpha)
     order = _check_order(order)
     cls = _polynomial_class(dist)
     if cls.mda == "frechet":
-        eta, rho, a_val = _centered_tail(dist, alpha, order)
-        return frechet_ratio(eta, rho, a_val, alpha, order=order)
+        return frechet_ratio(*_centered_tail(dist, alpha, order), alpha, order=order)
     xhat = cls.right_endpoint
     q = _endpoint_quantile(dist, xhat, alpha)
-    mean = dist.mean()
-    if order == 1:
-        return weibull_ratio(cls.eta, None, xhat, mean, q, 0.0, alpha, order=1)
-    if cls.rho is None:
-        raise ValueError(f"{dist.label} has no second-order tail parametrization; use order=1")
     a0 = float(cls.auxiliary((xhat - q) ** (-cls.eta / (cls.eta + 1.0))))
-    return weibull_ratio(cls.eta, cls.rho, xhat, mean, q, a0, alpha, order=2)
+    return weibull_ratio(cls.eta, cls.rho, xhat, dist.mean(), q, a0, alpha, order=order)
 
 
 def beta_star_expansion(dist: Distribution, alpha: float, order: int = 2) -> ExpansionResult:
@@ -402,8 +391,7 @@ def beta_star_expansion(dist: Distribution, alpha: float, order: int = 2) -> Exp
     order = _check_order(order)
     cls = _polynomial_class(dist)
     if cls.mda == "frechet":
-        eta, rho, a_val = _centered_tail(dist, alpha, order)
-        return frechet_beta_star_ratio(eta, rho, a_val, alpha, order=order)
+        return frechet_beta_star_ratio(*_centered_tail(dist, alpha, order), alpha, order=order)
     xhat = cls.right_endpoint
     lead = weibull_beta_star_ratio(
         cls.eta, xhat, _endpoint_quantile(dist, xhat, alpha), alpha, mean=dist.mean()

@@ -25,11 +25,11 @@ import numpy as np
 from .allocation import Portfolio, es_euler, expectile_euler
 from .asymptotics import (
     ExpansionCurveRow,
+    NoSecondOrder,
     beta_star_expansion,
     exact_beta_star_ratio,
     exact_ratio,
     expansion_curve,
-    gumbel_relation,
     ratio_expansion,
 )
 from .concentration import (
@@ -188,37 +188,33 @@ def _cmd_asympt(args) -> str:
         cls = dist.mda()
     except (ValueError, NotImplementedError):
         raise _ValidationError(f"--dist: {dist.label} has no tail classification") from None
-    cls_name = cls.mda
-    if cls_name == "gumbel":
-        relation = gumbel_relation(satisfies_second_order=dist.family == "exp")
+    if cls.mda == "gumbel":
         return (
             f"{dist.label}: light (Gumbel-type) tail; expectile and ES are "
-            f"{relation} as alpha -> 1 (no polynomial expansion)\n"
+            f"{cls.relation} as alpha -> 1 (no polynomial expansion)\n"
         )
-    # the Weibull beta* expansion is leading-order only, so --order is moot there
-    if args.order == 2 and not (args.target == "beta-star" and cls_name == "weibull"):
-        tail = dist.centered().mda() if cls_name == "frechet" else cls
-        if tail.rho is None:
-            raise _ValidationError(
-                f"--order: {dist.label} has no second-order tail parametrization; use --order 1"
-            )
-    # past the checks above, a ValueError from the expansions comes from the
-    # law's parameters, e.g. a tail index so large that the law is degenerate
-    # in double precision
+    # besides a missing second-order term, a ValueError from the expansions
+    # comes from the law's parameters, e.g. a tail index so large that the
+    # law is degenerate in double precision
     try:
         if args.target == "ratio":
             res = ratio_expansion(dist, alpha, order=args.order)
             exact = exact_ratio(dist, alpha)
-            target = ("centered expectile/ES ratio" if cls_name == "frechet"
+            target = ("centered expectile/ES ratio" if cls.mda == "frechet"
                       else "endpoint gap ratio (xhat-ES)/(xhat-e)")
         else:
             res = beta_star_expansion(dist, alpha, order=args.order)
             exact = exact_beta_star_ratio(dist, alpha)
             target = "level ratio (1-beta*)/(1-alpha)"
+    except NoSecondOrder:
+        raise _ValidationError(
+            f"--order: {dist.label} has no second-order tail parametrization; use --order 1"
+        ) from None
     except ValueError as exc:
         raise _ValidationError(f"--dist: {exc}") from None
-    lines = [f"{dist.label}: {cls_name}-type tail", f"target: {target} at alpha={alpha:g}"]
-    if args.target == "beta-star" and cls_name == "weibull":
+    lines = [f"{dist.label}: {cls.mda}-type tail", f"target: {target} at alpha={alpha:g}"]
+    # the Weibull level ratio is known to leading order only
+    if args.target == "beta-star" and cls.mda == "weibull":
         lines.append(f"leading-order value {res.value:.4f}")
     else:
         lines.append(
@@ -299,10 +295,12 @@ def _cmd_figure(args) -> str:
     value = getattr(args, param)
     if value is None:
         raise _ValidationError(f"--{param}: required for kind {kind}")
-    if kind == "weibull-beta" and value == 1.0:
-        raise _ValidationError("--a: a = 1 is the uniform law, which has no second-order curve")
     try:
         rows = expansion_curve(family(value), np.linspace(lo, hi, args.points))
+    except NoSecondOrder:
+        # the one figure model without a second-order term: weibull-beta at a = 1
+        raise _ValidationError(
+            "--a: a = 1 is the uniform law, which has no second-order curve") from None
     except ValueError as exc:
         raise _ValidationError(f"--{param}: {exc}") from None
     return render_csv(ExpansionCurveRow._fields, rows)

@@ -60,6 +60,8 @@ class EvClassification(NamedTuple):
     auxiliary      evaluator x -> A(x) for the second-order term (None for
                    gumbel; the zero function when rho is None)
     right_endpoint finite upper endpoint for weibull, else None
+    relation       for gumbel, "equivalent" (e_alpha/q_alpha -> 1) or
+                   "log-equivalent" (only their logs' ratio -> 1), else None
     """
 
     mda: str
@@ -67,6 +69,7 @@ class EvClassification(NamedTuple):
     rho: Optional[float]
     auxiliary: Optional[Callable[[float], float]]
     right_endpoint: Optional[float]
+    relation: Optional[str] = None
 
 
 # uniforms below this are raised to it before the inverse transform
@@ -344,7 +347,8 @@ class Exponential(Distribution):
         return 0.0, math.inf
 
     def mda(self) -> EvClassification:
-        return EvClassification("gumbel", None, None, None, None)
+        # the integrated tail meets the second-order von Mises condition
+        return EvClassification("gumbel", None, None, None, None, "equivalent")
 
     def with_shift(self, shift):
         return Exponential(shift=shift)
@@ -617,10 +621,10 @@ class TwoPoint(Distribution):
         return self.p * self.x1 + (1.0 - self.p) * self.x2
 
     def _es0(self, beta):
-        # below p the atom at x1 is split; min(beta, p) keeps 1 - b > 0
+        # below p the atom at x1 is split (1 - b > 0); the mix may round past x2
         b = np.minimum(beta, self.p)
         mixed = ((self.p - b) * self.x1 + (1.0 - self.p) * self.x2) / (1.0 - b)
-        return np.where(beta >= self.p, self.x2, mixed)
+        return np.where(beta >= self.p, self.x2, np.minimum(mixed, self.x2))
 
     def _pdf0(self, x):
         raise NotImplementedError("two-point law has no density")
@@ -679,7 +683,7 @@ def empirical_es(x, above, n_above, mass):
     average [w x + sum_{k>j} x_(k)] / mass as x plus the mean excess over x.
     The excess is >= 0 (a tie adds nothing) but for the rounding of
     ``above``, so a tail of ties gives x exactly and ES >= VaR holds in
-    floating point; as w >= 0, ES is at most the maximum up to its rounding."""
+    floating point; as w >= 0, ES passes the maximum only by rounding: callers clip."""
     return x + np.maximum(above - n_above * x, 0.0) / mass
 
 
@@ -757,8 +761,8 @@ class Sample:
         n = self.n
         _, j, w = order_stats(n, beta)
         x = self.values[np.maximum(j, 1) - 1]
-        return np.where(beta == 0.0, self._suffix[0] / n,
-                        empirical_es(x, self._suffix[j], n - j, n - j + w))
+        return np.where(beta == 0.0, self._suffix[0] / n, np.minimum(
+            empirical_es(x, self._suffix[j], n - j, n - j + w), self.values[-1]))
 
     def eplus(self, m):
         """E[(L - m)+] under the empirical law, exact."""

@@ -411,8 +411,8 @@ def _select(values: np.ndarray, alpha: float) -> _Tail:
     part = np.partition(vals, j)
     q, top = float(part[j]), part[j + 1:]
     atom, mass = q if i_es == i else float(top.min()), float(n - i_es + w)
-    return _Tail(q, float(empirical_es(atom, top.sum(), k - 1, mass)), atom, mass,
-                 t, rows, vals)
+    es = min(float(empirical_es(atom, top.sum(), k - 1, mass)), float(part[j:].max()))
+    return _Tail(q, es, atom, mass, t, rows, vals)
 
 
 def _tail_expectile(values: np.ndarray, alpha: float, sel: Optional[_Tail] = None):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tailrisk.asymptotics import (
+    NoSecondOrder,
     beta_star_expansion,
     exact_beta_star_ratio,
     exact_ratio,
@@ -12,7 +13,6 @@ from tailrisk.asymptotics import (
     frechet_first_order_constant,
     frechet_ratio,
     frechet_second_order_coefficient,
-    gumbel_relation,
     hill_estimator,
     ratio_expansion,
     weibull_beta_star_ratio,
@@ -67,9 +67,52 @@ def test_frechet_leading_term_approaches_constant():
         assert abs(lead - frechet_first_order_constant(eta)) < 1e-9
 
 
-def test_frechet_ratio_requires_rho_for_second_order():
-    with pytest.raises(ValueError, match="order=1"):
-        frechet_ratio(2.1, None, 0.0, 0.99, order=2)
+class ExactPowerTail(Pareto):
+    """A Pareto law classified as an exact power tail (rho None) at every
+    shift, so its centered law has no second-order term either."""
+
+    def mda(self):
+        return super().mda()._replace(rho=None, auxiliary=lambda x: 0.0)
+
+    def with_shift(self, shift):
+        return ExactPowerTail(self.a, shift=shift)
+
+
+# every place a second-order term can be asked of a tail without one: the
+# three formulas, and the two classes' branches of the law-level wrappers
+NO_SECOND_ORDER = [
+    lambda order: frechet_ratio(2.1, None, 0.0, 0.99, order=order),
+    lambda order: frechet_beta_star_ratio(2.1, None, 0.0, 0.99, order=order),
+    lambda order: weibull_ratio(1.0, None, 1.0, 0.5, 0.9, 0.0, 0.99, order=order),
+    lambda order: ratio_expansion(ExactPowerTail(2.1), 0.99, order=order),
+    lambda order: beta_star_expansion(ExactPowerTail(2.1), 0.99, order=order),
+    lambda order: ratio_expansion(Uniform01(), 0.99, order=order),
+]
+
+
+@pytest.mark.parametrize("call", NO_SECOND_ORDER, ids=[
+    "frechet_ratio", "frechet_beta_star_ratio", "weibull_ratio", "ratio_expansion-frechet",
+    "beta_star_expansion-frechet", "ratio_expansion-weibull"])
+def test_second_order_of_a_tail_without_one_raises_no_second_order(call):
+    with pytest.raises(NoSecondOrder, match="order=1") as info:
+        call(2)
+    assert isinstance(info.value, ValueError)
+    assert call(1).order == 1
+
+
+def test_second_order_at_the_median_level_is_refused_as_not_finite():
+    # the Student auxiliary function has its pole at the centered median, and
+    # the Frechet level ratio's leading term at alpha = 1/2
+    for expansion, dist in [(ratio_expansion, StudentT(2.3)),
+                            (ratio_expansion, StudentT(2.3, shift=1.0)),
+                            (beta_star_expansion, StudentT(2.3)),
+                            (beta_star_expansion, StudentT(2.3, shift=1.0)),
+                            (beta_star_expansion, Pareto(2.1))]:
+        with pytest.raises(ValueError, match="order-2 expansion at alpha=0.5 is not finite"):
+            expansion(dist, 0.5, order=2)
+        assert np.isfinite(expansion(dist, 0.5, order=1).value)
+    # Pareto's ratio has neither pole and stays finite
+    assert np.isfinite(ratio_expansion(Pareto(2.1), 0.5, order=2).value)
 
 
 # -------------------------------------------------- expansion vs exact
@@ -178,7 +221,7 @@ def test_beta_star_expansion_weibull_is_leading_order_only(order):
 
 
 def test_beta_star_expansion_gumbel_raises():
-    with pytest.raises(ValueError, match="gumbel_relation"):
+    with pytest.raises(ValueError, match=r"mda\(\)\.relation"):
         beta_star_expansion(Exponential(), 0.99)
 
 
@@ -188,7 +231,7 @@ def test_exact_ratio_matches_inline_formulas():
     d = PowerBeta(2.0)
     gap = (1 - expected_shortfall(d, 0.995)) / (1 - expectile(d, 0.995))
     assert exact_ratio(d, 0.995) == gap
-    with pytest.raises(ValueError, match="gumbel_relation"):
+    with pytest.raises(ValueError, match=r"mda\(\)\.relation"):
         exact_ratio(Exponential(), 0.99)
 
 
@@ -320,15 +363,19 @@ def test_extreme_expectile_needs_integrable_tail():
 
 # ----------------------------------------------------------- gumbel part
 
-def test_gumbel_relation_enum():
-    assert gumbel_relation(has_finite_endpoint=True) == "equivalent"
-    assert gumbel_relation(satisfies_second_order=True) == "equivalent"
-    assert gumbel_relation() == "log-equivalent"
-    assert gumbel_relation(True, True) == "equivalent"
+@pytest.mark.parametrize("dist", [
+    Exponential(), Exponential(shift=2.0), Pareto(2.1), StudentT(2.3), PowerBeta(1.1),
+    Uniform01(),
+], ids=repr)
+def test_classification_states_the_relation_of_a_gumbel_tail(dist):
+    # the exponential meets the second-order condition: expectile and ES are
+    # equivalent; outside the Gumbel class there is no relation to state
+    want = "equivalent" if isinstance(dist, Exponential) else None
+    assert dist.mda().relation == want
 
 
 def test_ratio_expansion_gumbel_raises_with_pointer():
-    with pytest.raises(ValueError, match="gumbel_relation"):
+    with pytest.raises(ValueError, match=r"mda\(\)\.relation"):
         ratio_expansion(Exponential(), 0.99)
 
 

@@ -338,7 +338,7 @@ def test_table_validation(capsys):
 
 # ---------------------------------------------------------------- asympt
 
-def test_asympt_gumbel_relation(capsys):
+def test_asympt_gumbel_class_states_its_relation(capsys):
     code, out, _ = run(capsys, ["asympt", "--dist", "exp", "--alpha", "0.99"])
     assert code == 0
     assert "Gumbel-type" in out and "equivalent" in out
@@ -644,10 +644,24 @@ GOLDEN = [
         "exact 9.1325, |error| 8.67e-01\n",
         "", id="asympt-weibull-beta-star"),
     pytest.param(
+        ["asympt", "--dist", "uniform", "--alpha", "0.99", "--target", "beta-star",
+         "--order", "1"], 0,
+        "uniform: weibull-type tail\n"
+        "target: level ratio (1-beta*)/(1-alpha) at alpha=0.99\n"
+        "leading-order value 10.0000\n"
+        "exact 9.1325, |error| 8.67e-01\n",
+        "", id="asympt-weibull-beta-star-order1"),
+    pytest.param(
         ["asympt", "--dist", "exp", "--alpha", "0.99"], 0,
         "exp: light (Gumbel-type) tail; expectile and ES are equivalent as alpha -> 1 (no "
         "polynomial expansion)\n",
         "", id="asympt-gumbel"),
+    pytest.param(
+        ["asympt", "--dist", "exp", "--alpha", "0.99", "--target", "beta-star", "--order", "1"],
+        0,
+        "exp: light (Gumbel-type) tail; expectile and ES are equivalent as alpha -> 1 (no "
+        "polynomial expansion)\n",
+        "", id="asympt-gumbel-beta-star-order1"),
     pytest.param(
         ["asympt", "--dist", "uniform", "--alpha", "0.99"], 2,
         "",
@@ -674,6 +688,17 @@ GOLDEN = [
         "error: --dist: pareto:a=1e+300 is degenerate in double precision at alpha=0.99:"
         " the ES of the centered law is -1e-300, not positive\n",
         id="asympt-collapsed-centered-law-exit2"),
+    pytest.param(
+        ["asympt", "--dist", "student:nu=2.3", "--alpha", "0.5"], 2,
+        "",
+        "error: --dist: the order-2 expansion at alpha=0.5 is not finite in double"
+        " precision (leading 0, correction -inf)\n", id="asympt-student-median-exit2"),
+    pytest.param(
+        ["asympt", "--dist", "pareto:a=2.1", "--alpha", "0.5", "--target", "beta-star"], 2,
+        "",
+        "error: --dist: the order-2 expansion at alpha=0.5 is not finite in double"
+        " precision (leading inf, correction 3.85644)\n",
+        id="asympt-beta-star-median-exit2"),
     pytest.param(
         ["sample-size", "--tail", "poly:q=3,s=2.5", "--gamma", "0.05", "--eps", "0.1",
          "--alpha", "0.99"], 0,

@@ -60,14 +60,24 @@ def sources_and_es_levels(draw):
 @settings(deadline=None, max_examples=150)
 @given(sources_and_es_levels())
 def test_var_es_max_chain(case):
-    # VaR <= ES <= max L, with ES the oracle's tail average; the bounds hold
-    # to the rounding of the terms, as x + (M - x) may round above M
+    # VaR <= ES <= max L, with ES the oracle's tail average; ES is bounded
+    # by the maximum exactly, VaR by ES to the rounding of the terms
     src, alpha = case
     want, es = oracle.of(src).es(alpha), expected_shortfall(src, alpha)
     assert want.ulps(es) <= 8, (alpha, es, float(want.value))
-    assert oracle.ulps_above(es, src.support()[1], want.terms) <= 4
+    assert es <= src.support()[1], (alpha, es)
     if alpha > 0.0:
         assert oracle.ulps_above(value_at_risk(src, alpha), es, want.terms) <= 4
+
+
+def test_es_is_the_maximum_where_the_tail_average_rounds_above_it():
+    # x + (max - x) rounds past the maximum here; ES is bounded by it exactly
+    for v in ([-3.648765872615266e-15, 1.824382936307633e-15],
+              [-0.35498169449065997, -0.035498169449065996]):
+        x = np.array(v)
+        assert Sample(x).es(0.5) == _select(x, 0.5).es == x.max()
+    law = TwoPoint(-0.48491794938289456, -0.4843913645899755, 0.1663487761386872)
+    assert law.es(0.16634877613868718) == law.support()[1]
 
 
 def _top_levels(n):

@@ -18,7 +18,11 @@ tolerance that turns absolute below magnitude 1; a check compares to a
 share of its identity's own terms.  One level-to-order-statistic rule: the
 package calls ``ceil`` only in ``distributions.order_stats``, which turns
 levels into order statistics, and at the listed sites that round a sample
-size, a window or a rank.
+size, a window or a rank.  One tail classification: ``cli.py`` reads no
+``.rho``, calls no ``.centered(`` and compares no ``.family``, so the
+commands print what ``asymptotics`` decides about a law's tail, and the
+removed ``gumbel_relation`` is named nowhere in the package, the demos or
+the tests but here.
 """
 
 import ast
@@ -212,6 +216,48 @@ def test_levels_become_order_statistics_in_one_function():
     # a fifth level-to-index rule next to order_stats would be a new site
     sites = Counter((p.stem, f) for p in PACKAGE for f in ceil_sites(p.read_text()))
     assert sites == _CEIL_SITES
+
+
+def tail_rederivations(source: str) -> list:
+    """``line: what`` for each read of ``.rho``, call of ``.centered(`` and
+    comparison with a ``.family`` in ``source``, in line order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "rho" \
+                and isinstance(node.ctx, ast.Load):
+            found.append((node.lineno, ".rho"))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "centered":
+            found.append((node.lineno, ".centered("))
+        elif isinstance(node, ast.Compare) and any(
+                isinstance(x, ast.Attribute) and x.attr == "family"
+                for x in [node.left, *node.comparators]):
+            found.append((node.lineno, ".family"))
+    return [f"{line}: {what}" for line, what in sorted(found)]
+
+
+def test_tail_rederivation_scan_flags_what_the_library_decides():
+    source = (
+        "tail = dist.centered().mda()\n"
+        "if tail.rho is None or dist.family == 'exp':\n"
+        "    pass\n"
+        "cls = dist.mda()\n"
+        "print(dist.label, cls.relation, cls.mda == 'gumbel', family(2.0))\n"
+        "x.rho = 1.0\n"
+    )
+    assert tail_rederivations(source) == ["1: .centered(", "2: .family", "2: .rho"]
+
+
+def test_cli_renders_the_tail_classification_it_is_given():
+    # asympt and figure print the classification and the expansions'
+    # refusals; the decision what a law's tail allows is made in asymptotics
+    assert tail_rederivations((ROOT / "src" / "tailrisk" / "cli.py").read_text()) == []
+
+
+def test_gumbel_relation_is_named_nowhere():
+    # the Gumbel relation is a field of the classification, EvClassification.relation
+    assert [p.name for p in MODULES if p != Path(__file__).resolve()
+            and "gumbel_relation" in p.read_text()] == []
 
 
 def unused_functions(source: str, readers: list) -> list:
