@@ -13,8 +13,9 @@ All functionals accept any loss source exposing the common interface from
 - ``oce`` — the optimized certainty equivalent of a piecewise-linear
   utility, evaluated through its expected-shortfall representation;
 - ``expectile_bounds`` / ``beta_star`` / ``expectile_from_es`` — the exact
-  two-sided expectile/ES bounds and the level beta* at which the expectile
-  is a convex combination of ES_{beta*} and the mean;
+  two-sided expectile/ES bounds, the level beta* at which the expectile
+  is a convex combination of ES_{beta*} and the mean, and that combination,
+  checked at its own value with no root solve;
 - ``distortion_value`` / ``distortion_curves`` — the concave distortion
   phi(t) = alpha t/((2 alpha - 1) t + 1 - alpha) dominating the expectile,
   and the smallest dominating two-point ES mixture.
@@ -503,6 +504,12 @@ def expectile_bounds(src: LossSource, alpha: float, beta: float) -> Bounds:
     return Bounds(lower, upper, es_cap)
 
 
+def _levels(src: LossSource, x: float):
+    """(P[L < x], P[L <= x]), from one CDF evaluation on continuous laws."""
+    upper = float(src.cdf(x))
+    return (upper if src.continuous else float(src.prob_lt(x))), upper
+
+
 def beta_star(src: LossSource, alpha: float) -> BetaStarResult:
     """The interval of ES levels reconstructing the expectile.
 
@@ -518,38 +525,46 @@ def beta_star(src: LossSource, alpha: float) -> BetaStarResult:
             "equals the constant and every ES level reproduces it"
         )
     e = expectile(src, alpha)
-    lower = float(src.prob_lt(e))
-    upper = float(src.cdf(e))
-    if getattr(src, "continuous", False):
-        point = upper
-    else:
-        point = 0.5 * (lower + upper)
+    lower, upper = _levels(src, e)
+    point = upper if src.continuous else 0.5 * (lower + upper)
     return BetaStarResult(lower, upper, point, e)
 
 
 def expectile_from_es(
     src: LossSource, alpha: float, beta: float, strict: bool = False
 ) -> float:
-    """Reconstruct e_alpha from ES_beta and the mean.
+    """Reconstruct e_alpha as r = (1 - w) ES_beta + w E[L], with
+    w = (1-alpha)/(alpha + (1-2alpha) beta).
 
-    Exact whenever beta lies in the beta_star interval.  Outside it the
-    value is still returned but a warning is emitted (``strict=True``
-    raises instead).
+    r = e_alpha exactly for beta in the ``beta_star`` interval.  At any
+    beta-quantile m, r - m = g(m)/(alpha + (1-2alpha) beta), g being
+    ``foc_residual`` with e its only root, so r = e exactly when r is itself
+    a beta-quantile: beta is accepted in [P[L < r], P[L <= r]] to 1e-12, or
+    in [P[L < r - t], P[L <= r + t]], t being 4 ulps of r's terms
+    (1 - w)|ES_beta| + w|E[L]|.  That costs one ES, the mean and, on a
+    continuous law, one CDF evaluation, with no root solve.  Outside, r is
+    still returned with a warning naming the ``beta_star`` interval
+    (``strict=True`` raises ValueError); constant sources raise ValueError.
     """
     _check_expectile_level(alpha)
     if not (0.0 < beta < 1.0):
         raise ValueError(f"reconstruction level beta must lie in (0,1), got {beta}")
-    bs = beta_star(src, alpha)
-    if not (bs.lower - 1e-12 <= beta <= bs.upper + 1e-12):
-        msg = (
-            f"beta={beta} lies outside the valid interval "
-            f"[{bs.lower}, {bs.upper}]; the combination no longer equals "
-            f"the expectile"
-        )
-        if strict:
-            raise ValueError(msg)
-        warnings.warn(msg, stacklevel=2)
-    return _combination(expected_shortfall(src, beta), float(src.mean()), alpha, beta)
+    if _is_constant(src):
+        beta_star(src, alpha)  # raises: every level reconstructs a constant
+    es_beta, mu = expected_shortfall(src, beta), float(src.mean())
+    r = _combination(es_beta, mu, alpha, beta)
+    lower, upper = _levels(src, r)
+    if not lower - 1e-12 <= beta <= upper + 1e-12:
+        w = (1.0 - alpha) / (alpha + (1.0 - 2.0 * alpha) * beta)
+        t = _STEP_ULPS * ((1.0 - w) * abs(es_beta) + w * abs(mu))
+        if not src.prob_lt(r - t) - 1e-12 <= beta <= src.cdf(r + t) + 1e-12:
+            bs = beta_star(src, alpha)
+            msg = (f"beta={beta} lies outside the valid interval [{bs.lower}, {bs.upper}]; "
+                   "the combination no longer equals the expectile")
+            if strict:
+                raise ValueError(msg)
+            warnings.warn(msg, stacklevel=2)
+    return r
 
 
 # ---------------------------------------------------------------------------

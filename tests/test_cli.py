@@ -73,7 +73,9 @@ def test_expectile_at_half_is_the_mean(capsys):
     assert "beta*" in out
 
 
-def test_risk_expectile_solves_its_root_once(monkeypatch, capsys):
+@pytest.fixture
+def newton_calls(monkeypatch):
+    """The level of every ``risk_core._newton_root`` call the test makes."""
     calls = []
     solve = risk_core._newton_root
 
@@ -82,9 +84,20 @@ def test_risk_expectile_solves_its_root_once(monkeypatch, capsys):
         return solve(*args)
 
     monkeypatch.setattr(risk_core, "_newton_root", counting_solve)
+    return calls
+
+
+def test_risk_expectile_solves_its_root_once(newton_calls, capsys):
     code, out, _ = run(capsys, ["risk", "--dist", "student:nu=2.3", "--alpha", "0.99"])
     assert code == 0 and out.startswith("expectile[student:nu=2.3] alpha=0.99 = ")
-    assert calls == [0.99]
+    assert newton_calls == [0.99]
+
+
+def test_beta_star_solves_its_root_once(newton_calls, capsys):
+    for spec in ("pareto:a=2.1", "student:nu=2.3"):
+        code, out, _ = run(capsys, ["beta-star", "--dist", spec, "--alpha", "0.99"])
+        assert code == 0 and "reconstruction at point = " in out
+    assert newton_calls == [0.99, 0.99]
 
 
 def test_es_and_var_closed_forms(capsys):

@@ -2,6 +2,7 @@
 and exact laws of ``oracle``."""
 
 import gc
+import re
 import warnings
 from fractions import Fraction
 
@@ -371,13 +372,78 @@ def test_beta_star_rejects_constant():
         beta_star(Sample([2.0, 2.0, 2.0]), 0.9)
 
 
+def test_expectile_from_es_rejects_constant():
+    with pytest.raises(ValueError, match="undefined for a constant loss"):
+        expectile_from_es(Sample([2.0, 2.0, 2.0]), 0.9, 0.5)
+
+
 def test_expectile_from_es_warns_outside_interval():
     d = Pareto(2.1)
     bs = beta_star(d, 0.9)
-    with pytest.warns(UserWarning):
+    interval = re.escape(f"lies outside the valid interval [{bs.lower}, {bs.upper}]")
+    with pytest.warns(UserWarning, match=interval):
         expectile_from_es(d, 0.9, bs.upper + 0.05)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=interval):
         expectile_from_es(d, 0.9, bs.upper + 0.05, strict=True)
+
+
+def test_expectile_from_es_solves_no_root(monkeypatch):
+    d = StudentT(2.3)
+    beta = beta_star(d, 0.99).point
+
+    def no_solve(*args):
+        raise AssertionError("a valid reconstruction solved for the expectile")
+
+    monkeypatch.setattr(risk_core, "_newton_root", no_solve)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        expectile_from_es(d, 0.99, beta)
+
+
+RECONSTRUCTION_SOURCES = [parse_distribution(spec) for spec in (
+    "pareto:a=2.1", "pareto:a=1.3", "student:nu=2.3", "student:nu=1.2", "exp", "uniform",
+    "power:a=1.1", "power:a=5", "twopoint:x1=0,x2=1,p=0.5", "twopoint:x1=-1,x2=3,p=0.9",
+    "student:nu=2.3,shift=-3")] + [
+    Sample([0.0, 1.0, 1.0, 6.0, 6.0, 6.0, 2.0, 2.0, 9.0]),
+    Sample(np.random.default_rng(7).pareto(2.1, 500)),
+    Sample([-3.0, 0.5, 0.5, 4.0])]
+
+
+@pytest.mark.parametrize("src", RECONSTRUCTION_SOURCES, ids=repr)
+def test_expectile_from_es_verdict_is_the_beta_star_interval(src):
+    # the check at r's own levels accepts exactly the beta* interval, 1e-12
+    # wide on each side: beta at its ends, point and midpoint, moved by
+    # offsets either side of that slack
+    offsets = [0.0] + [s * d for d in (5e-13, 2e-12, 1e-11, 1e-6, 1e-3) for s in (-1, 1)]
+    for alpha in (0.5, 0.6, 0.9, 0.99, 0.999, 1 - 1e-6, 1 - 1e-8, 1 - 1e-10):
+        bs = beta_star(src, alpha)
+        for b0 in (bs.lower, bs.upper, bs.point, 0.5 * (bs.lower + bs.upper)):
+            for beta in (b0 + d for d in offsets):
+                if not 0.0 < beta < 1.0:
+                    continue
+                valid = bs.lower - 1e-12 <= beta <= bs.upper + 1e-12
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    expectile_from_es(src, alpha, beta)
+                assert (not caught) == valid, (alpha, beta, bs)
+
+
+@pytest.mark.parametrize("alpha", [0.9, 0.99])
+@pytest.mark.parametrize("shift", [0.0, 1e6, -1e6, 1e9, -1e9, 1e12, -1e12, 1e15, -1e15])
+def test_expectile_from_es_translation_invariant(alpha, shift):
+    # beta* does not move with the law; F(r) carries about ulp(shift) f(r)
+    beta = beta_star(Pareto(2.1), alpha).point
+    d = Pareto(2.1, shift=shift)
+    expectile_from_es(d, alpha, beta, strict=True)
+    # an offset past what F resolves over 4 ulps of r's terms is still caught
+    w = (1 - alpha) / (alpha + (1 - 2 * alpha) * beta)
+    es, mu = expected_shortfall(d, beta), d.mean()
+    r = (1 - w) * es + w * mu
+    t = 4 * np.finfo(float).eps * ((1 - w) * abs(es) + w * abs(mu))
+    resolution = d.cdf(r + t) - d.prob_lt(r - t)
+    offset = next(o for o in (1e-6, 1e-4, 1e-2, 0.2) if o > 2 * resolution)
+    with pytest.warns(UserWarning, match="outside the valid interval"):
+        expectile_from_es(d, alpha, beta - offset)
 
 
 def test_bounds_chain():
