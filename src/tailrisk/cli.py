@@ -63,18 +63,15 @@ class _ValidationError(Exception):
     """Bad input: reported with exit code 2."""
 
 
-def _dist(text: str):
-    try:
-        return parse_distribution(text)
-    except ValueError as exc:
-        raise _ValidationError(f"--dist: {exc}") from None
+# the spec flags, each with the parser of its text
+_SPECS = {"dist": parse_distribution, "tail": parse_tail_class}
 
 
-def _tail(text: str):
+def _spec(args, flag: str):
     try:
-        return parse_tail_class(text)
+        return _SPECS[flag](getattr(args, flag))
     except ValueError as exc:
-        raise _ValidationError(f"--tail: {exc}") from None
+        raise _ValidationError(f"--{flag}: {exc}") from None
 
 
 def _level(value: float, flag: str = "alpha") -> float:
@@ -126,7 +123,7 @@ def _beta_star_text(dist, alpha: float, bs) -> str:
 
 
 def _cmd_risk(args) -> str:
-    dist = _dist(args.dist)
+    dist = _spec(args, "dist")
     if args.measure == "expectile":
         alpha = _expectile_level(args.alpha)
         return _beta_star_text(dist, alpha, beta_star(dist, alpha))
@@ -139,7 +136,7 @@ def _cmd_risk(args) -> str:
 
 
 def _cmd_beta_star(args) -> str:
-    dist = _dist(args.dist)
+    dist = _spec(args, "dist")
     alpha = _expectile_level(args.alpha)
     bs = beta_star(dist, alpha)
     recon = expectile_from_es(dist, alpha, bs.point)
@@ -147,7 +144,7 @@ def _cmd_beta_star(args) -> str:
 
 
 def _cmd_bounds(args) -> str:
-    dist = _dist(args.dist)
+    dist = _spec(args, "dist")
     alpha = _expectile_level(args.alpha)
     beta = _level(args.beta if args.beta is not None else alpha, flag="beta")
     b = expectile_bounds(dist, alpha, beta)
@@ -182,7 +179,7 @@ def _cmd_allocate(args) -> str:
 
 
 def _cmd_asympt(args) -> str:
-    dist = _dist(args.dist)
+    dist = _spec(args, "dist")
     alpha = _expectile_level(args.alpha)
     try:
         cls = dist.mda()
@@ -226,12 +223,12 @@ def _cmd_asympt(args) -> str:
 
 
 def _cmd_sample_size(args) -> str:
-    tc = _tail(args.tail)
+    tc = _spec(args, "tail")
     gamma = _level(args.gamma, flag="gamma")
     eps = float(args.eps)
     if eps <= 0:
         raise _ValidationError(f"--eps: must be positive, got {eps:g}")
-    dist = _dist(args.dist) if args.dist else None
+    dist = _spec(args, "dist") if args.dist else None
     try:
         if args.alphas:
             if dist is None:
@@ -263,7 +260,7 @@ def _cmd_sample_size(args) -> str:
 
 
 def _cmd_table(args) -> str:
-    dist = _dist(args.dist)
+    dist = _spec(args, "dist")
     alphas = tuple(_float_list(args.alphas, "alphas"))
     ns = tuple(_int_list(args.ns, "ns"))
     cfg = SimulationConfig(dist, alphas, ns, args.seed, args.vs, args.replications)
@@ -274,9 +271,10 @@ def _cmd_table(args) -> str:
     return ratio_table_csv(rows, ns)
 
 
-# --kind: (flag, family); the family rejects a parameter out of its range
-_FIGURE_MODELS = {"weibull-beta": ("a", PowerBeta), "frechet-pareto": ("a", Pareto),
-                  "frechet-student": ("nu", StudentT)}
+# --kind: the family, whose one parameter is read from the flag of that
+# name; the family rejects a value out of its range
+_FIGURE_MODELS = {"weibull-beta": PowerBeta, "frechet-pareto": Pareto,
+                  "frechet-student": StudentT}
 
 
 def _cmd_figure(args) -> str:
@@ -291,7 +289,8 @@ def _cmd_figure(args) -> str:
     hi = _expectile_level(args.alpha_max, flag="alpha-max")
     if not (lo < hi):
         raise _ValidationError(f"--alpha-min: {lo:g} must be below --alpha-max {hi:g}")
-    param, family = _FIGURE_MODELS[kind]
+    family = _FIGURE_MODELS[kind]
+    (param,) = family.params
     value = getattr(args, param)
     if value is None:
         raise _ValidationError(f"--{param}: required for kind {kind}")
@@ -307,7 +306,7 @@ def _cmd_figure(args) -> str:
 
 
 def _cmd_wasserstein(args) -> str:
-    dist = _dist(args.dist)
+    dist = _spec(args, "dist")
     n = int(args.n)
     if n < 1:
         raise _ValidationError(f"--n: must be >= 1, got {n}")

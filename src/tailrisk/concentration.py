@@ -29,7 +29,7 @@ import math
 import warnings
 from typing import NamedTuple, Sequence
 
-from .distributions import Distribution
+from .distributions import Distribution, _parse_spec
 
 __all__ = [
     "TailClass",
@@ -52,7 +52,12 @@ class TailClass:
 
     Subclasses give the deviation bound ``bound(n, h)`` with n draws at
     threshold h and ``_inverse(gamma, h)``, the real n where it equals gamma.
+    Each declares its spec name ``family`` and its parameters ``params``
+    (besides C and c) once, for ``repr`` and ``parse_tail_class``, and an
+    ``example`` spec for its messages.
     """
+
+    params = ()
 
     def __init__(self, C: float = 1.0, c: float = 1.0):
         C = float(C)
@@ -64,13 +69,9 @@ class TailClass:
         self.C = C
         self.c = c
 
-    def _label_params(self) -> str:
-        return ""
-
     def __repr__(self):
-        extra = self._label_params()
-        sep = ", " if extra else ""
-        return f"{type(self).__name__}({extra}{sep}C={self.C:g}, c={self.c:g})"
+        args = ", ".join(f"{k}={getattr(self, k):g}" for k in self.params + ("C", "c"))
+        return f"{type(self).__name__}({args})"
 
     def size(self, gamma: float, h: float) -> int:
         """Smallest n >= 1 with ``bound(n, h) <= gamma``: the inverse rounded up,
@@ -96,6 +97,10 @@ class TailClass:
 class ExpMoment(TailClass):
     """Exponential moment class: E[exp(r |L|^k)] finite for some k > 1."""
 
+    family = "exp"
+    params = ("k", "r")
+    example = "exp:k=2,r=1"
+
     def __init__(self, k: float, r: float, C: float = 1.0, c: float = 1.0):
         super().__init__(C, c)
         k = float(k)
@@ -106,9 +111,6 @@ class ExpMoment(TailClass):
             raise ValueError(f"exponential moment scale r must be positive, got {r}")
         self.k = k
         self.r = r
-
-    def _label_params(self) -> str:
-        return f"k={self.k:g}, r={self.r:g}"
 
     def bound(self, n: int, h: float) -> float:
         return self.C * math.exp(-self.c * n * h * h)
@@ -123,6 +125,10 @@ class SubExpMoment(TailClass):
     ``s`` in (0, k) is the polynomial-in-n rate appearing in the bound
     exponent n^s.
     """
+
+    family = "subexp"
+    params = ("k", "r", "s")
+    example = "subexp:k=0.5,r=1,s=0.3"
 
     def __init__(self, k: float, r: float, s: float, C: float = 1.0, c: float = 1.0):
         super().__init__(C, c)
@@ -139,9 +145,6 @@ class SubExpMoment(TailClass):
         self.r = r
         self.s = s
 
-    def _label_params(self) -> str:
-        return f"k={self.k:g}, r={self.r:g}, s={self.s:g}"
-
     def bound(self, n: int, h: float) -> float:
         return 2.0 * self.C * math.exp(-self.c * n ** self.s * h * h)
 
@@ -156,6 +159,10 @@ class PolyMoment(TailClass):
     ``s`` in (2, q) is the rate in the power bound C n^(1-s) h^(2(1-s)).
     """
 
+    family = "poly"
+    params = ("q", "s")
+    example = "poly:q=3,s=2.5"
+
     def __init__(self, q: float, s: float, C: float = 1.0, c: float = 1.0):
         super().__init__(C, c)
         q = float(q)
@@ -167,9 +174,6 @@ class PolyMoment(TailClass):
         self.q = q
         self.s = s
 
-    def _label_params(self) -> str:
-        return f"q={self.q:g}, s={self.s:g}"
-
     def bound(self, n: int, h: float) -> float:
         return self.C * n ** (1.0 - self.s) * h ** (2.0 * (1.0 - self.s))
 
@@ -177,54 +181,18 @@ class PolyMoment(TailClass):
         return (self.C / gamma) ** (1.0 / (self.s - 1.0)) * h ** -2.0
 
 
-# family: (class, required parameters, example spec)
-_TAIL_FAMILIES = {
-    "exp": (ExpMoment, ("k", "r"), "exp:k=2,r=1"),
-    "subexp": (SubExpMoment, ("k", "r", "s"), "subexp:k=0.5,r=1,s=0.3"),
-    "poly": (PolyMoment, ("q", "s"), "poly:q=3,s=2.5"),
-}
+# every moment class, by its spec name
+_TAIL_CLASSES = {cls.family: cls for cls in (ExpMoment, SubExpMoment, PolyMoment)}
 
 
 def parse_tail_class(text: str) -> TailClass:
     """Parse a moment-class spec like ``poly:q=3,s=2.5`` or
     ``exp:k=2,r=1,C=2,c=0.5``.
 
-    The keys C and c are case-sensitive (C is the prefactor, c the
-    exponent constant); all other keys are lowercase.
+    The grammar is that of ``parse_distribution``: C (the prefactor) and c
+    (the exponent constant) are case-sensitive, other keys read in any case.
     """
-    text = text.strip()
-    head, sep, body = text.partition(":")
-    family = head.strip().lower()
-    if family not in _TAIL_FAMILIES:
-        raise ValueError(
-            f"unknown tail class {head.strip()!r}: expected one of exp, subexp, poly"
-        )
-    cls, required, example = _TAIL_FAMILIES[family]
-    if not sep or not body.strip():
-        raise ValueError(f"tail class {family!r} needs parameters, e.g. '{example}'")
-    kwargs = {}
-    for item in body.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        key, eq, val = item.partition("=")
-        key = key.strip()
-        if not eq or not val.strip():
-            raise ValueError(f"malformed tail parameter {item!r}: expected key=value")
-        if key not in ("C", "c"):
-            key = key.lower()
-        if key not in required + ("C", "c"):
-            raise ValueError(f"unknown parameter {key!r} for tail class {family!r}")
-        if key in kwargs:
-            raise ValueError(f"duplicate tail parameter {key!r}")
-        try:
-            kwargs[key] = float(val.strip())
-        except ValueError:
-            raise ValueError(f"non-numeric value for tail parameter {key!r}: {val.strip()!r}") from None
-    missing = [k for k in required if k not in kwargs]
-    if missing:
-        raise ValueError(f"tail class {family!r} is missing parameter(s): {', '.join(missing)}")
-    return cls(**kwargs)
+    return _parse_spec(text, _TAIL_CLASSES, "tail", ("C", "c"))
 
 
 def _threshold(eps: float, alpha: float, measure: str) -> float:

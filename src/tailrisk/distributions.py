@@ -104,9 +104,14 @@ class Distribution:
     ``_cdf0 / _quantile0 / _mean0 / _es0 / _pdf0 / _support0`` hooks, all
     of which accept numpy arrays where meaningful.  The public methods add
     the shift, validate levels, and keep scalar-in/scalar-out semantics.
+
+    Each family declares its spec name ``family`` and its parameters
+    ``params`` (besides ``shift``) once, for ``label``, ``with_shift`` and
+    ``parse_distribution``, and an ``example`` spec for its messages.
     """
 
     family = "base"
+    params = ()
     continuous = True
 
     def __init__(self, shift: float = 0.0):
@@ -133,9 +138,6 @@ class Distribution:
 
     def _support0(self):
         raise NotImplementedError
-
-    def _params_label(self) -> str:
-        return ""
 
     # --- public interface -----------------------------------------------
     def cdf(self, x):
@@ -238,7 +240,13 @@ class Distribution:
         raise NotImplementedError
 
     def with_shift(self, shift: float) -> "Distribution":
-        raise NotImplementedError
+        """Copy of this law, of the same class, with its shift set to ``shift``."""
+        # the attributes hold nothing derived from the shift; copying them is
+        # faster than copy.copy or a rebuild from params
+        d = object.__new__(type(self))
+        d.__dict__.update(self.__dict__)
+        Distribution.__init__(d, shift)
+        return d
 
     def centered(self) -> "Distribution":
         """Copy of this distribution shifted to zero mean."""
@@ -246,10 +254,11 @@ class Distribution:
 
     @property
     def label(self) -> str:
-        body = self._params_label()
+        """The spec of this law, e.g. ``pareto:a=2.1,shift=-1``."""
+        items = [f"{k}={getattr(self, k):g}" for k in self.params]
         if self.shift != 0.0:
-            body = f"{body},shift={self.shift:g}" if body else f"shift={self.shift:g}"
-        return f"{self.family}:{body}" if body else self.family
+            items.append(f"shift={self.shift:g}")
+        return f"{self.family}:{','.join(items)}" if items else self.family
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.label}>"
@@ -263,6 +272,8 @@ class PowerBeta(Distribution):
     """
 
     family = "power"
+    params = ("a",)
+    example = "power:a=2"
 
     def __init__(self, a: float, shift: float = 0.0):
         super().__init__(shift)
@@ -294,9 +305,6 @@ class PowerBeta(Distribution):
     def _support0(self):
         return 0.0, 1.0
 
-    def _params_label(self):
-        return f"a={self.a:g}"
-
     def mda(self) -> EvClassification:
         xhat = 1.0 + self.shift
         a = self.a
@@ -306,21 +314,15 @@ class PowerBeta(Distribution):
             "weibull", 1.0, -1.0, lambda x: (a - 1.0) / (2.0 * x), xhat
         )
 
-    def with_shift(self, shift):
-        return type(self)(a=self.a, shift=shift) if type(self) is PowerBeta \
-            else type(self)(shift=shift)
-
 
 class Uniform01(PowerBeta):
     """Standard uniform on [0, 1] (power family with a = 1)."""
 
     family = "uniform"
+    params = ()
 
     def __init__(self, shift: float = 0.0):
         super().__init__(a=1.0, shift=shift)
-
-    def _params_label(self):
-        return ""
 
 
 class Exponential(Distribution):
@@ -350,9 +352,6 @@ class Exponential(Distribution):
         # the integrated tail meets the second-order von Mises condition
         return EvClassification("gumbel", None, None, None, None, "equivalent")
 
-    def with_shift(self, shift):
-        return Exponential(shift=shift)
-
 
 class Pareto(Distribution):
     """F(x) = 1 - (1+x)^(-a) on [0, inf), a > 1 so the mean is finite.
@@ -364,6 +363,8 @@ class Pareto(Distribution):
     """
 
     family = "pareto"
+    params = ("a",)
+    example = "pareto:a=2.1"
 
     def __init__(self, a: float, shift: float = 0.0):
         super().__init__(shift)
@@ -395,18 +396,12 @@ class Pareto(Distribution):
     def _support0(self):
         return 0.0, math.inf
 
-    def _params_label(self):
-        return f"a={self.a:g}"
-
     def mda(self) -> EvClassification:
         a = self.a
         coef = a * (1.0 - self.shift)
         if coef == 0.0:
             return EvClassification("frechet", a, None, lambda x: 0.0, None)
         return EvClassification("frechet", a, -1.0, lambda x: coef / x, None)
-
-    def with_shift(self, shift):
-        return Pareto(a=self.a, shift=shift)
 
 
 # above this nu, _t_log_norm takes log Gamma(x + 1/2) - log Gamma(x) from
@@ -447,8 +442,12 @@ def _t_density(nu: float, x):
 def _t_lower_tail(nu: float, p, x):
     """Polish x ~ stdtrit(nu, p) so that stdtr(nu, x) = p, for p below 2^-53.
 
-    There stdtrit drifts (stdtr(nu, x)/p near 9 for nu = 2.1) or returns
-    +inf; the fixed point x <- x (stdtr(nu, x)/p)^(1/nu) contracts at rate
+    With scipy 1.17.1, stdtr(nu, stdtrit(nu, p))/p is within 1e-15 of 1 for
+    nu = 1.01 to 5 (3e-14 up to nu = 1e4) from 2^-53 down to p = 1e-100;
+    deeper it drifts (8.8 at p = 1e-200 for nu = 2.1), and at 1e-300
+    stdtrit returns +inf for nu = 2.1 to 5 and a wrong finite value near
+    -7e153 for nu = 1.01 and 1.2.  The polish serves those deep levels:
+    the fixed point x <- x (stdtr(nu, x)/p)^(1/nu) contracts at rate
     O(nu/x^2) on the power-law tail, so a few steps reach full precision.
     Non-finite starts, and points where stdtr returns 0 (x*x overflows
     inside it past |x| ~ 1e154, or a subnormal probability underflows),
@@ -518,8 +517,9 @@ class StudentT(Distribution):
 
     Backed by ``scipy.special.stdtr`` (CDF) and ``stdtrit`` (quantile, on
     the smaller tail probability so both tails keep relative accuracy).
-    Below tail probability 2^-53, under the sampler's floor, stdtrit loses
-    precision, so the quantile is polished there against stdtr.  Both
+    Below tail probability 2^-53, under the sampler's floor, the quantile
+    is polished against stdtr: stdtrit holds full precision down to about
+    1e-100, then drifts or overflows (``_t_lower_tail``).  Both
     kernels load with ``scipy.special`` on the first CDF, quantile or ES
     evaluation of any instance, constructed, copied or unpickled alike, so
     ``import tailrisk`` and processes that never evaluate a t law skip it.
@@ -530,6 +530,8 @@ class StudentT(Distribution):
     """
 
     family = "student"
+    params = ("nu",)
+    example = "student:nu=2.3"
 
     def __init__(self, nu: float, shift: float = 0.0):
         super().__init__(shift)
@@ -567,9 +569,6 @@ class StudentT(Distribution):
     def _support0(self):
         return -math.inf, math.inf
 
-    def _params_label(self):
-        return f"nu={self.nu:g}"
-
     def mda(self) -> EvClassification:
         nu = self.nu
         if self.shift == 0.0:
@@ -580,14 +579,13 @@ class StudentT(Distribution):
             "frechet", nu, -1.0, lambda x: -nu * s / x, None
         )
 
-    def with_shift(self, shift):
-        return StudentT(nu=self.nu, shift=shift)
-
 
 class TwoPoint(Distribution):
     """Law putting mass p on x1 and 1-p on x2, x1 <= x2."""
 
     family = "twopoint"
+    params = ("x1", "x2", "p")
+    example = "twopoint:x1=0,x2=1,p=0.5"
     continuous = False
 
     def __init__(self, x1: float, x2: float, p: float, shift: float = 0.0):
@@ -632,16 +630,10 @@ class TwoPoint(Distribution):
     def _support0(self):
         return self.x1, self.x2
 
-    def _params_label(self):
-        return f"x1={self.x1:g},x2={self.x2:g},p={self.p:g}"
-
     def mda(self) -> EvClassification:
         raise ValueError(
             "two-point laws have no extreme-value classification here"
         )
-
-    def with_shift(self, shift):
-        return TwoPoint(self.x1, self.x2, self.p, shift=shift)
 
 
 def order_stats(n: int, u):
@@ -784,14 +776,47 @@ class Sample:
 # parsing
 # ---------------------------------------------------------------------------
 
-_FAMILY_PARAMS = {
-    "pareto": ("a",),
-    "student": ("nu",),
-    "power": ("a",),
-    "exp": (),
-    "uniform": (),
-    "twopoint": ("x1", "x2", "p"),
-}
+def _parse_spec(text: str, registry: dict, kind: str, options: tuple):
+    """``cls(**values)`` for a ``name:key=value,...`` spec, ``cls`` the class
+    ``registry[name]``: the one grammar of distribution and tail specs.
+
+    The name matches in lower case.  The keys are the class's ``params``,
+    all required, and ``options``; a key matches exactly, else in lower case
+    (``C`` and ``c`` stay distinct, ``Q`` reads as ``q``).  Empty items are
+    skipped, a repeated key is rejected; ``kind`` names the spec in messages.
+    """
+    head, _, body = text.partition(":")
+    name = head.strip().lower()
+    cls = registry.get(name)
+    if cls is None:
+        raise ValueError(f"unknown {kind} class {head.strip()!r} "
+                         f"(known: {', '.join(sorted(registry))})")
+    keys = cls.params + options
+    values = {}
+    for item in filter(str.strip, body.split(",")):
+        key, eq, val = (part.strip() for part in item.partition("="))
+        if not (key and eq and val):
+            raise ValueError(f"malformed {kind} parameter {item.strip()!r}: expected key=value")
+        if key not in keys and key.lower() in keys:
+            key = key.lower()
+        if key not in keys:
+            raise ValueError(f"unknown parameter {key!r} for {kind} class {name!r} "
+                             f"(it takes {', '.join(keys)})")
+        if key in values:
+            raise ValueError(f"duplicate {kind} parameter {key!r}")
+        try:
+            values[key] = float(val)
+        except ValueError:
+            raise ValueError(f"non-numeric value for {kind} parameter {key!r}: {val!r}") from None
+    missing = [k for k in cls.params if k not in values]
+    if missing:
+        raise ValueError(f"{kind} class {name!r} needs parameters, e.g. '{cls.example}' "
+                         f"(missing parameter(s) {', '.join(missing)})")
+    return cls(**values)
+
+
+# every family, by its spec name
+_FAMILIES = {c.family: c for c in (Pareto, StudentT, PowerBeta, Exponential, Uniform01, TwoPoint)}
 
 
 def parse_distribution(text: str) -> Distribution:
@@ -800,43 +825,6 @@ def parse_distribution(text: str) -> Distribution:
     Examples: "pareto:a=2.1", "student:nu=2.3", "power:a=1.1", "exp",
     "uniform", "twopoint:x1=0,x2=1,p=0.5"; every family accepts an
     optional ",shift=-1.0" (or ":shift=..." for the parameter-free ones).
+    The grammar is that of ``parse_tail_class``.
     """
-    text = text.strip()
-    if not text:
-        raise ValueError("empty distribution spec")
-    name, _, rest = text.partition(":")
-    name = name.strip().lower()
-    if name not in _FAMILY_PARAMS:
-        known = ", ".join(sorted(_FAMILY_PARAMS))
-        raise ValueError(f"unknown family {name!r} (known: {known})")
-    kwargs = {}
-    if rest.strip():
-        for item in rest.split(","):
-            key, eq, val = item.partition("=")
-            key = key.strip().lower()
-            if not eq or not key:
-                raise ValueError(f"malformed parameter {item!r} in {text!r}")
-            try:
-                kwargs[key] = float(val)
-            except ValueError:
-                raise ValueError(
-                    f"parameter {key}={val.strip()!r} in {text!r} is not a number"
-                ) from None
-    allowed = set(_FAMILY_PARAMS[name]) | {"shift"}
-    extra = set(kwargs) - allowed
-    if extra:
-        raise ValueError(
-            f"family {name!r} does not take parameter(s) {sorted(extra)}"
-        )
-    missing = [p for p in _FAMILY_PARAMS[name] if p not in kwargs]
-    if missing:
-        raise ValueError(f"family {name!r} needs parameter(s) {missing}")
-    ctor = {
-        "pareto": Pareto,
-        "student": StudentT,
-        "power": PowerBeta,
-        "exp": Exponential,
-        "uniform": Uniform01,
-        "twopoint": TwoPoint,
-    }[name]
-    return ctor(**kwargs)
+    return _parse_spec(text, _FAMILIES, "distribution", ("shift",))

@@ -74,9 +74,6 @@ class ExactPowerTail(Pareto):
     def mda(self):
         return super().mda()._replace(rho=None, auxiliary=lambda x: 0.0)
 
-    def with_shift(self, shift):
-        return ExactPowerTail(self.a, shift=shift)
-
 
 # every place a second-order term can be asked of a tail without one: the
 # three formulas, and the two classes' branches of the law-level wrappers

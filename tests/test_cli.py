@@ -577,6 +577,15 @@ GOLDEN = [
         "error: --alpha: expectile level must lie in [0.5, 1 - 1e-12), got 1.5\n",
         id="risk-level-exit2"),
     pytest.param(
+        ["risk", "--dist", "pareto:a=2,A=3", "--alpha", "0.99"], 2,
+        "",
+        "error: --dist: duplicate distribution parameter 'a'\n", id="risk-repeated-key-exit2"),
+    pytest.param(
+        ["sample-size", "--tail", "poly:q=3", "--gamma", "0.05", "--eps", "0.1"], 2,
+        "",
+        "error: --tail: tail class 'poly' needs parameters, e.g. 'poly:q=3,s=2.5'"
+        " (missing parameter(s) s)\n", id="sample-size-missing-key-exit2"),
+    pytest.param(
         ["beta-star", "--dist", "exp", "--alpha", "0.9"], 0,
         "expectile[exp] alpha=0.9 = 2.0401\n"
         "beta* interval [0.8700, 0.8700], point 0.8700\n"

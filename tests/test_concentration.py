@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st_h
 
 from tailrisk.concentration import (
+    _TAIL_CLASSES,
     ExpMoment,
     PolyMoment,
     SubExpMoment,
+    TailClass,
     density_bound,
     deviation_bound,
     parse_tail_class,
@@ -79,6 +81,37 @@ def test_class_parameter_validation():
 
 def test_repr_carries_constants():
     assert repr(PolyMoment(q=3, s=2.5, C=2, c=0.5)) == "PolyMoment(q=3, s=2.5, C=2, c=0.5)"
+
+
+@pytest.mark.parametrize("tc, text", [
+    (ExpMoment(k=2, r=1), "ExpMoment(k=2, r=1, C=1, c=1)"),
+    (ExpMoment(k=2.5, r=0.5, C=3, c=0.25), "ExpMoment(k=2.5, r=0.5, C=3, c=0.25)"),
+    (SubExpMoment(k=0.5, r=1, s=0.3), "SubExpMoment(k=0.5, r=1, s=0.3, C=1, c=1)"),
+    (SubExpMoment(k=0.5, r=2, s=0.3, C=1e-3, c=7), "SubExpMoment(k=0.5, r=2, s=0.3, C=0.001, c=7)"),
+    (PolyMoment(q=3, s=2.5), "PolyMoment(q=3, s=2.5, C=1, c=1)"),
+    (TailClass(C=2, c=0.5), "TailClass(C=2, c=0.5)"),
+])
+def test_repr_is_pinned(tc, text):
+    assert repr(tc) == text
+
+
+@pytest.mark.parametrize("cls", _TAIL_CLASSES.values(), ids=lambda c: c.family)
+def test_example_parses_back_to_the_same_class(cls):
+    tc = parse_tail_class(cls.example)
+    assert type(tc) is cls
+    again = parse_tail_class(f"{cls.family}:" + ",".join(
+        f"{k}={getattr(tc, k)!r}" for k in cls.params + ("C", "c")))
+    assert repr(again) == repr(tc)
+    assert [getattr(again, k) for k in cls.params] == [getattr(tc, k) for k in cls.params]
+
+
+def test_parse_rejects_repeated_keys_and_skips_empty_items():
+    with pytest.raises(ValueError, match="duplicate tail parameter 'q'"):
+        parse_tail_class("poly:q=3,Q=4,s=2.5")
+    with pytest.raises(ValueError, match="duplicate tail parameter 'C'"):
+        parse_tail_class("poly:q=3,s=2.5,C=1,C=2")
+    assert repr(parse_tail_class("poly:,q=3,,s=2.5,")) == "PolyMoment(q=3, s=2.5, C=1, c=1)"
+    assert repr(parse_tail_class("poly:q=3,s=2.5,C=2,c=3")) == "PolyMoment(q=3, s=2.5, C=2, c=3)"
 
 
 # ----------------------------------------------------- deviation bounds

@@ -9,7 +9,7 @@ import oracle
 import pytest
 
 from tailrisk.distributions import (
-    _FAMILY_PARAMS,
+    _FAMILIES,
     _U_FLOOR,
     Exponential,
     Pareto,
@@ -56,9 +56,70 @@ def test_parse_rejects_malformed(bad):
         parse_distribution(bad)
 
 
+def test_parse_rejects_repeated_keys():
+    for spec in ("pareto:a=2,a=3", "uniform:shift=1,shift=2", "pareto:a=2,A=3",
+                 "twopoint:x1=0,x2=1,p=0.5,x2=2"):
+        with pytest.raises(ValueError, match="duplicate distribution parameter"):
+            parse_distribution(spec)
+
+
+def test_parse_skips_empty_items_and_folds_case():
+    assert parse_distribution("pareto:a=2.1,").a == 2.1
+    assert parse_distribution("Pareto:,A=2.1,,SHIFT=-1").label == "pareto:a=2.1,shift=-1"
+    assert parse_distribution("uniform:").label == "uniform"
+    with pytest.raises(ValueError, match="unknown parameter 'C'.*takes a, shift"):
+        parse_distribution("pareto:a=2.1,C=1")
+    with pytest.raises(ValueError, match="needs parameters, e.g. 'student:nu=2.3'"):
+        parse_distribution("student:")
+
+
+def _registry_laws():
+    """One law of every registered family, unshifted and shifted."""
+    for name, cls in _FAMILIES.items():
+        law = parse_distribution(cls.example if cls.params else name)
+        yield law
+        yield law.with_shift(-1.5)
+
+
+@pytest.mark.parametrize("law", _registry_laws(), ids=lambda d: d.label)
+def test_label_parses_back_to_the_same_law(law):
+    back = parse_distribution(law.label)
+    assert type(back) is type(law) and back.family == law.family
+    assert [getattr(back, k) for k in law.params + ("shift",)] == \
+        [getattr(law, k) for k in law.params + ("shift",)]
+
+
+# the labels the CLI prints for the specs of its pinned command lines
+LABELS = {
+    "pareto:a=2.1": "pareto:a=2.1", "pareto:a=2": "pareto:a=2", "pareto:a=1e300": "pareto:a=1e+300",
+    "student:nu=2.3": "student:nu=2.3", "power:a=1.1": "power:a=1.1",
+    "power:a=1e300": "power:a=1e+300", "exp": "exp", "uniform": "uniform",
+    "twopoint:x1=0,x2=1,p=0.5": "twopoint:x1=0,x2=1,p=0.5",
+    "twopoint:x1=1,x2=1,p=0.5": "twopoint:x1=1,x2=1,p=0.5",
+    "exp:shift=2.0": "exp:shift=2", "pareto:a=2.1,shift=-1.5": "pareto:a=2.1,shift=-1.5",
+}
+
+
+@pytest.mark.parametrize("spec, label", LABELS.items())
+def test_labels_are_pinned(spec, label):
+    law = parse_distribution(spec)
+    assert law.label == label and repr(law) == f"<{type(law).__name__} {label}>"
+
+
+def test_with_shift_and_centered_keep_the_subclass():
+    class P(Pareto):
+        pass
+
+    assert type(P(2.1).centered()) is P and type(P(2.1).with_shift(3.0)) is P
+    for law in _registry_laws():
+        moved = law.with_shift(0.25)
+        assert type(moved) is type(law) and moved.shift == 0.25
+        assert moved.label.startswith(law.family)
+
+
 def _readme_specs():
     text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    family = "|".join(_FAMILY_PARAMS)
+    family = "|".join(_FAMILIES)
     # quoted specs ("exp"), specs after --dist, and any family:params token
     quoted = re.findall(rf'"((?:{family})(?::[^"]*)?)"', text)
     flagged = re.findall(r"--dist\s+(\S+)", text)

@@ -22,7 +22,10 @@ size, a window or a rank.  One tail classification: ``cli.py`` reads no
 ``.rho``, calls no ``.centered(`` and compares no ``.family``, so the
 commands print what ``asymptotics`` decides about a law's tail, and the
 removed ``gumbel_relation`` is named nowhere in the package, the demos or
-the tests but here.
+the tests but here.  One spec grammar: the package splits a spec at its
+``:`` (``.partition(":")``) only in ``distributions._parse_spec``, defines
+``with_shift`` once, and names none of the per-family tables and label
+hooks that the classes' ``family`` and ``params`` replaced.
 """
 
 import ast
@@ -177,10 +180,9 @@ _CEIL_SITES = {
 }
 
 
-def ceil_sites(source: str) -> list:
-    """The function around each call of a ``ceil`` (``math.ceil``,
-    ``np.ceil`` or a bare ``ceil``) in ``source``, in order; "<module>"
-    outside any function."""
+def call_sites(source: str, is_site) -> list:
+    """The function around each call in ``source`` that ``is_site`` accepts,
+    in order; "<module>" outside any function."""
     sites = []
 
     def visit(node, func):
@@ -188,14 +190,23 @@ def ceil_sites(source: str) -> list:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if isinstance(child, ast.Call):
-                f = child.func
-                if (f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)) == "ceil":
-                    sites.append(func)
+            if isinstance(child, ast.Call) and is_site(child):
+                sites.append(func)
             visit(child, func)
 
     visit(ast.parse(source), "<module>")
     return sites
+
+
+def _is_ceil(call: ast.Call) -> bool:
+    f = call.func
+    return (f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)) == "ceil"
+
+
+def ceil_sites(source: str) -> list:
+    """The function around each call of a ``ceil`` (``math.ceil``,
+    ``np.ceil`` or a bare ``ceil``) in ``source``, in order."""
+    return call_sites(source, _is_ceil)
 
 
 def test_ceil_scan_names_the_function_around_each_call():
@@ -258,6 +269,58 @@ def test_gumbel_relation_is_named_nowhere():
     # the Gumbel relation is a field of the classification, EvClassification.relation
     assert [p.name for p in MODULES if p != Path(__file__).resolve()
             and "gumbel_relation" in p.read_text()] == []
+
+
+def _is_spec_split(call: ast.Call) -> bool:
+    """``x.partition(":")``: a spec split into its name and its parameters."""
+    return isinstance(call.func, ast.Attribute) and call.func.attr == "partition" \
+        and [getattr(a, "value", None) for a in call.args] == [":"]
+
+
+def definitions(source: str) -> Counter:
+    """How often each function or method name is defined in ``source``."""
+    return Counter(n.name for n in ast.walk(ast.parse(source))
+                   if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)))
+
+
+def test_spec_scans_flag_colon_splits_and_count_definitions():
+    source = (
+        "import numpy as np\n"
+        "def _parse_spec(text):\n"
+        "    head, _, body = text.partition(':')\n"
+        "    return [item.partition('=') for item in body.split(',')]\n"
+        "class Law:\n"
+        "    def with_shift(self, s):\n"
+        "        return np.partition(s, 1), self.label.partition(\":\")\n"
+        "    def label(self):\n"
+        "        'text.partition(\":\") in a docstring is no call'\n"
+        "class Shifted(Law):\n"
+        "    def with_shift(self, s):\n"
+        "        pass\n"
+    )
+    assert call_sites(source, _is_spec_split) == ["_parse_spec", "with_shift"]
+    assert definitions(source) == Counter({"with_shift": 2, "_parse_spec": 1, "label": 1})
+
+
+def test_specs_are_split_in_one_grammar():
+    # a second spec parser next to _parse_spec would be a second grammar
+    sites = [(p.stem, f) for p in PACKAGE for f in call_sites(p.read_text(), _is_spec_split)]
+    assert sites == [("distributions", "_parse_spec")]
+
+
+def test_with_shift_is_defined_once():
+    # Distribution.with_shift copies every family, a subclass included
+    assert sum(definitions(p.read_text())["with_shift"] for p in PACKAGE) == 1
+
+
+# the per-family spec tables and label hooks that the classes' own
+# ``family`` and ``params`` replaced
+_REMOVED_SPEC_NAMES = ("_FAMILY_PARAMS", "_TAIL_FAMILIES", "_params_label", "_label_params")
+
+
+def test_removed_spec_names_are_named_nowhere():
+    assert [(p.name, name) for p in MODULES if p != Path(__file__).resolve()
+            for name in _REMOVED_SPEC_NAMES if name in p.read_text()] == []
 
 
 def unused_functions(source: str, readers: list) -> list:
