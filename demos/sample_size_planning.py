@@ -1,12 +1,12 @@
 """How many scenarios does a target accuracy cost?
 
 Plans i.i.d. sample sizes for VaR, ES, and the expectile at a common
-relative accuracy and confidence budget, for losses in each moment
-class.  Two observations worth carrying away: the expectile always needs
-fewer draws than ES at the same level (its deviation threshold is larger
-by the factor 1/alpha), and for exponential-moment losses the
-requirement barely moves with alpha while for polynomial-moment losses
-it blows up as alpha -> 1.
+accuracy eps, an absolute deviation in loss units, and a common
+confidence budget, for losses in each moment class.  Two observations
+worth carrying away: the expectile always needs fewer draws than ES at
+the same level (its deviation threshold is larger by the factor
+1/alpha), and for exponential-moment losses the requirement barely moves
+with alpha while for polynomial-moment losses it blows up as alpha -> 1.
 """
 
 from tailrisk.concentration import (

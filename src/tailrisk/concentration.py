@@ -1,8 +1,8 @@
 """Finite-sample deviation bounds and sample-size planning.
 
-The empirical ES and expectile of n i.i.d. draws deviate from the true
-value by at most eps (relative, through the deviation threshold h) with
-probability controlled by the moment class of the loss:
+The empirical ES and expectile of n i.i.d. draws miss the true value by
+more than eps, an absolute deviation in loss units, not a relative one,
+with a probability that the loss's moment class bounds at threshold h:
 
 - exponential moments E[exp(r|L|^k)] < inf, k > 1:  bound C exp(-c n h^2);
 - stretched-exponential moments, 0 < k < 1, with Orlicz rate s in (0, k):
@@ -14,8 +14,9 @@ The threshold is h = eps (1-alpha) for ES and h = eps (1-alpha)/alpha
 for the expectile, valid for 0 < eps <= alpha/(1-alpha).  The planning
 size is the smallest n whose bound is at most a confidence budget gamma;
 the VaR counterpart comes from the Dvoretzky-Kiefer-Wolfowitz-type
-estimate n >= -ln(gamma/4) / (2 eps^2 delta_alpha^2), with delta_alpha a
-lower bound on the density beyond the alpha-quantile.
+estimate n >= -ln(gamma/4) / (2 eps^2 delta_alpha^2), where delta_alpha
+bounds the density beyond the alpha-quantile from below, so that
+sup |F_n - F| <= eps delta_alpha keeps the empirical quantile within eps.
 
 The constants C and c are generally *not explicit* in the underlying
 concentration results; every report carries the values used (defaults
@@ -29,7 +30,7 @@ import math
 import warnings
 from typing import NamedTuple, Sequence
 
-from .distributions import Distribution, _parse_spec
+from .distributions import Distribution, _parse_spec, _spec_number
 
 __all__ = [
     "TailClass",
@@ -70,7 +71,7 @@ class TailClass:
         self.c = c
 
     def __repr__(self):
-        args = ", ".join(f"{k}={getattr(self, k):g}" for k in self.params + ("C", "c"))
+        args = ", ".join(f"{k}={_spec_number(getattr(self, k))}" for k in self.params + ("C", "c"))
         return f"{type(self).__name__}({args})"
 
     def size(self, gamma: float, h: float) -> int:
@@ -202,7 +203,7 @@ def _threshold(eps: float, alpha: float, measure: str) -> float:
         raise ValueError(f"level alpha must lie in (0, 1), got {alpha}")
     if not (0.0 < eps <= alpha / (1.0 - alpha)):
         raise ValueError(
-            f"relative accuracy eps must lie in (0, alpha/(1-alpha)] = "
+            f"absolute deviation eps must lie in (0, alpha/(1-alpha)] = "
             f"(0, {alpha / (1.0 - alpha):g}], got {eps}"
         )
     if measure == "es":
@@ -215,7 +216,7 @@ def _threshold(eps: float, alpha: float, measure: str) -> float:
 def deviation_bound(
     tc: TailClass, n: int, eps: float, alpha: float, measure: str = "es"
 ) -> float:
-    """Probability bound for a relative deviation beyond eps with n draws.
+    """Probability bound for a deviation beyond eps, in loss units, with n draws.
 
     The moment class's ``bound(n, h)`` at the measure's threshold h,
     clamped into [0, 1]; values near 1 mean the class says nothing here.

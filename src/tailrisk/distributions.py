@@ -93,6 +93,11 @@ def _at(f, x, shift=0.0):
     return f(np.asarray(x, dtype=float) - shift)
 
 
+def _spec_number(v: float) -> str:
+    """v for a spec: with ``:g`` where that parses back to v, else its ``repr``."""
+    return text if float(text := f"{v:g}") == v else repr(v)
+
+
 _QUANTILE_LEVEL = "quantile level u must lie strictly in (0, 1)"
 _ES_LEVEL = "expected-shortfall level must lie in [0, 1)"
 
@@ -255,9 +260,9 @@ class Distribution:
     @property
     def label(self) -> str:
         """The spec of this law, e.g. ``pareto:a=2.1,shift=-1``."""
-        items = [f"{k}={getattr(self, k):g}" for k in self.params]
+        items = [f"{k}={_spec_number(getattr(self, k))}" for k in self.params]
         if self.shift != 0.0:
-            items.append(f"shift={self.shift:g}")
+            items.append(f"shift={_spec_number(self.shift)}")
         return f"{self.family}:{','.join(items)}" if items else self.family
 
     def __repr__(self):
@@ -439,45 +444,58 @@ def _t_density(nu: float, x):
     return np.exp(_t_log_norm(nu) - 0.5 * (nu + 1.0) * np.log1p(x * x / nu))
 
 
-def _t_lower_tail(nu: float, p, x):
-    """Polish x ~ stdtrit(nu, p) so that stdtr(nu, x) = p, for p below 2^-53.
+def _t_deep_tail(nu: float, p, x):
+    """(x, log M) at tail probabilities p below 2^-53, from starts x ~ stdtrit(nu, p):
+    the quantile of the standard t (-inf only where it overflows) and the
+    log of its ES numerator M = f(x) (nu + x^2), f the density.  Both read
 
-    With scipy 1.17.1, stdtr(nu, stdtrit(nu, p))/p is within 1e-15 of 1 for
-    nu = 1.01 to 5 (3e-14 up to nu = 1e4) from 2^-53 down to p = 1e-100;
-    deeper it drifts (8.8 at p = 1e-200 for nu = 2.1), and at 1e-300
-    stdtrit returns +inf for nu = 2.1 to 5 and a wrong finite value near
-    -7e153 for nu = 1.01 and 1.2.  The polish serves those deep levels:
-    the fixed point x <- x (stdtr(nu, x)/p)^(1/nu) contracts at rate
-    O(nu/x^2) on the power-law tail, so a few steps reach full precision.
-    Non-finite starts, and points where stdtr returns 0 (x*x overflows
-    inside it past |x| ~ 1e154, or a subnormal probability underflows),
-    take the tail asymptote P[T < x] ~ c nu^((nu-1)/2) |x|^(-nu), c the
-    density's normalization.  Its relative error O(nu^2/x^2) is below
-    rounding where x*x overflows, but reaches 3e-5 in probability for
-    nu = 100 at p = 1e-310.  The result is -inf only where the quantile
-    itself overflows.
+        P[T < x] = M G / (nu |x|),  G = 2F1(1/2, 1; nu/2 + 1; -nu/x^2) = sum c_k,
+        c_0 = 1,  c_{k+1} = -c_k (2k + 1) / (x^2 (1 + (2k + 2)/nu)),
+
+    G summed up to its smallest term, below 2e-15 at these p where x^2 < nu
+    makes the series diverge (scipy's hyp2f1(0.5, 1, 5001, -6.5) is nan).
+    Newton's method solves log P = log p in s = log|x|, slope
+    -nu/((1 + nu/x^2) G), from log|x| where finite, else from the power-law
+    asymptote beyond the quantile; then log M = log(nu |x| p / G).
+    log1p(x^2/nu) is taken directly where x^2 is finite, as
+    2s - log(nu) + log1p(nu/x^2) loses digits for large nu.
     """
-    log_c = _t_log_norm(nu) + 0.5 * (nu - 1.0) * math.log(nu)
-    asymptote = -np.exp((log_c - np.log(p)) / nu)
-    x = np.where(np.isfinite(x), x, asymptote)
-    with np.errstate(invalid="ignore"):  # -inf * 0 where the quantile overflows
-        for _ in range(4):
-            f = stdtr(nu, x)
-            x = np.where(f > 0.0, x * np.power(f / p, 1.0 / nu), asymptote)
-    return x
+    log_c, log_p, log_nu = _t_log_norm(nu), np.log(p), math.log(nu)
+    s = np.log(np.abs(x))
+    s = np.where(np.isfinite(s), s, (log_c + 0.5 * (nu - 1.0) * log_nu - log_p) / nu)
+    active = np.ones(s.shape, bool)  # per point: no point's bits depend on the others
+    with np.errstate(over="ignore"):  # x^2 past |x| ~ 1e154, x past the largest float
+        while True:
+            x2 = np.exp(2.0 * s)
+            lg = np.where(x2 < np.inf, np.log1p(x2 / nu), 2.0 * s - log_nu)
+            r = np.exp(-2.0 * s)
+            g, c, k = np.ones_like(s), np.ones_like(s), 0
+            adding = np.ones(s.shape, bool)
+            while adding.any():
+                nxt = c * (-(2 * k + 1.0) * r / (1.0 + (2 * k + 2.0) / nu))
+                adding &= (np.abs(nxt) < np.abs(c)) & (g + nxt != g)
+                g = np.where(adding, g + nxt, g)
+                c, k = nxt, k + 1
+            if not active.any():
+                break
+            ds = (log_c + 0.5 * (1.0 - nu) * lg + np.log(g) - s - log_p) * (1.0 + nu * r) * g / nu
+            s = np.where(active, s + ds, s)
+            active &= np.abs(ds) > 1e-9
+        return -np.exp(s), log_p + log_nu + s - np.log(g)
 
 
 def _t_lower_quantile(nu: float, p):
-    """(x, deep): the quantile x <= 0 of the standard t at p <= 1/2, and
-    how many p lie below 2^-53, where x is polished by ``_t_lower_tail``."""
+    """(x, log M): the quantile x <= 0 of the standard t at p <= 1/2, and the
+    log M of ``_t_deep_tail`` at the p below 2^-53 (NaN elsewhere), or None."""
     if stdtrit is None:
         _load_t_kernels()
     x = stdtrit(nu, p)
     deep = p < _U_FLOOR
-    n_deep = np.count_nonzero(deep)
-    if n_deep:
-        x = np.where(deep, _t_lower_tail(nu, p, x), x)
-    return x, n_deep
+    if not np.count_nonzero(deep):
+        return x, None
+    x, log_m = np.array(x), np.full(np.shape(x), np.nan)
+    x[deep], log_m[deep] = _t_deep_tail(nu, np.asarray(p)[deep], x[deep])
+    return x, log_m
 
 
 def _t_quantile(nu: float, u):
@@ -488,40 +506,16 @@ def _t_quantile(nu: float, u):
     return x * (1.0 - 2.0 * (u > 0.5))
 
 
-# log of the smallest normal float: a t density below it has lost digits
-_LOG_TINY = math.log(float(np.finfo(float).tiny))
-
-
-def _t_far_mass(nu: float, q):
-    """f(q) (nu + q^2), f the standard t density, where q may lie so deep
-    in a tail that f(q) underflows and q*q overflows.
-
-    Where f(q) is a normal float it is that product, with the same bits.
-    Past it, f(q) (nu + q^2) = C nu (1 + q^2/nu)^((1-nu)/2), C the
-    normalization, is formed in logs, with log1p(q^2/nu) taken as
-    2 log(|q|/sqrt(nu)) once nu/q^2 is below rounding (|q| > 1e150).
-    """
-    log_c = _t_log_norm(nu)
-    a = np.abs(q)
-    big = 1e150
-    lg = np.where(a < big, np.log1p(np.square(np.minimum(a, big)) / nu),
-                  2.0 * np.log(np.maximum(a, big) / math.sqrt(nu)))
-    far = log_c - 0.5 * (nu + 1.0) * lg < _LOG_TINY
-    near = np.where(far, 0.0, q)
-    return np.where(far, np.exp(log_c + math.log(nu) + 0.5 * (1.0 - nu) * lg),
-                    _t_density(nu, near) * (nu + near * near))
-
-
 class StudentT(Distribution):
     """Standard Student t with nu > 1 degrees of freedom.
 
     Backed by ``scipy.special.stdtr`` (CDF) and ``stdtrit`` (quantile, on
     the smaller tail probability so both tails keep relative accuracy).
-    Below tail probability 2^-53, under the sampler's floor, the quantile
-    is polished against stdtr: stdtrit holds full precision down to about
-    1e-100, then drifts or overflows (``_t_lower_tail``).  Both
-    kernels load with ``scipy.special`` on the first CDF, quantile or ES
-    evaluation of any instance, constructed, copied or unpickled alike, so
+    Below tail probability 2^-53, under the sampler's floor, stdtrit drifts
+    or overflows, and the quantile and ES numerator f(q) (nu + q^2) come
+    from one routine in log|q| (``_t_deep_tail``).  Both kernels load
+    with ``scipy.special`` on the first CDF, quantile or ES evaluation of
+    any instance, constructed, copied or unpickled alike, so
     ``import tailrisk`` and processes that never evaluate a t law skip it.
 
     Frechet-type tail with index nu; unshifted, rho = -2 with
@@ -557,8 +551,13 @@ class StudentT(Distribution):
         # E[T 1{T > q}] = f(q) (nu + q^2) / (nu - 1), even in q, so the
         # quantile at the smaller tail probability serves both tails
         nu = self.nu
-        q, deep = _t_lower_quantile(nu, np.minimum(beta, 1.0 - beta))
-        mass = _t_far_mass(nu, q) if deep else _t_density(nu, q) * (nu + q * q)
+        q, log_m = _t_lower_quantile(nu, np.minimum(beta, 1.0 - beta))
+        if log_m is None:
+            mass = _t_density(nu, q) * (nu + q * q)
+        else:  # M from its log where f(q) is not a normal float
+            with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf past |q| ~ 1e154
+                f = _t_density(nu, q)
+                mass = np.where(f < np.finfo(float).tiny, np.exp(log_m), f * (nu + q * q))
         return mass / ((1.0 - beta) * (nu - 1.0))
 
     def _pdf0(self, x):

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import mpmath as mp
 import numpy as np
 from scipy import integrate
-from scipy.special import stdtr
+from scipy.special import stdtr, stdtrit
 
 from tailrisk.distributions import (
     Exponential, Pareto, PowerBeta, Sample, StudentT, TwoPoint, Uniform01)
@@ -325,6 +325,36 @@ class Student:
     def es(self, u):
         q = self.var(u).value
         return self._density(q) * (self.nu + q * q) / ((self.nu - 1) * (1 - u))
+
+    @_closed
+    @functools.cache  # tail_es reads the same root
+    def tail_var(self, p):
+        """The quantile x at tail probability p < 1/2, by Newton's method on
+        log P[T < -e^s] = log p in s = log|x|, so it reaches any p, 5e-324
+        included, where x may lie past the largest float.  It starts from
+        scipy's stdtrit where that is finite, else from the power-law
+        asymptote P ~ c nu^((nu-1)/2) |x|^-nu."""
+        nu, log_p = self.nu, mp.log(p)
+        start = abs(float(stdtrit(float(nu), float(p))))
+        if not math.isfinite(start):
+            start = mp.exp((self.log_c + (nu - 1) / 2 * mp.log(nu) - log_p) / nu)
+
+        @functools.lru_cache(maxsize=1)  # the residual and slope at one s share a tail
+        def step(s):
+            # P[T < -e^s] = P[T > e^s], which keeps its digits
+            x = mp.exp(s)
+            tail = self._sf(x)
+            return mp.log(tail) - log_p, -x * self._density(x) / tail
+
+        s = mp.findroot(lambda s: step(s)[0], mp.log(start), solver="newton",
+                        df=lambda s: step(s)[1])
+        return -mp.exp(s)
+
+    @_closed
+    def tail_es(self, p):
+        """ES at the level p of ``tail_var``."""
+        q = self.tail_var(p).value
+        return self._density(q) * (self.nu + q * q) / ((self.nu - 1) * (1 - p))
 
     @_closed
     def eplus(self, m):

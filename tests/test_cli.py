@@ -774,7 +774,7 @@ GOLDEN = [
         ["sample-size", "--tail", "poly:q=3,s=2.5", "--gamma", "0.05", "--eps", "10", "--alpha",
          "0.9"], 2,
         "",
-        "error: relative accuracy eps must lie in (0, alpha/(1-alpha)] = (0, 9], got 10.0\n",
+        "error: absolute deviation eps must lie in (0, alpha/(1-alpha)] = (0, 9], got 10.0\n",
         id="sample-size-eps-exit2"),
     pytest.param(
         ["sample-size", "--tail", "exp:k=2,r=1,c=1e-310", "--gamma", "0.05", "--eps", "0.1",

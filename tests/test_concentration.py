@@ -90,6 +90,8 @@ def test_repr_carries_constants():
     (SubExpMoment(k=0.5, r=2, s=0.3, C=1e-3, c=7), "SubExpMoment(k=0.5, r=2, s=0.3, C=0.001, c=7)"),
     (PolyMoment(q=3, s=2.5), "PolyMoment(q=3, s=2.5, C=1, c=1)"),
     (TailClass(C=2, c=0.5), "TailClass(C=2, c=0.5)"),
+    (PolyMoment(q=3.1234567, s=2.0 + 1.0 / 3.0),
+     "PolyMoment(q=3.1234567, s=2.3333333333333335, C=1, c=1)"),
 ])
 def test_repr_is_pinned(tc, text):
     assert repr(tc) == text

@@ -25,7 +25,9 @@ removed ``gumbel_relation`` is named nowhere in the package, the demos or
 the tests but here.  One spec grammar: the package splits a spec at its
 ``:`` (``.partition(":")``) only in ``distributions._parse_spec``, defines
 ``with_shift`` once, and names none of the per-family tables and label
-hooks that the classes' ``family`` and ``params`` replaced.
+hooks that the classes' ``family`` and ``params`` replaced.  One Student t
+deep tail: the package calls ``stdtr`` only in ``StudentT._cdf0`` and
+``stdtrit`` only in ``distributions._t_lower_quantile``.
 """
 
 import ast
@@ -198,15 +200,18 @@ def call_sites(source: str, is_site) -> list:
     return sites
 
 
-def _is_ceil(call: ast.Call) -> bool:
-    f = call.func
-    return (f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)) == "ceil"
+def _calls(name: str):
+    """The ``call_sites`` test for a call of ``name``, bare or as an attribute."""
+    def is_site(call: ast.Call) -> bool:
+        f = call.func
+        return (f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)) == name
+    return is_site
 
 
 def ceil_sites(source: str) -> list:
     """The function around each call of a ``ceil`` (``math.ceil``,
     ``np.ceil`` or a bare ``ceil``) in ``source``, in order."""
-    return call_sites(source, _is_ceil)
+    return call_sites(source, _calls("ceil"))
 
 
 def test_ceil_scan_names_the_function_around_each_call():
@@ -227,6 +232,15 @@ def test_levels_become_order_statistics_in_one_function():
     # a fifth level-to-index rule next to order_stats would be a new site
     sites = Counter((p.stem, f) for p in PACKAGE for f in ceil_sites(p.read_text()))
     assert sites == _CEIL_SITES
+
+
+def test_the_t_kernels_have_one_call_site_each():
+    # the CDF calls stdtr; the quantile calls stdtrit, which also starts
+    # _t_deep_tail below 2^-53.  A second route back through stdtr, such
+    # as a polish of the deep tail, would be a new site
+    for kernel, site in (("stdtr", "_cdf0"), ("stdtrit", "_t_lower_quantile")):
+        sites = [(p.stem, f) for p in PACKAGE for f in call_sites(p.read_text(), _calls(kernel))]
+        assert sites == [("distributions", site)], kernel
 
 
 def tail_rederivations(source: str) -> list:

@@ -1,7 +1,9 @@
 """Student t special functions, through StudentT's public methods, against
-scipy references (the hooks are backed by scipy.special.stdtr/stdtrit)."""
+scipy references (the hooks are backed by scipy.special.stdtr/stdtrit) and,
+below tail probability 2^-53, against the 40-digit oracle."""
 
 import math
+import warnings
 
 import numpy as np
 import oracle
@@ -134,3 +136,27 @@ def test_student_log_normalization_against_mpmath(nu):
     want = oracle.student_log_norm(nu)
     tol = 2.5e-16 if nu > 100.0 else 1e-13
     assert abs(_t_log_norm(nu) - float(want)) <= tol, (nu, _t_log_norm(nu), float(want))
+
+
+@pytest.mark.parametrize("nu", [1.01, 1.5, 2.3, 100.0, 1e3, 1e4])
+def test_student_deep_tail_matches_the_oracle(nu):
+    # below 2^-53 the quantile and the ES numerator come from one log-space
+    # routine.  Before it, ES was 0 at nu = 1.01, p = 1e-313 (f(q) underflowed
+    # past an overflowing asymptote), the quantile 3.3e-7 off at nu = 100,
+    # p = 1e-310, and the asymptote fallback 15 % and 174 % off, with ES 0,
+    # at nu = 1e3 and 1e4, p = 1e-313.  An ES that is itself subnormal holds
+    # fewer digits than 1e-12 asks, so there one least subnormal is allowed.
+    d, ref = StudentT(nu), oracle.Student(nu)
+    levels = [2.0 ** -54, 1e-100, 1e-300, 1e-310, 1e-313, 5e-324]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q, es = d.quantile(np.array(levels)), d.es(np.array(levels))
+        assert [d.quantile(p) for p in levels] == q.tolist()
+        assert [d.es(p) for p in levels] == es.tolist()
+    for p, got_q, got_es in zip(levels, q, es):
+        want_q, want_es = float(ref.tail_var(p).value), float(ref.tail_es(p).value)
+        if math.isinf(want_q):
+            assert got_q == want_q, (p, got_q)
+        else:
+            assert abs(got_q / want_q - 1.0) <= 1e-12, (p, got_q, want_q)
+        assert abs(got_es - want_es) <= max(1e-12 * want_es, math.ulp(0.0)), (p, got_es, want_es)
