@@ -196,17 +196,13 @@ class Distribution:
         Uses the tail identity E[(L-m)+] = (1-F(m)) (ES_{F(m)} - m), which
         is exact for every law, including atoms and m outside the support.
         """
-        return self._cdf_eplus(float(m))[1]
-
-    def _cdf_eplus(self, m: float):
-        """(F(m), E[(L - m)+]) from one CDF evaluation; the tail identity
-        of ``eplus``, with the F(m) it used."""
+        m = float(m)
         u = self.cdf(m)
         if u >= 1.0:
-            return u, 0.0
+            return 0.0
         if u <= 0.0:
-            return u, self.mean() - m
-        return u, (1.0 - u) * (self.es(u) - m)
+            return self.mean() - m
+        return (1.0 - u) * (self.es(u) - m)
 
     def density(self, x):
         """Density f(x) (defined for the continuous families)."""

@@ -8,8 +8,9 @@ All functionals accept any loss source exposing the common interface from
   for both parametric and empirical sources;
 - ``expectile`` — unique root of the first-order condition
   alpha E[(L-m)+] = (1-alpha) E[(L-m)-]: for parametric sources by Newton's
-  method started at the ES lower bound, for samples by one linear solve
-  on the segment between order statistics that holds the root;
+  method, each step of which is the beta* reconstruction below at the
+  level F(m) of the iterate, for samples by one linear solve on the
+  segment between order statistics that holds the root;
 - ``oce`` — the optimized certainty equivalent of a piecewise-linear
   utility, evaluated through its expected-shortfall representation;
 - ``expectile_bounds`` / ``beta_star`` / ``expectile_from_es`` — the exact
@@ -219,26 +220,21 @@ def _residual(alpha: float, mu: float, m: float, eplus: float) -> float:
 # Newton stops once a step moves the iterate by at most this many ulps of
 # the problem's magnitude max(|m|, |E[L]|); g itself is not resolved finer
 _STEP_ULPS = 4.0 * float(np.finfo(float).eps)
-# relative bracket width below which the chord through an overshoot is
-# exact to working precision (its error is quadratic in the width)
-_CHORD_WIDTH = float(np.sqrt(np.finfo(float).eps))
-# Newton steps before falling back to bisection, and the bisection budget
-_NEWTON_STEPS = 60
-_BISECTION_STEPS = 200
 
 
 def expectile(src: LossSource, alpha: float) -> float:
     """The alpha-expectile, root of the asymmetric-mean first-order condition.
 
     Parametric sources: Newton's method on the convex, decreasing residual
-    g (``foc_residual``), started at the lower bound
-    (1 - w) ES_alpha + w E[L], w = 1/(2 alpha), so the iterates climb
-    monotonically to the root; each step evaluates the CDF once, for g and
-    its slope alike.  It stops on a step of a few ulps, and falls
-    back to bisection inside [mean, ES_alpha] if rounding ever breaks the
-    monotone climb.  Samples: g is linear between order statistics, so a
-    binary search finds the segment holding the root and one linear
-    equation gives it exactly.  At alpha = 1/2 returns the mean exactly.
+    g (``foc_residual``).  From any m its step is the paper's
+    reconstruction (1 - w) ES_u + w E[L] at u = F(m) (``_newton_step``), one
+    CDF evaluation per step.  The first step, from the lower bound
+    (1 - w) ES_alpha + w E[L], w = 1/(2 alpha), lands at or left of the
+    root by convexity, and the iterates then climb monotonically to it; it
+    stops on a step of a few ulps, with no bisection.  Samples: g is linear
+    between order statistics, so a binary search finds the segment holding
+    the root and one linear equation gives it exactly.  At alpha = 1/2
+    returns the mean exactly.
     """
     _check_expectile_level(alpha)
     mu = float(src.mean())
@@ -255,61 +251,28 @@ def expectile(src: LossSource, alpha: float) -> float:
 
 
 def _newton_root(src: Distribution, alpha: float, mu: float, hi: float) -> float:
-    """Root of g in [mu, hi] for a parametric source; hi = ES_alpha."""
-    lo = _combination(hi, mu, alpha, alpha)
-    g_lo, s_lo = _residual_and_slope(src, alpha, mu, lo)
-    if not g_lo > 0.0:  # rounding put the bound at or past the root
-        lo = mu
-        g_lo, s_lo = _residual_and_slope(src, alpha, mu, lo)
-        if not g_lo > 0.0:
-            return mu
-    for _ in range(_NEWTON_STEPS):
-        # g is convex, so the tangent at lo meets zero at or left of the root
-        m = lo + g_lo / s_lo
-        tol = _STEP_ULPS * max(abs(m), abs(mu))
-        if m - lo <= tol:
-            return m
-        if m >= hi:
-            break
-        g_m, s_m = _residual_and_slope(src, alpha, mu, m)
-        if g_m > 0.0:
-            lo, g_lo, s_lo = m, g_m, s_m
-            continue
-        if g_m == 0.0:
-            return m
-        # rounding overshoot: the root lies in [lo, m], at or right of the
-        # tangent's zero at m (convexity) and at or left of the chord's zero;
-        # return the chord's once g is linear on [lo, m] to working precision
-        # or the tangent bounds the root within a few ulps
-        chord = lo + g_lo * ((m - lo) / (g_lo - g_m))
-        if m - lo <= _CHORD_WIDTH * max(abs(m), abs(mu)):
-            return chord
-        if m + g_m / s_m >= m - tol:
-            return chord
-        hi = m
-        break
-    for _ in range(_BISECTION_STEPS):
-        m = 0.5 * (lo + hi)
-        if not lo < m < hi:
-            break
-        if foc_residual(src, alpha, m) > 0.0:
-            lo = m
-        else:
-            hi = m
-    return 0.5 * (lo + hi)
+    """Root of g for a parametric source; hi = ES_alpha.
+
+    g is convex, so every Newton step lands at or left of the root: the
+    first, from the lower bound, even where rounding put that bound past
+    the root, and each later one climbs by more than the tolerance until it
+    stops (a NaN stops it too)."""
+    m = _newton_step(src, alpha, mu, _combination(hi, mu, alpha, alpha))
+    while True:
+        r = _newton_step(src, alpha, mu, m)
+        if not r - m > _STEP_ULPS * max(abs(r), abs(mu)):
+            return r
+        m = r
 
 
-def _residual_and_slope(src: Distribution, alpha: float, mu: float, m: float):
-    """g(m) and -g'(m) from one CDF evaluation: the F(m) behind the tail
-    identity for E[(L-m)+] also gives the slope."""
-    u, eplus = src._cdf_eplus(m)
-    return _residual(alpha, mu, m, eplus), _slope(alpha, u)
-
-
-def _slope(alpha: float, u: float) -> float:
-    """-g'(m) for ``foc_residual`` from u = F(m) (the right derivative at
-    atoms, a subgradient of the convex g)."""
-    return (2.0 * alpha - 1.0) * (1.0 - u) + (1.0 - alpha)
+def _newton_step(src: Distribution, alpha: float, mu: float, m: float) -> float:
+    """m - g(m)/g'(m), which is the reconstruction (1 - w) ES_u + w E[L] at
+    u = F(m), taken about m; g' is the right derivative at atoms, and past
+    the support (u = 1) the step lands on the mean."""
+    u = src.cdf(m)
+    if u >= 1.0:
+        return mu
+    return m + _combination(src.es(u) - m, mu - m, alpha, u)
 
 
 def _segment_root(x: np.ndarray, suffix: np.ndarray, n: int, total: float,
@@ -480,8 +443,12 @@ def oce(src: LossSource, a: float, b: float = 0.0, check: bool = False) -> float
 
 
 def _combination(es_val: float, mu: float, alpha: float, beta: float) -> float:
-    w = (1.0 - alpha) / (alpha + (1.0 - 2.0 * alpha) * beta)
-    return (1.0 - w) * es_val + w * mu
+    """(1 - w) es_val + w mu, w = (1-alpha)/(alpha + (1-2alpha) beta), from
+    the weights a = (2 alpha - 1)(1 - beta) of ES and b = 1 - alpha of the
+    mean.  Their sum a + b is w's denominator, which written as
+    alpha + (1-2alpha) beta cancels when alpha and beta are both near 1."""
+    a, b = (2.0 * alpha - 1.0) * (1.0 - beta), 1.0 - alpha
+    return (a * es_val + b * mu) / (a + b)
 
 
 def expectile_bounds(src: LossSource, alpha: float, beta: float) -> Bounds:
@@ -498,8 +465,7 @@ def expectile_bounds(src: LossSource, alpha: float, beta: float) -> Bounds:
     es_beta = expected_shortfall(src, beta)
     lower = _combination(es_beta, mu, alpha, beta)
     es_alpha = es_beta if beta == alpha else expected_shortfall(src, alpha)
-    wu = (1.0 - alpha) / alpha
-    upper = (1.0 - wu) * es_alpha + wu * mu
+    upper = _combination(es_alpha, mu, alpha, 0.0)
     es_cap = expected_shortfall(src, (2.0 * alpha - 1.0) / alpha)
     return Bounds(lower, upper, es_cap)
 
@@ -555,8 +521,7 @@ def expectile_from_es(
     r = _combination(es_beta, mu, alpha, beta)
     lower, upper = _levels(src, r)
     if not lower - 1e-12 <= beta <= upper + 1e-12:
-        w = (1.0 - alpha) / (alpha + (1.0 - 2.0 * alpha) * beta)
-        t = _STEP_ULPS * ((1.0 - w) * abs(es_beta) + w * abs(mu))
+        t = _STEP_ULPS * _combination(abs(es_beta), abs(mu), alpha, beta)
         if not src.prob_lt(r - t) - 1e-12 <= beta <= src.cdf(r + t) + 1e-12:
             bs = beta_star(src, alpha)
             msg = (f"beta={beta} lies outside the valid interval [{bs.lower}, {bs.upper}]; "

@@ -76,17 +76,15 @@ def foc(law, alpha, m) -> Exact:
 
 def reconstruction(law, alpha, beta) -> Exact:
     """(1 - w) ES_beta + w E[L], w = (1-alpha)/(alpha + (1-2 alpha) beta):
-    the alpha-expectile for beta in [P[L < e], P[L <= e]].  The terms add
-    the rounding of w, whose denominator cancels near beta = 1 (0.0188
-    from terms of 0.99 at alpha = 0.99, beta = 0.991)."""
+    the alpha-expectile for beta in [P[L < e], P[L <= e]].  Its terms are
+    those of ES and the mean only: the denominator is the sum of the
+    weights (2 alpha - 1)(1 - beta) and 1 - alpha, which round with no
+    cancellation."""
     a, b = Fraction(alpha), Fraction(beta)
-    den = a + (1 - 2 * a) * b
-    w, es, mean = (1 - a) / den, law.es(beta), law.mean()
+    w, es, mean = (1 - a) / (a + (1 - 2 * a) * b), law.es(beta), law.mean()
     with mp.workdps(DPS):
         value = (1 - w) * es.value + w * mean.value
-    cond = float((a + abs(1 - 2 * a) * b) / abs(den))
-    return Exact(value, float(1 - w) * es.terms
-                 + float(w) * (mean.terms + cond * (es.terms + mean.terms)))
+    return Exact(value, float(1 - w) * es.terms + float(w) * mean.terms)
 
 
 class Discrete:

@@ -27,7 +27,11 @@ the tests but here.  One spec grammar: the package splits a spec at its
 ``with_shift`` once, and names none of the per-family tables and label
 hooks that the classes' ``family`` and ``params`` replaced.  One Student t
 deep tail: the package calls ``stdtr`` only in ``StudentT._cdf0`` and
-``stdtrit`` only in ``distributions._t_lower_quantile``.
+``stdtrit`` only in ``distributions._t_lower_quantile``.  One expectile
+step: the names of the Newton solver's removed slope, chord and bisection
+appear nowhere in the package, the demos or the tests but here, and the
+package writes no ``1 - 2 * alpha``, whose weight denominator
+alpha + (1 - 2 alpha) beta cancels near 1.
 """
 
 import ast
@@ -335,6 +339,57 @@ _REMOVED_SPEC_NAMES = ("_FAMILY_PARAMS", "_TAIL_FAMILIES", "_params_label", "_la
 def test_removed_spec_names_are_named_nowhere():
     assert [(p.name, name) for p in MODULES if p != Path(__file__).resolve()
             for name in _REMOVED_SPEC_NAMES if name in p.read_text()] == []
+
+
+# the Newton solver's residual, slope, chord and bisection, which the one
+# step through ``risk_core._combination`` replaced, and the eplus helper
+# that only they called
+_REMOVED_SOLVER_NAMES = ("_slope", "_residual_and_slope", "_cdf_eplus", "_CHORD_WIDTH",
+                         "_NEWTON_STEPS", "_BISECTION_STEPS")
+
+
+def named(source: str, names) -> list:
+    """The ``names`` that ``source`` mentions as a whole word, in order."""
+    return [name for name in names if re.search(rf"(?<!\w){re.escape(name)}\b", source)]
+
+
+def cancelling_weights(source: str) -> list:
+    """The line of each ``1 - 2 * x`` in ``source`` (1.0 and 2.0 alike, any
+    name x): the denominator alpha + (1 - 2 alpha) beta written with it
+    cancels when alpha and beta are both near 1."""
+    def is_site(node) -> bool:
+        if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)):
+            return False
+        left, right = node.left, node.right
+        return isinstance(left, ast.Constant) and left.value == 1 \
+            and isinstance(right, ast.BinOp) and isinstance(right.op, ast.Mult) \
+            and isinstance(right.left, ast.Constant) and right.left.value == 2 \
+            and isinstance(right.right, ast.Name)
+    return sorted(n.lineno for n in ast.walk(ast.parse(source)) if is_site(n))
+
+
+def test_solver_scans_flag_removed_names_and_cancelling_weights():
+    source = (
+        "def f(src, alpha, beta, m):\n"
+        "    w = (1.0 - alpha) / (alpha + (1.0 - 2.0 * alpha) * beta)\n"
+        "    u, plus = src._cdf_eplus(m)\n"
+        "    tail_slope = 1 - 2 * beta + (1.0 - 2.0 ** -53) + _NEWTON_STEPS_MAX\n"
+        "    '1.0 - 2.0 * alpha in a string is no expression'\n"
+        "    return _slope(alpha, u), (2.0 * alpha - 1.0) * (1.0 - beta)\n"
+    )
+    assert named(source, _REMOVED_SOLVER_NAMES) == ["_slope", "_cdf_eplus"]
+    assert cancelling_weights(source) == [2, 4]
+
+
+def test_removed_solver_names_are_named_nowhere():
+    assert [(p.name, name) for p in MODULES if p != Path(__file__).resolve()
+            for name in named(p.read_text(), _REMOVED_SOLVER_NAMES)] == []
+
+
+def test_no_weight_is_written_with_its_cancellation():
+    # risk_core._combination forms the weights (2 alpha - 1)(1 - beta) and
+    # 1 - alpha, whose sum is the denominator without the difference
+    assert [(p.name, line) for p in PACKAGE for line in cancelling_weights(p.read_text())] == []
 
 
 def unused_functions(source: str, readers: list) -> list:

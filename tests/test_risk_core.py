@@ -117,23 +117,11 @@ def test_expectile_leaves_no_reference_cycle():
         gc.enable()
 
 
-def test_newton_overshoot_falls_back_to_bisection(monkeypatch):
-    # a slope at half its value doubles each Newton step, so the iterate
-    # lands past the root with a wide bracket and bisection finishes
-    want = {(d.label, a): expectile(d, a) for d in (Pareto(2.1), StudentT(2.3), Exponential())
-            for a in (0.6, 0.99, 1 - 1e-8)}
-    slope = risk_core._slope
-    monkeypatch.setattr(risk_core, "_slope", lambda a, u: 0.5 * slope(a, u))
-    for d in (Pareto(2.1), StudentT(2.3), Exponential()):
-        for a in (0.6, 0.99, 1 - 1e-8):
-            assert expectile(d, a) == pytest.approx(want[d.label, a], rel=1e-14)
-
-
 @pytest.mark.parametrize("dist", [StudentT(2.3), Pareto(2.1), Exponential()], ids=repr)
 @pytest.mark.parametrize("alpha", [0.9, 0.99, 1 - 1e-6])
-def test_newton_evaluates_the_cdf_once_per_residual(monkeypatch, dist, alpha):
-    # each residual g(m) needs ES at u = F(m), after the one ES_alpha of the
-    # start; the slope -g'(m) reuses that u, so the CDF runs once per residual
+def test_newton_evaluates_the_cdf_once_per_step(monkeypatch, dist, alpha):
+    # each step needs ES at u = F(m), after the one ES_alpha of the start;
+    # the weights of the step reuse that u, so the CDF runs once per step
     counts = {"_cdf0": 0, "_es0": 0}
     for hook in counts:
         def counting(self, x, hook=hook, fn=getattr(type(dist), hook)):
@@ -146,11 +134,15 @@ def test_newton_evaluates_the_cdf_once_per_residual(monkeypatch, dist, alpha):
     assert counts["_cdf0"] == residuals
 
 
-def test_newton_start_past_root_restarts_from_mean(monkeypatch):
-    want = expectile(Pareto(2.1), 0.99)
-    # a start at ES_alpha lies right of the root, where g < 0
-    monkeypatch.setattr(risk_core, "_combination", lambda es_val, mu, alpha, beta: es_val)
-    assert expectile(Pareto(2.1), 0.99) == pytest.approx(want, rel=1e-14)
+@pytest.mark.parametrize("dist", [StudentT(2.3), Pareto(2.1), Exponential()], ids=repr)
+@pytest.mark.parametrize("alpha", [0.6, 0.99, 1 - 1e-8])
+def test_newton_start_past_root_lands_left_of_it(dist, alpha):
+    # g is convex, so a step from a start right of the root, where g < 0,
+    # lands at or left of it and the iterates climb back to the root
+    mu, hi = dist.mean(), 100.0 * expected_shortfall(dist, alpha)
+    assert foc_residual(dist, alpha, risk_core._combination(hi, mu, alpha, alpha)) < 0.0
+    got = risk_core._newton_root(dist, alpha, mu, hi)
+    assert got == pytest.approx(expectile(dist, alpha), rel=1e-14)
 
 
 def test_expectile_at_half_is_mean():
@@ -334,6 +326,38 @@ def test_beta_star_interval_and_reconstruction():
                     back = expectile_from_es(src, a, beta)
                     terms = oracle.reconstruction(ref, a, beta).terms
                     assert oracle.ulps(back, e, terms) <= 4
+
+
+DEEP_LEVELS = [1 - 1e-8, 1 - 1e-10]
+
+
+@pytest.mark.parametrize("dist", [Pareto(1.3), Pareto(2.1)], ids=repr)
+@pytest.mark.parametrize("alpha", DEEP_LEVELS)
+def test_deep_reconstruction_and_lower_bound(dist, alpha):
+    # the weights (2 alpha - 1)(1 - beta) and 1 - alpha round on their own;
+    # their sum written as alpha + (1 - 2 alpha) beta cancels to about 1e-8
+    # relative at these levels.  ES_beta's own rounding grows with
+    # |log(1 - beta)|/a (4.5 ulps at 1 - beta = 3e-11, a = 1.3), so the terms
+    # are those of both sides of e = r, as in the other reconstruction checks
+    law, point = oracle.of(dist), beta_star(dist, alpha).point
+    e_terms = law.expectile(alpha).terms
+    for beta, got in ((point, expectile_from_es(dist, alpha, point)),
+                      (alpha, expectile_bounds(dist, alpha, alpha).lower)):
+        want = oracle.reconstruction(law, alpha, beta)
+        assert oracle.ulps(got, want.value, e_terms + want.terms) <= 4, beta
+
+
+@pytest.mark.parametrize("dist", [StudentT(1.2), StudentT(2.3)], ids=repr)
+@pytest.mark.parametrize("alpha", DEEP_LEVELS)
+def test_deep_reconstruction_gives_back_the_root(dist, alpha):
+    # the oracle's Student quantile cannot start this deep, so the
+    # reconstruction is held to the root it reconstructs, in ulps of its
+    # terms (1 - w)|ES_beta| + w|E[L]|
+    bs = beta_star(dist, alpha)
+    a, b = Fraction(alpha), Fraction(bs.point)
+    w = (1 - a) / (a + (1 - 2 * a) * b)
+    terms = float((1 - w) * abs(Fraction(dist.es(bs.point))) + w * abs(Fraction(dist.mean())))
+    assert oracle.ulps(expectile_from_es(dist, alpha, bs.point), bs.expectile, terms) <= 4
 
 
 def test_beta_star_two_point_value():
