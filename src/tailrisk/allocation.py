@@ -58,7 +58,15 @@ from .risk_core import (
 
 
 class Portfolio:
-    """Joint scenarios: row i is one scenario across the d components."""
+    """Joint scenarios: row i is one scenario across the d components.
+
+    A float64 array is borrowed, not copied: ``components`` is the
+    caller's 2-d array itself (a column view of a 1-d one), and ``total``
+    is computed here once and not recomputed.  Writing into the array
+    afterwards leaves ``total`` stale, so the contributions no longer add
+    up to the measure of the totals.  Lists, other dtypes and
+    ``from_csv`` give the portfolio an array of its own.
+    """
 
     def __init__(self, components):
         arr = np.asarray(components, dtype=float)

@@ -39,7 +39,7 @@ from .concentration import (
     sample_size_report,
     size_ratio_curve,
 )
-from .distributions import Pareto, PowerBeta, StudentT, parse_distribution
+from .distributions import parse_distribution
 from .montecarlo import (
     SimulationConfig,
     ratio_table,
@@ -271,37 +271,27 @@ def _cmd_table(args) -> str:
     return ratio_table_csv(rows, ns)
 
 
-# --kind: the family, whose one parameter is read from the flag of that
-# name; the family rejects a value out of its range
-_FIGURE_MODELS = {"weibull-beta": PowerBeta, "frechet-pareto": Pareto,
-                  "frechet-student": StudentT}
-
-
 def _cmd_figure(args) -> str:
-    kind = args.kind
     if args.points < 2:
         raise _ValidationError(f"--points: need at least 2, got {args.points}")
-    if kind == "distortion":
-        alpha = _expectile_level(args.alpha if args.alpha is not None else 0.94)
+    if args.kind == "distortion":
+        alpha = _expectile_level(args.alpha)
         t, phi, mix = distortion_curves(alpha, args.points)
         return render_csv(["t", "phi", "phi_mix"], list(zip(t, phi, mix)))
     lo = _expectile_level(args.alpha_min, flag="alpha-min")
     hi = _expectile_level(args.alpha_max, flag="alpha-max")
     if not (lo < hi):
         raise _ValidationError(f"--alpha-min: {lo:g} must be below --alpha-max {hi:g}")
-    family = _FIGURE_MODELS[kind]
-    (param,) = family.params
-    value = getattr(args, param)
-    if value is None:
-        raise _ValidationError(f"--{param}: required for kind {kind}")
+    if args.dist is None:
+        raise _ValidationError(f"--dist: required for kind {args.kind}")
+    dist = _spec(args, "dist")
     try:
-        rows = expansion_curve(family(value), np.linspace(lo, hi, args.points))
+        rows = expansion_curve(dist, np.linspace(lo, hi, args.points))
     except NoSecondOrder:
-        # the one figure model without a second-order term: weibull-beta at a = 1
         raise _ValidationError(
-            "--a: a = 1 is the uniform law, which has no second-order curve") from None
+            f"--dist: {dist.label} has no second-order tail parametrization") from None
     except ValueError as exc:
-        raise _ValidationError(f"--{param}: {exc}") from None
+        raise _ValidationError(f"--dist: {exc}") from None
     return render_csv(ExpansionCurveRow._fields, rows)
 
 
@@ -384,11 +374,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("figure", help="exact/first/second-order curve data (CSV)")
-    p.add_argument("--kind", required=True,
-                   choices=("distortion", "weibull-beta", "frechet-pareto", "frechet-student"))
-    p.add_argument("--alpha", type=float, default=None, help="distortion level (kind=distortion)")
-    p.add_argument("--a", type=float, default=None, help="power/tail parameter")
-    p.add_argument("--nu", type=float, default=None, help="degrees of freedom")
+    p.add_argument("--kind", required=True, choices=("distortion", "expansion"))
+    p.add_argument("--alpha", type=float, default=0.94, help="distortion level (kind=distortion)")
+    p.add_argument("--dist", default=None, help="model of the tail expansion (kind=expansion)")
     p.add_argument("--alpha-min", type=float, default=0.95)
     p.add_argument("--alpha-max", type=float, default=0.9999)
     p.add_argument("--points", type=int, default=100)

@@ -494,14 +494,6 @@ def _t_lower_quantile(nu: float, p):
     return x, log_m
 
 
-def _t_quantile(nu: float, u):
-    """Left quantile of the standard t, inverting the smaller tail probability."""
-    x, _ = _t_lower_quantile(nu, np.minimum(u, 1.0 - u))
-    # x <= 0 is the quantile at p; above the median symmetry gives -x, and
-    # a product with -1.0 is exact
-    return x * (1.0 - 2.0 * (u > 0.5))
-
-
 class StudentT(Distribution):
     """Standard Student t with nu > 1 degrees of freedom.
 
@@ -538,7 +530,10 @@ class StudentT(Distribution):
         return stdtr(self.nu, x)
 
     def _quantile0(self, u):
-        return _t_quantile(self.nu, u)
+        # invert the smaller tail probability: x <= 0 is the quantile there;
+        # above the median symmetry gives -x, and a product with -1.0 is exact
+        x, _ = _t_lower_quantile(self.nu, np.minimum(u, 1.0 - u))
+        return x * (1.0 - 2.0 * (u > 0.5))
 
     def _mean0(self):
         return 0.0

@@ -33,6 +33,22 @@ def test_portfolio_rejects_bad_input():
     assert Portfolio(np.array([1.0, 2.0])).d == 1
 
 
+def test_portfolio_borrows_a_float64_matrix_and_owns_other_inputs(tmp_path):
+    # nothing is copied: a 1e6 x 5 matrix stays one 40 MB array
+    x = np.array([[1.0, 2.0], [3.0, 4.0]])
+    p = Portfolio(x)
+    assert p.components is x
+    x[0, 0] = 10.0
+    np.testing.assert_array_equal(p.total, [3.0, 7.0])
+    rows = [[1.0, 2.0], [3.0, 4.0]]
+    path = tmp_path / "scen.csv"
+    path.write_text("1,2\n3,4\n")
+    for owner in (Portfolio(rows), Portfolio(np.array(rows, dtype=np.float32)),
+                  Portfolio.from_csv(path)):
+        assert owner.components.flags.owndata
+        np.testing.assert_array_equal(owner.components, rows)
+
+
 def test_es_contributions_hand_example():
     # q_{0.7}(total) = 1, tied by (0,1) and (1,0); the tail 0.3 holds the
     # (3,3) scenario and 0.2 of the atom's 0.5, which averages to (0.5, 0.5):

@@ -325,10 +325,10 @@ def test_table_out_file_roundtrip(tmp_path, capsys):
     (["table", "--dist", "exp", "--alphas", "0.9", "--ns", "10",
       "--replications", "0"], "replications"),
     (["asympt", "--dist", "uniform", "--alpha", "0.99"], "--order: "),
-    (["figure", "--kind", "frechet-pareto", "--a", "0.9"], "--a: "),
-    (["figure", "--kind", "frechet-student", "--nu", "0.9"], "--nu: "),
-    (["figure", "--kind", "weibull-beta", "--a", "-1"], "--a: "),
-    (["figure", "--kind", "weibull-beta", "--a", "1"], "--a: "),
+    (["figure", "--kind", "expansion", "--dist", "pareto:a=0.9"], "--dist: "),
+    (["figure", "--kind", "expansion", "--dist", "student:nu=0.9"], "--dist: "),
+    (["figure", "--kind", "expansion", "--dist", "power:a=-1"], "--dist: "),
+    (["figure", "--kind", "expansion", "--dist", "power:a=1"], "--dist: "),
     (["wasserstein", "--dist", "exp", "--n", "200", "--seed", "-3"],
      "--seed: must be >= 0, got -3"),
 ], ids=["no-density", "density-vanishes", "zero-replications", "second-order-missing",
@@ -416,6 +416,9 @@ def test_figure_distortion_grid(capsys):
     lines = out.splitlines()
     assert lines[0] == "t,phi,phi_mix"
     assert len(lines) == 6
+    # the distortion has no law: --dist, even an invalid one, is not read
+    assert run(capsys, ["figure", "--kind", "distortion", "--points", "5",
+                        "--dist", "pareto:a=0.5"]) == (0, out, "")
 
 
 def test_figure_distortion_level_is_the_expectile_level(capsys):
@@ -432,15 +435,13 @@ def test_figure_distortion_level_is_the_expectile_level(capsys):
     assert err.startswith("error: --alpha: expectile level must lie in [0.5, 1 - 1e-12)")
 
 
-def test_figure_requires_family_parameter(capsys):
-    code, _, err = run(capsys, ["figure", "--kind", "frechet-pareto"])
-    assert code == 2 and "--a: required" in err
-    code, _, err = run(capsys, ["figure", "--kind", "frechet-student"])
-    assert code == 2 and "--nu: required" in err
+def test_figure_expansion_requires_a_law(capsys):
+    code, out, err = run(capsys, ["figure", "--kind", "expansion"])
+    assert (code, out, err) == (2, "", "error: --dist: required for kind expansion\n")
 
 
 def test_figure_level_window_must_be_ordered(capsys):
-    code, _, err = run(capsys, ["figure", "--kind", "frechet-pareto", "--a", "2.1",
+    code, _, err = run(capsys, ["figure", "--kind", "expansion", "--dist", "pareto:a=2.1",
                                 "--alpha-min", "0.99", "--alpha-max", "0.95"])
     assert code == 2 and "below" in err
 
@@ -448,19 +449,19 @@ def test_figure_level_window_must_be_ordered(capsys):
 def test_figure_level_window_takes_the_expectile_levels(capsys):
     # 0.5 is an expectile level, as for expansion_curve; past the cap is an
     # input error, not a computation failure
-    code, out, err = run(capsys, ["figure", "--kind", "frechet-pareto", "--a", "2.1",
+    code, out, err = run(capsys, ["figure", "--kind", "expansion", "--dist", "pareto:a=2.1",
                                   "--alpha-min", "0.5", "--alpha-max", "0.9", "--points", "3"])
     assert (code, err) == (0, "")
     rows = expansion_curve(Pareto(2.1), [0.5, 0.7, 0.9])
     assert out == render_csv(ExpansionCurveRow._fields, rows)
-    code, out, err = run(capsys, ["figure", "--kind", "frechet-pareto", "--a", "2.1",
+    code, out, err = run(capsys, ["figure", "--kind", "expansion", "--dist", "pareto:a=2.1",
                                   "--alpha-max", "0.9999999999999"])
     assert (code, out) == (2, "")
     assert err.startswith("error: --alpha-max: expectile level must lie in [0.5, 1 - 1e-12)")
 
 
 def test_figure_pareto_curves(capsys):
-    code, out, _ = run(capsys, ["figure", "--kind", "frechet-pareto", "--a", "2.1",
+    code, out, _ = run(capsys, ["figure", "--kind", "expansion", "--dist", "pareto:a=2.1",
                                 "--points", "3"])
     assert code == 0
     lines = out.splitlines()
@@ -824,61 +825,84 @@ GOLDEN = [
         "1,1,1\n",
         "", id="figure-distortion"),
     pytest.param(
-        ["figure", "--kind", "weibull-beta", "--a", "2", "--points", "3"], 0,
+        ["figure", "--kind", "expansion", "--dist", "power:a=2", "--points", "3"], 0,
         "alpha,exact,first_order,second_order\n"
         "0.95,8.94989871354,10.8174877195,9.22024076277\n"
         "0.97495,13.1146549573,14.9239475917,13.298551692\n"
         "0.9999,229.184720137,230.960318021,229.19594476\n",
         "", id="figure-weibull-beta"),
     pytest.param(
-        ["figure", "--kind", "frechet-pareto", "--a", "2.1", "--points", "3"], 0,
+        ["figure", "--kind", "expansion", "--dist", "pareto:a=2.1", "--points", "3"], 0,
         "alpha,exact,first_order,second_order\n"
         "0.95,0.480870102429,0.500567429597,0.466270919038\n"
         "0.97495,0.490328559233,0.500567429597,0.482616339531\n"
         "0.9999,0.500265245221,0.500567429597,0.500223325002\n",
         "", id="figure-frechet-pareto"),
     pytest.param(
-        ["figure", "--kind", "frechet-student", "--nu", "2.3", "--points", "3"], 0,
+        ["figure", "--kind", "expansion", "--dist", "student:nu=2.3", "--points", "3"], 0,
         "alpha,exact,first_order,second_order\n"
         "0.95,0.47616663355,0.504283697303,0.475711341126\n"
         "0.97495,0.490276835306,0.504283697303,0.490102159656\n"
         "0.9999,0.504217115224,0.504283697303,0.504217084549\n",
         "", id="figure-frechet-student"),
     pytest.param(
-        ["figure", "--kind", "weibull-beta", "--a", "1"], 2,
+        ["figure", "--kind", "expansion", "--dist", "power:a=1"], 2,
         "",
-        "error: --a: a = 1 is the uniform law, which has no second-order curve\n",
+        "error: --dist: power:a=1 has no second-order tail parametrization\n",
         id="figure-uniform-exit2"),
     pytest.param(
-        ["figure", "--kind", "frechet-student", "--nu", "2.3", "--points", "1"], 2,
+        ["figure", "--kind", "expansion", "--dist", "student:nu=2.3", "--points", "1"], 2,
         "",
         "error: --points: need at least 2, got 1\n", id="figure-points-exit2"),
     pytest.param(
-        ["figure", "--kind", "frechet-pareto", "--a", "1e300", "--points", "3"], 2,
+        ["figure", "--kind", "expansion", "--dist", "pareto:a=1e300", "--points", "3"], 2,
         "",
-        "error: --a: pareto:a=1e+300 is degenerate in double precision at alpha=0.95:"
+        "error: --dist: pareto:a=1e+300 is degenerate in double precision at alpha=0.95:"
         " the ES of the centered law is -1e-300, not positive\n",
         id="figure-collapsed-centered-law-exit2"),
     pytest.param(
-        ["figure", "--kind", "frechet-student", "--nu", "1e300", "--points", "3"], 2,
+        ["figure", "--kind", "expansion", "--dist", "student:nu=1e300", "--points", "3"], 2,
         "",
-        "error: --nu: the order-2 expansion at alpha=0.95 is not finite in double"
+        "error: --dist: the order-2 expansion at alpha=0.95 is not finite in double"
         " precision (leading 1, correction nan)\n", id="figure-nan-expansion-exit2"),
     pytest.param(
-        ["figure", "--kind", "frechet-pareto", "--a", "inf"], 2,
+        ["figure", "--kind", "expansion", "--dist", "pareto:a=inf"], 2,
         "",
-        "error: --a: pareto family needs a > 1 for a finite mean, got a=inf\n",
+        "error: --dist: pareto family needs a > 1 for a finite mean, got a=inf\n",
         id="figure-infinite-a"),
     pytest.param(
-        ["figure", "--kind", "frechet-pareto", "--a", "0.5"], 2,
+        ["figure", "--kind", "expansion", "--dist", "pareto:a=0.5"], 2,
         "",
-        "error: --a: pareto family needs a > 1 for a finite mean, got a=0.5\n",
+        "error: --dist: pareto family needs a > 1 for a finite mean, got a=0.5\n",
         id="figure-infinite-mean-pareto"),
     pytest.param(
-        ["figure", "--kind", "frechet-student", "--nu", "1"], 2,
+        ["figure", "--kind", "expansion", "--dist", "student:nu=1"], 2,
         "",
-        "error: --nu: student family needs nu > 1 for a finite mean, got nu=1.0\n",
+        "error: --dist: student family needs nu > 1 for a finite mean, got nu=1.0\n",
         id="figure-infinite-mean-student"),
+    pytest.param(
+        ["figure", "--kind", "expansion", "--dist", "student:nu=2.3,shift=1", "--points", "3"], 0,
+        "alpha,exact,first_order,second_order\n"
+        "0.95,0.47616663355,0.504283697303,0.475711341126\n"
+        "0.97495,0.490276835306,0.504283697303,0.490102159656\n"
+        "0.9999,0.504217115224,0.504283697303,0.504217084549\n",
+        "", id="figure-shifted-student"),
+    pytest.param(
+        ["figure", "--kind", "expansion", "--dist", "exp"], 2,
+        "",
+        "error: --dist: exp has a light (Gumbel-type) tail: no polynomial ratio expansion"
+        " exists; see mda().relation for the qualitative statement\n",
+        id="figure-gumbel-exit2"),
+    pytest.param(
+        ["figure", "--kind", "expansion", "--dist", "twopoint:x1=0,x2=1,p=0.5"], 2,
+        "",
+        "error: --dist: two-point laws have no extreme-value classification here\n",
+        id="figure-unclassified-exit2"),
+    pytest.param(
+        ["figure", "--kind", "expansion", "--dist", "uniform"], 2,
+        "",
+        "error: --dist: uniform has no second-order tail parametrization\n",
+        id="figure-uniform-family-exit2"),
     pytest.param(
         ["wasserstein", "--dist", "exp", "--n", "200"], 0,
         "w(sample n=200, exp) exact = 0.0519974\n"

@@ -22,7 +22,9 @@ size, a window or a rank.  One tail classification: ``cli.py`` reads no
 ``.rho``, calls no ``.centered(`` and compares no ``.family``, so the
 commands print what ``asymptotics`` decides about a law's tail, and the
 removed ``gumbel_relation`` is named nowhere in the package, the demos or
-the tests but here.  One spec grammar: the package splits a spec at its
+the tests but here.  One way to name a law: ``cli.py`` imports only
+``parse_distribution`` from ``distributions`` and declares no per-family
+``--a`` or ``--nu`` option.  One spec grammar: the package splits a spec at its
 ``:`` (``.partition(":")``) only in ``distributions._parse_spec``, defines
 ``with_shift`` once, and names none of the per-family tables and label
 hooks that the classes' ``family`` and ``params`` replaced.  One Student t
@@ -283,6 +285,49 @@ def test_cli_renders_the_tail_classification_it_is_given():
     assert tail_rederivations((ROOT / "src" / "tailrisk" / "cli.py").read_text()) == []
 
 
+# per-family parameter flags, which would name a law outside the spec grammar
+_FAMILY_FLAGS = ("--a", "--nu")
+
+
+def law_bypasses(source: str) -> list:
+    """``line: what`` for each name that ``source`` imports from a
+    ``distributions`` module other than ``parse_distribution``, and each
+    per-family option (``--a``, ``--nu``) it declares, in line order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] \
+                == "distributions":
+            found += [(node.lineno, f"import {a.name}") for a in node.names
+                      if a.name != "parse_distribution"]
+        elif isinstance(node, ast.Import):
+            found += [(node.lineno, f"import {a.name}") for a in node.names
+                      if a.name.split(".")[-1] == "distributions"]
+        elif isinstance(node, ast.Call) and _calls("add_argument")(node):
+            found += [(node.lineno, f"option {a.value}") for a in node.args
+                      if getattr(a, "value", None) in _FAMILY_FLAGS]
+    return [f"{line}: {what}" for line, what in sorted(found)]
+
+
+def test_law_bypass_scan_flags_family_imports_and_flags():
+    source = (
+        "import tailrisk.distributions\n"
+        "from .distributions import Pareto, parse_distribution\n"
+        "from .risk_core import expectile\n"
+        "p.add_argument('--dist', required=True)\n"
+        "p.add_argument('--nu', type=float, help='--a is named in help only')\n"
+        "p.add_argument('-a', '--a')\n"
+    )
+    assert law_bypasses(source) == ["1: import tailrisk.distributions", "2: import Pareto",
+                                     "5: option --nu", "6: option --a"]
+
+
+def test_cli_names_every_law_through_the_spec_grammar():
+    # each subcommand, figure included, reads its law from --dist through
+    # parse_distribution; a family class or a per-family flag in cli.py
+    # would be a second way to name a law
+    assert law_bypasses((ROOT / "src" / "tailrisk" / "cli.py").read_text()) == []
+
+
 def test_gumbel_relation_is_named_nowhere():
     # the Gumbel relation is a field of the classification, EvClassification.relation
     assert [p.name for p in MODULES if p != Path(__file__).resolve()
@@ -443,7 +488,7 @@ def test_import_loads_neither_optimize_nor_integrate():
 
 # Every Student t result, as the hex of its bits, from a fresh interpreter.
 # argv: the order of the first evaluations ("cdf" or "quantile" first,
-# reaching the kernels through StudentT._cdf0 or _t_quantile), which
+# reaching the kernels through StudentT._cdf0 or _quantile0), which
 # instance goes first ("unpickled" or "constructed"), whether scipy.special
 # is imported before tailrisk, and a pickled StudentT(2.3) in hex.
 _STUDENT_BITS = """
@@ -494,7 +539,7 @@ def test_cli_runs_without_a_student_law_leave_scipy_special_unloaded(tmp_path):
         "    ['allocate', '--csv', sys.argv[1], '--alpha', '0.7'],\n"
         "    ['allocate', '--csv', sys.argv[1], '--alpha', '0.7', '--measure', 'es'],\n"
         "    ['table', '--dist', 'pareto:a=2.1', '--alphas', '0.99', '--ns', '1000'],\n"
-        "    ['figure', '--kind', 'frechet-pareto', '--a', '2.1', '--points', '3'],\n"
+        "    ['figure', '--kind', 'expansion', '--dist', 'pareto:a=2.1', '--points', '3'],\n"
         "]\n"
         "for argv in runs:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
