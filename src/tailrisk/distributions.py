@@ -17,7 +17,12 @@ operations (same duck-typed interface), so downstream code never branches
 on the source kind.
 
 Sampling is inverse-transform only, driven by numpy's PCG64 generator, so
-a (family, n, seed) triple reproduces bit-identical samples.
+a (family, n, seed) triple reproduces bit-identical samples.  A draw holds
+one buffer of n floats: each family's one quantile formula,
+``_quantile0(u, out=None)``, passes ``out`` through its ufunc chain, and
+``Distribution._draw`` alone gives it the uniforms' own buffer to overwrite
+and adds the shift in place.  ``quantile`` never passes ``out``, so a
+caller's levels are never written.
 
 Scalar contract of every loss source, families and :class:`Sample` alike:
 ``cdf``, ``prob_lt``, ``quantile``, ``es`` and the continuous families'
@@ -109,6 +114,8 @@ class Distribution:
     ``_cdf0 / _quantile0 / _mean0 / _es0 / _pdf0 / _support0`` hooks, all
     of which accept numpy arrays where meaningful.  The public methods add
     the shift, validate levels, and keep scalar-in/scalar-out semantics.
+    ``_quantile0(u, out)`` writes its result to ``out`` when given, which
+    may be u itself; only ``_draw`` gives one.
 
     Each family declares its spec name ``family`` and its parameters
     ``params`` (besides ``shift``) once, for ``label``, ``with_shift`` and
@@ -129,7 +136,7 @@ class Distribution:
     def _cdf0(self, x):
         raise NotImplementedError
 
-    def _quantile0(self, u):
+    def _quantile0(self, u, out=None):
         raise NotImplementedError
 
     def _mean0(self) -> float:
@@ -219,7 +226,8 @@ class Distribution:
         is pushed through the left quantile (values in (0,1); the zero
         endpoint is nudged to 2^-53 so quantiles stay finite).  The values
         are those of ``_draw``, which the ratio tables read unsorted, sorted
-        in place into the ``Sample``.
+        in place into the ``Sample``: the uniforms' buffer becomes the
+        sample's values, with no second n-float array.
         """
         x = self._draw(n, seed)
         x.sort()
@@ -227,15 +235,19 @@ class Distribution:
 
     def _draw(self, n: int, seed: int) -> np.ndarray:
         """The n values of ``sample(n, seed)`` in draw order, as a new array
-        the caller owns."""
+        the caller owns: the uniforms' own buffer, overwritten in place by
+        the family's quantile formula and then by the shift."""
         n = int(n)
         if n < 1:
             raise ValueError(f"sample size must be >= 1, got {n}")
         rng = np.random.Generator(np.random.PCG64(int(seed)))
         u = rng.random(n)
         np.maximum(u, _U_FLOOR, out=u)
-        # u lies in [2^-53, 1) by construction: no level check to make
-        return self._quantile0(u) + self.shift
+        # u lies in [2^-53, 1) by construction: no level check to make; the
+        # quantile overwrites the uniforms, and the shift its result
+        x = self._quantile0(u, out=u)
+        x += self.shift
+        return x
 
     def mda(self) -> EvClassification:
         raise NotImplementedError
@@ -286,8 +298,8 @@ class PowerBeta(Distribution):
     def _cdf0(self, x):
         return np.power(np.minimum(np.maximum(x, 0.0), 1.0), self.a)
 
-    def _quantile0(self, u):
-        return np.power(u, 1.0 / self.a)
+    def _quantile0(self, u, out=None):
+        return np.power(u, 1.0 / self.a, out=out)
 
     def _mean0(self):
         return self.a / (self.a + 1.0)
@@ -334,8 +346,10 @@ class Exponential(Distribution):
     def _cdf0(self, x):
         return -np.expm1(-np.maximum(x, 0.0))
 
-    def _quantile0(self, u):
-        return -np.log1p(-u)
+    def _quantile0(self, u, out=None):
+        x = np.negative(u, out=out)
+        x = np.log1p(x, out=out)
+        return np.negative(x, out=out)
 
     def _mean0(self):
         return 1.0
@@ -379,8 +393,10 @@ class Pareto(Distribution):
     def _cdf0(self, x):
         return 1.0 - np.power(1.0 + np.maximum(x, 0.0), -self.a)
 
-    def _quantile0(self, u):
-        return np.power(1.0 - u, -1.0 / self.a) - 1.0
+    def _quantile0(self, u, out=None):
+        x = np.subtract(1.0, u, out=out)
+        x = np.power(x, -1.0 / self.a, out=out)
+        return np.subtract(x, 1.0, out=out)
 
     def _mean0(self):
         return 1.0 / (self.a - 1.0)
@@ -480,17 +496,19 @@ def _t_deep_tail(nu: float, p, x):
         return -np.exp(s), log_p + log_nu + s - np.log(g)
 
 
-def _t_lower_quantile(nu: float, p):
+def _t_lower_quantile(nu: float, p, out=None):
     """(x, log M): the quantile x <= 0 of the standard t at p <= 1/2, and the
-    log M of ``_t_deep_tail`` at the p below 2^-53 (NaN elsewhere), or None."""
+    log M of ``_t_deep_tail`` at the p below 2^-53 (NaN elsewhere), or None.
+    x is written to ``out`` when given, which may be p itself."""
     if stdtrit is None:
         _load_t_kernels()
-    x = stdtrit(nu, p)
     deep = p < _U_FLOOR
-    if not np.count_nonzero(deep):
+    p_deep = np.asarray(p)[deep]  # read before out, which may be p, is written
+    x = stdtrit(nu, p, out=out)
+    if not p_deep.size:
         return x, None
-    x, log_m = np.array(x), np.full(np.shape(x), np.nan)
-    x[deep], log_m[deep] = _t_deep_tail(nu, np.asarray(p)[deep], x[deep])
+    x, log_m = np.asarray(x), np.full(np.shape(x), np.nan)
+    x[deep], log_m[deep] = _t_deep_tail(nu, p_deep, x[deep])
     return x, log_m
 
 
@@ -529,11 +547,12 @@ class StudentT(Distribution):
             _load_t_kernels()
         return stdtr(self.nu, x)
 
-    def _quantile0(self, u):
+    def _quantile0(self, u, out=None):
         # invert the smaller tail probability: x <= 0 is the quantile there;
         # above the median symmetry gives -x, and a product with -1.0 is exact
-        x, _ = _t_lower_quantile(self.nu, np.minimum(u, 1.0 - u))
-        return x * (1.0 - 2.0 * (u > 0.5))
+        upper = u > 0.5  # read before out, which may be u, is written
+        x, _ = _t_lower_quantile(self.nu, np.minimum(u, 1.0 - u, out=out), out=out)
+        return np.multiply(x, np.where(upper, -1.0, 1.0), out=out)
 
     def _mean0(self):
         return 0.0
@@ -601,9 +620,10 @@ class TwoPoint(Distribution):
         a NaN x, which passes neither: 0 sign(x) adds +-0, or NaN."""
         return np.maximum(self.p * past_x1, past_x2) + 0.0 * np.sign(x)
 
-    def _quantile0(self, u):
+    def _quantile0(self, u, out=None):
         # sign(u) is 1 at every valid level and NaN at a NaN one
-        return np.where(u <= self.p, self.x1, self.x2) * np.sign(u)
+        atoms = np.where(u <= self.p, self.x1, self.x2)
+        return np.multiply(atoms, np.sign(u, out=out), out=out)
 
     def _mean0(self):
         return self.p * self.x1 + (1.0 - self.p) * self.x2

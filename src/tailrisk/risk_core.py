@@ -353,8 +353,9 @@ def _select(values: np.ndarray, alpha: float) -> _Tail:
     values are >= t, t <= q_alpha (a t above q_alpha leaves at most n - i
     values at or above it), and only those values are partitioned; if
     fewer, or more than a quarter of the values (heavy ties at t), all n
-    are, at the cost of one compare pass more.  Past those bounds,
-    gathering the kept values costs about what it saves.
+    are, at the cost of one compare pass and one index pass more.  Past
+    those bounds, gathering the kept values costs about what it saves.  The
+    kept values are counted by their index array, with no pass of its own.
     """
     n = values.size
     i, i_es, w = order_stats(n, alpha)
@@ -367,9 +368,9 @@ def _select(values: np.ndarray, alpha: float) -> _Tail:
         # r < m / 4 since p <= 1/8 and m >= _SAMPLE
         r = math.ceil(m * p + _SAMPLE_Z * math.sqrt(m * p * (1.0 - p))) + 1
         cut = float(np.partition(sample, m - r)[m - r])
-        mask = values >= cut
-        if k <= np.count_nonzero(mask) <= n // 4:
-            t, rows = cut, np.flatnonzero(mask)
+        kept = np.flatnonzero(values >= cut)
+        if k <= kept.size <= n // 4:
+            t, rows = cut, kept
             vals = values[rows]
     j = vals.size - k
     part = np.partition(vals, j)

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -407,13 +408,58 @@ PARITY_SOURCES = [pytest.param(d, id=d.label) for d in PARITY_FAMILIES] + list(_
 @pytest.mark.parametrize("dist", PARITY_FAMILIES, ids=lambda d: d.label)
 def test_draw_is_the_quantile_of_its_uniforms(dist):
     # _draw calls the family hook without quantile's level check, which its
-    # uniforms in [2^-53, 1) cannot fail: same values, bit for bit
-    for n, seed in ((1, 0), (1001, 7), (30000, 11)):
+    # uniforms in [2^-53, 1) cannot fail, and writes it into the uniforms'
+    # own buffer: same values, bit for bit, below and above numpy's 256 KiB
+    # threshold for reusing temporaries
+    for n, seed in ((1, 0), (1001, 7), (30000, 11), (300_000, 13)):
         u = np.random.Generator(np.random.PCG64(seed)).random(n)
         want = dist.quantile(np.maximum(u, _U_FLOOR))
         got = dist._draw(n, seed)
         assert got.dtype == want.dtype and got.shape == (n,)
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("dist", PARITY_SOURCES)
+def test_quantile_never_writes_the_callers_levels(dist):
+    # only _draw passes the quantile hook a buffer to overwrite
+    rng = np.random.default_rng(5)
+    levels = np.r_[PARITY_LEVELS, np.maximum(rng.random(300_000), _U_FLOOR)]
+    kept = levels.copy()
+    x = dist.quantile(levels)
+    assert not np.shares_memory(x, levels)
+    np.testing.assert_array_equal(levels.view(np.int64), kept.view(np.int64))
+
+
+@pytest.mark.parametrize("dist", PARITY_FAMILIES, ids=lambda d: d.label)
+def test_quantile_hook_written_over_its_levels_gives_the_same_bits(dist):
+    # levels straddling the Student t's deep-tail seam at 2^-53, which draws
+    # never reach: its routine reads them before the quantile overwrites them
+    levels = np.array(PARITY_LEVELS)
+    want = dist._quantile0(levels.copy())
+    u = levels.copy()
+    got = dist._quantile0(u, out=u)
+    assert got is u
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+# the traced peak of one draw of n values, in units of 8n bytes: the one
+# buffer of uniforms the quantile overwrites, where the formula allows it;
+# the Student t (1 - u, then its sign) and the two-point law (its atoms) hold
+# a second array and a mask, about 2.13, under their earlier peaks of 4 and 3
+DRAW_BUDGETS = {"pareto": 1, "exp": 1, "power": 1, "uniform": 1, "student": 4, "twopoint": 3}
+
+
+@pytest.mark.parametrize("dist", PARITY_FAMILIES, ids=lambda d: d.label)
+def test_draw_peak_memory_stays_in_budget(dist):
+    n = 300_000
+    dist._draw(10, 0)  # loads scipy.special for the Student t outside the trace
+    tracemalloc.start()
+    try:
+        dist._draw(n, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= DRAW_BUDGETS[dist.family] * 8 * n + 64 * 1024, peak / (8 * n)
 
 
 def _parity_points(dist):

@@ -27,9 +27,12 @@ the tests but here.  One way to name a law: ``cli.py`` imports only
 ``--a`` or ``--nu`` option.  One spec grammar: the package splits a spec at its
 ``:`` (``.partition(":")``) only in ``distributions._parse_spec``, defines
 ``with_shift`` once, and names none of the per-family tables and label
-hooks that the classes' ``family`` and ``params`` replaced.  One Student t
-deep tail: the package calls ``stdtr`` only in ``StudentT._cdf0`` and
-``stdtrit`` only in ``distributions._t_lower_quantile``.  One expectile
+hooks that the classes' ``family`` and ``params`` replaced.  One sampler:
+the package defines ``_draw`` once, in ``Distribution``, so every family
+samples through its one quantile formula and keeps no second copy of it.
+One Student t deep tail: the package calls ``stdtr`` only in
+``StudentT._cdf0`` and ``stdtrit`` only in
+``distributions._t_lower_quantile``.  One expectile
 step: the names of the Newton solver's removed slope, chord and bisection
 appear nowhere in the package, the demos or the tests but here, and the
 package writes no ``1 - 2 * alpha``, whose weight denominator
@@ -374,6 +377,16 @@ def test_specs_are_split_in_one_grammar():
 def test_with_shift_is_defined_once():
     # Distribution.with_shift copies every family, a subclass included
     assert sum(definitions(p.read_text())["with_shift"] for p in PACKAGE) == 1
+
+
+def test_draw_is_defined_once_in_distribution():
+    # Distribution._draw samples every family through the family's one
+    # quantile formula, written over the draw's own uniforms: a second
+    # _draw would be a second copy of some family's formula
+    assert sum(definitions(p.read_text())["_draw"] for p in PACKAGE) == 1
+    tree = ast.parse((ROOT / "src" / "tailrisk" / "distributions.py").read_text())
+    base = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Distribution")
+    assert "_draw" in definitions(ast.unparse(base))
 
 
 # the per-family spec tables and label hooks that the classes' own
