@@ -30,8 +30,8 @@ only the totals above the paper's lower bound (1 - w) ES_alpha + w E[L],
 w = 1/(2 alpha) (the b = alpha case above), which it finds among those
 rows when the bound is >= t.  Past that, each allocation costs work
 proportional to the tail: the tail rows are gathered with ``np.take`` and
-summed by a matrix-vector product; the expectile adds one reduction over
-all rows for the column means.
+summed by a matrix-vector product; the expectile reads the column means
+``Portfolio`` computed once.
 
 Only empirical (scenario) portfolios are supported; the asymptotic ratio
 helper additionally assumes the components have heavy Frechet-type tails,
@@ -61,11 +61,11 @@ class Portfolio:
     """Joint scenarios: row i is one scenario across the d components.
 
     A float64 array is borrowed, not copied: ``components`` is the
-    caller's 2-d array itself (a column view of a 1-d one), and ``total``
-    is computed here once and not recomputed.  Writing into the array
-    afterwards leaves ``total`` stale, so the contributions no longer add
-    up to the measure of the totals.  Lists, other dtypes and
-    ``from_csv`` give the portfolio an array of its own.
+    caller's 2-d array itself (a column view of a 1-d one), and the row
+    totals ``total`` and column means ``means`` are computed here once.
+    Writing into the array afterwards leaves both stale, so the
+    contributions no longer add up to the measure of the totals.  Lists,
+    other dtypes and ``from_csv`` give the portfolio an array of its own.
     """
 
     def __init__(self, components):
@@ -80,6 +80,7 @@ class Portfolio:
             raise ValueError("portfolio values must be finite")
         self.components = arr
         self.total = arr.sum(axis=1)
+        self.means = np.ones(arr.shape[0]) @ arr / arr.shape[0]
 
     @property
     def n(self) -> int:
@@ -190,9 +191,8 @@ def expectile_euler(
     The portfolio expectile e comes from one selection and a sort of the
     totals above the paper's ES lower bound (``_tail_expectile``), not a
     sort of all n totals; the rows above e are gathered and summed, and the
-    body sums are the column sums over all rows minus the tail's.  Past one
-    pass over the matrix for the column sums, the cost is proportional to
-    the tail.
+    body sums are the column sums over all rows, ``p.means``, minus the
+    tail's, so past the selection the cost is proportional to the tail.
 
     The body is {total <= e}, with no tolerance: a scenario tied with the
     root e adds nothing to either side of the first-order condition, so
@@ -202,22 +202,20 @@ def expectile_euler(
     sum_k ((2 alpha - 1) sum_{L > e} |L_k| + (1 - alpha) sum |L_k|) / (n den),
     den = alpha + (1 - 2 alpha) P[L <= e], and each equals the ES-combination
     form (1 - w) ES_b(L_k|L) + w E[L_k] to 1e-9 of its terms
-    (1 - w)|ES_b(L_k|L)| + w|E[L_k]|, the column means from their reduction
-    over all rows.  ``full_output=True`` returns ``(contributions, e)``,
-    with e the portfolio expectile they allocate.
+    (1 - w)|ES_b(L_k|L)| + w|E[L_k]|.  ``full_output=True`` returns
+    ``(contributions, e)``, with e the portfolio expectile they allocate.
     """
     _check_expectile_level(alpha)
     e, rows = _tail_expectile(p.total, alpha)
     n = p.n
     n_le = n - rows.size
-    means = np.ones(n) @ p.components / n
     # BLAS sums a gathered row block faster than sum(axis=0) does
     tail = np.ones(rows.size) @ np.take(p.components, rows, axis=0) / n
     # alpha + (1 - 2 alpha) P[L <= e], written without its cancellation at
     # levels near 1, where it is about 1 - alpha
     den = (1.0 - alpha) + (2.0 * alpha - 1.0) * (rows.size / n)
-    # alpha * tail + (1 - alpha) * body, with body = means - tail
-    contrib = ((2.0 * alpha - 1.0) * tail + (1.0 - alpha) * means) / den
+    # alpha * tail + (1 - alpha) * body, with body = p.means - tail
+    contrib = ((2.0 * alpha - 1.0) * tail + (1.0 - alpha) * p.means) / den
     if check:
         total = float(np.sum(contrib))
         # sum |contrib| bounds the terms from below: only a miss of it pays
@@ -231,8 +229,8 @@ def expectile_euler(
         w = (1.0 - alpha) / den
         es_contrib = tail * (n / (n - n_le))
         _agree(f"expectile ES-combination cross-check at alpha={alpha}", contrib,
-               (1.0 - w) * es_contrib + w * means,
-               (1.0 - w) * np.abs(es_contrib) + w * np.abs(means), 1e-9)
+               (1.0 - w) * es_contrib + w * p.means,
+               (1.0 - w) * np.abs(es_contrib) + w * np.abs(p.means), 1e-9)
     return (contrib, e) if full_output else contrib
 
 

@@ -127,14 +127,11 @@ def _alpha_grid(alphas: Sequence[float]) -> list:
 
 
 def _frechet_rho(eta: float, rho: float) -> Tuple[float, float]:
-    """Validated Frechet second-order parameter, as (rho, eta - rho - 1)."""
+    """(rho, eta - rho - 1) for a validated rho <= 0; eta > 1 keeps the second > 0."""
     rho = float(rho)
     if rho > 0.0:
         raise ValueError(f"second-order parameter rho must be <= 0, got {rho}")
-    denom = eta - rho - 1.0
-    if denom == 0.0:
-        raise ValueError(f"degenerate combination eta - rho - 1 = 0 (eta={eta}, rho={rho})")
-    return rho, denom
+    return rho, eta - rho - 1.0
 
 
 def _endpoint_inputs(xhat: float, q_alpha: float, mean: float) -> Tuple[float, float, float]:
@@ -246,8 +243,6 @@ def weibull_ratio(
     rho = _second_order(rho)
     if not (rho < 0.0):
         raise ValueError(f"endpoint second-order parameter rho must be < 0, got {rho}")
-    if eta - rho + 1.0 == 0.0:
-        raise ValueError(f"degenerate combination eta - rho + 1 = 0 (eta={eta}, rho={rho})")
     corr = (
         c_eta * (xhat - q_alpha) ** (eta / (eta + 1.0)) / ((eta + 1.0) * (xhat - mean))
         + c_eta ** (-rho) * float(a0_at_q) / (rho * (eta - rho + 1.0))
@@ -278,8 +273,6 @@ def hill_estimator(sample: Sample, k: Optional[int] = None) -> float:
     Uses eta_hat = k / sum_{i=1}^{k} log(X_(n-i+1) / X_(n-k)); the
     default window is k = ceil(n^0.7).
     """
-    if not isinstance(sample, Sample):
-        sample = Sample(sample)
     n = len(sample)
     if k is None:
         k = int(math.ceil(n ** 0.7))
@@ -305,8 +298,6 @@ def extreme_expectile_estimate(
     first-order heavy-tail proportionality; errors out when the estimated
     index does not support a finite-mean heavy tail (eta_hat <= 1).
     """
-    if not isinstance(sample, Sample):
-        sample = Sample(sample)
     alpha = _check_alpha(alpha)
     eta_hat = hill_estimator(sample, k)
     if eta_hat <= 1.0:

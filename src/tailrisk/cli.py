@@ -48,7 +48,7 @@ from .montecarlo import (
     transport_bounds,
 )
 from .risk_core import (
-    _ALPHA_CAP,
+    _check_expectile_level,
     beta_star,
     distortion_curves,
     expected_shortfall,
@@ -83,10 +83,10 @@ def _level(value: float, flag: str = "alpha") -> float:
 
 def _expectile_level(value: float, flag: str = "alpha") -> float:
     value = float(value)
-    if not (0.5 <= value < _ALPHA_CAP):
-        raise _ValidationError(
-            f"--{flag}: expectile level must lie in [0.5, 1 - 1e-12), got {value!r}"
-        )
+    try:
+        _check_expectile_level(value)
+    except ValueError as exc:
+        raise _ValidationError(f"--{flag}: {exc}") from None
     return value
 
 
@@ -183,7 +183,7 @@ def _cmd_asympt(args) -> str:
     alpha = _expectile_level(args.alpha)
     try:
         cls = dist.mda()
-    except (ValueError, NotImplementedError):
+    except ValueError:
         raise _ValidationError(f"--dist: {dist.label} has no tail classification") from None
     if cls.mda == "gumbel":
         return (

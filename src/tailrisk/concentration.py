@@ -78,7 +78,8 @@ class TailClass:
         """Smallest n >= 1 with ``bound(n, h) <= gamma``: the inverse rounded up,
         stepped where rounding left it one off, below 2**53 (where n - 1 may
         round to n in float arithmetic); 1 with a warning when the inverse
-        is <= 0, i.e. gamma reaches the prefactor and every n will do."""
+        is <= 0, i.e. gamma reaches the prefactor and every n will do.
+        OverflowError when the inverse is not finite in double precision."""
         raw = self._inverse(gamma, h)
         if raw <= 0.0:
             warnings.warn(
@@ -87,6 +88,8 @@ class TailClass:
                 stacklevel=3,
             )
             return 1
+        if not math.isfinite(raw):
+            raise OverflowError(f"{self!r} gives no finite sample size at gamma={gamma:g}, h={h:g}")
         n = math.ceil(raw)
         while n < 2 ** 53 and self.bound(n, h) > gamma:
             n += 1

@@ -127,6 +127,7 @@ def ratio_table(cfg: SimulationConfig) -> list:
     draw without building the ``Sample``: one selection gives VaR_alpha,
     ES_alpha and the expectile's lower bound, and only the draws above the
     bound, about 1.3 (1 - alpha) n of them for heavy tails, are sorted.
+    A zero ES or VaR, of the model or a draw, raises ZeroDivisionError.
     """
     if cfg.vs not in ("es", "var"):
         raise ValueError(f"ratio denominator must be 'es' or 'var', got {cfg.vs!r}")
@@ -134,24 +135,22 @@ def ratio_table(cfg: SimulationConfig) -> list:
     if not cfg.ns:
         raise ValueError("sample-size grid is empty")
     ns = [int(n) for n in cfg.ns]
-    for n in ns:
-        if n < 1:
-            raise ValueError(f"sample size must be >= 1, got {n}")
     reps = int(cfg.replications)
     if reps < 1:
         raise ValueError(f"replications must be >= 1, got {reps}")
+
+    def ratio(num, den, a, whose):
+        if den == 0.0:
+            raise ZeroDivisionError(f"{cfg.dist.label}: zero {cfg.vs} of {whose} at alpha={a:g}")
+        return num / den
 
     order = sorted(range(len(alphas)), key=lambda i: alphas[i])
     rows = []
     for ia in order:
         a = alphas[ia]
         num = expectile(cfg.dist, a)
-        den = (
-            expected_shortfall(cfg.dist, a)
-            if cfg.vs == "es"
-            else value_at_risk(cfg.dist, a)
-        )
-        th = num / den
+        den = expected_shortfall(cfg.dist, a) if cfg.vs == "es" else value_at_risk(cfg.dist, a)
+        th = ratio(num, den, a, "the model")
         emp_cols = []
         err_cols = []
         for jn, n in enumerate(ns):
@@ -160,7 +159,8 @@ def ratio_table(cfg: SimulationConfig) -> list:
                 x = cfg.dist._draw(n, cell_seed(cfg.seed, ia, jn, r))
                 sel = _select(x, a)
                 e, _ = _tail_expectile(x, a, sel)
-                ratios[r] = e / (sel.es if cfg.vs == "es" else sel.q)
+                ratios[r] = ratio(e, sel.es if cfg.vs == "es" else sel.q, a,
+                                  f"the n={n} draw (replication {r})")
             errs = 100.0 * np.abs(ratios - th) / abs(th)
             emp_cols.append(float(np.median(ratios)))
             err_cols.append(float(np.median(errs)))

@@ -99,10 +99,7 @@ def _check_es_level(alpha: float):
 
 def _check_expectile_level(alpha: float):
     if not (0.5 <= alpha < _ALPHA_CAP):
-        raise ValueError(
-            "expectile level must satisfy 1/2 <= alpha < 1 - 1e-12 "
-            f"(bracket degenerates beyond), got {alpha}"
-        )
+        raise ValueError(f"expectile level must lie in [0.5, 1 - 1e-12), got {float(alpha)!r}")
 
 
 def _is_constant(src: LossSource) -> bool:

@@ -29,6 +29,8 @@ def test_portfolio_rejects_bad_input():
         Portfolio(np.ones((0, 2)))
     with pytest.raises(ValueError):
         Portfolio([[1.0, np.nan]])
+    with pytest.raises(ValueError, match="2-d scenarios x components"):
+        Portfolio(np.zeros((2, 2, 2)))
     # 1-d input is promoted to a single column
     assert Portfolio(np.array([1.0, 2.0])).d == 1
 
@@ -47,6 +49,17 @@ def test_portfolio_borrows_a_float64_matrix_and_owns_other_inputs(tmp_path):
                   Portfolio.from_csv(path)):
         assert owner.components.flags.owndata
         np.testing.assert_array_equal(owner.components, rows)
+
+
+def test_portfolio_computes_its_column_means_once():
+    # expectile_euler reads these means, the reduction over all rows it
+    # made on every call before; a borrowed array written later leaves them
+    # stale, as it does the totals
+    x = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 9.0]])
+    p = Portfolio(x)
+    assert p.means.tobytes() == (np.ones(3) @ x / 3).tobytes()
+    x[0, 0] = 10.0
+    np.testing.assert_array_equal(p.means, [3.0, 5.0])
 
 
 def test_es_contributions_hand_example():

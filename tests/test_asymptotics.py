@@ -334,6 +334,22 @@ def test_hill_estimator_explicit_k():
         hill_estimator(s, k=100_000)
 
 
+def test_pareto_shifted_by_one_is_an_exact_power_law():
+    # P[L > x] = x^-a on [1, inf): rho None and A = 0, so there is no
+    # second-order term to expand
+    cls = Pareto(2.1, shift=1.0).mda()
+    assert (cls.mda, cls.eta, cls.rho, cls.auxiliary(1e3)) == ("frechet", 2.1, None, 0.0)
+    with pytest.raises(NoSecondOrder, match="order=1"):
+        frechet_ratio(cls.eta, cls.rho, cls.auxiliary(1e3), 0.99, order=2)
+
+
+def test_expansion_formulas_refuse_an_order_or_an_endpoint_rho_out_of_range():
+    with pytest.raises(ValueError, match="order must be 1 or 2, got 3"):
+        frechet_ratio(2.1, -1.0, 0.1, 0.99, order=3)
+    with pytest.raises(ValueError, match="rho must be < 0, got 0.5"):
+        weibull_ratio(1.0, 0.5, 1.0, 0.5, 0.9, 0.1, 0.99)
+
+
 def test_hill_estimator_rejects_nonpositive_window():
     s = Sample(np.array([-1.0, -0.5, 0.5, 1.0, 2.0]))
     with pytest.raises(ValueError):

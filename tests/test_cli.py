@@ -549,8 +549,9 @@ def test_repeated_main_calls_share_no_state(tmp_path, capsys, earlier, earlier_c
 # Exact (exit code, stdout, stderr) of representative command lines: every
 # subcommand in its text and CSV forms, and the exit-2 (bad input) and
 # exit-1 (computation failure) paths.  "<csv>", "<ragged>" and "<out>"
-# stand for files in a temporary directory; for a command with --out the
-# pinned stdout is the file it writes, and nothing reaches stdout.
+# stand for files in a temporary directory, and "<missing>" for a file in a
+# directory that does not exist; for a command with --out the pinned stdout
+# is the file it writes, and nothing reaches stdout.
 GOLDEN = [
     pytest.param(
         ["risk", "--dist", "pareto:a=2.1", "--alpha", "0.99"], 0,
@@ -577,6 +578,15 @@ GOLDEN = [
         "",
         "error: --alpha: expectile level must lie in [0.5, 1 - 1e-12), got 1.5\n",
         id="risk-level-exit2"),
+    pytest.param(
+        ["risk", "--dist", "exp", "--alpha", "1.5", "--measure", "es"], 2,
+        "",
+        "error: --alpha: must lie in (0, 1), got 1.5\n", id="risk-es-level-exit2"),
+    pytest.param(
+        ["risk", "--dist", "exp", "--alpha", "0.9", "--out", "<missing>"], 1,
+        "",
+        "error: --out: [Errno 2] No such file or directory: '<missing>'\n",
+        id="out-missing-directory-exit1"),
     pytest.param(
         ["risk", "--dist", "pareto:a=2,A=3", "--alpha", "0.99"], 2,
         "",
@@ -781,7 +791,8 @@ GOLDEN = [
         ["sample-size", "--tail", "exp:k=2,r=1,c=1e-310", "--gamma", "0.05", "--eps", "0.1",
          "--alpha", "0.99"], 1,
         "",
-        "error: cannot convert float infinity to integer\n", id="sample-size-exit1"),
+        "error: ExpMoment(k=2, r=1, C=1, c=1e-310) gives no finite sample size at gamma=0.05,"
+        " h=0.001\n", id="sample-size-exit1"),
     pytest.param(
         ["sample-size", "--tail", "poly:q=3,s=2.5", "--gamma", "0.05", "--eps", "0.1",
          "--alpha", "0.99", "--dist", "exp", "--delta-offset", "-1"], 2,
@@ -794,6 +805,11 @@ GOLDEN = [
         "",
         "error: density lower bound delta_alpha must be positive and finite, got inf\n",
         id="sample-size-infinite-delta"),
+    pytest.param(
+        ["sample-size", "--tail", "poly:q=3,s=2.5", "--gamma", "0.05", "--eps", "0.1",
+         "--alpha", "0.99", "--delta-alpha", "0"], 2,
+        "",
+        "error: --delta-alpha: must be positive, got 0\n", id="sample-size-zero-delta-exit2"),
     pytest.param(
         ["table", "--dist", "pareto:a=2.1", "--alphas", "0.999,0.983", "--ns", "100,1000"], 0,
         "alpha,theo_ratio,emp_ratio_1e2,err_pct_1e2,emp_ratio_1e3,err_pct_1e3\n"
@@ -814,7 +830,11 @@ GOLDEN = [
     pytest.param(
         ["table", "--dist", "twopoint:x1=0,x2=0,p=0.5", "--alphas", "0.9", "--ns", "10"], 1,
         "",
-        "error: float division by zero\n", id="table-exit1"),
+        "error: twopoint:x1=0,x2=0,p=0.5: zero es of the model at alpha=0.9\n", id="table-exit1"),
+    pytest.param(
+        ["table", "--dist", "exp", "--alphas", ",", "--ns", "10"], 2,
+        "",
+        "error: --alphas: empty list\n", id="table-empty-alphas-exit2"),
     pytest.param(
         ["figure", "--kind", "distortion", "--points", "5"], 0,
         "t,phi,phi_mix\n"
@@ -914,6 +934,10 @@ GOLDEN = [
         "",
         "error: --seed: must be >= 0, got -3\n", id="wasserstein-seed-exit2"),
     pytest.param(
+        ["wasserstein", "--dist", "exp", "--n", "0"], 2,
+        "",
+        "error: --n: must be >= 1, got 0\n", id="wasserstein-n-exit2"),
+    pytest.param(
         ["wasserstein", "--dist", "exp", "--n", "100000000000000000000"], 1,
         "",
         "error: Maximum allowed dimension exceeded\n", id="wasserstein-exit1"),
@@ -923,7 +947,8 @@ GOLDEN = [
 @pytest.mark.parametrize("argv, code, stdout, stderr", GOLDEN)
 def test_golden_command_lines(tmp_path, capsys, argv, code, stdout, stderr):
     paths = {key: tmp_path / name for key, name in
-             (("<csv>", "scen.csv"), ("<ragged>", "ragged.csv"), ("<out>", "out.csv"))}
+             (("<csv>", "scen.csv"), ("<ragged>", "ragged.csv"), ("<out>", "out.csv"),
+              ("<missing>", "missing/out.csv"))}
     paths["<csv>"].write_text(PORTFOLIO)
     paths["<ragged>"].write_text("0,0\n1\n")
     got, out, err = run(capsys, [str(paths.get(a, a)) for a in argv])

@@ -69,6 +69,8 @@ def test_class_parameter_validation():
         SubExpMoment(k=1.2, r=1.0, s=0.3)
     with pytest.raises(ValueError, match=r"s must lie in \(0, k\)"):
         SubExpMoment(k=0.5, r=1.0, s=0.5)
+    with pytest.raises(ValueError, match="r must be positive"):
+        SubExpMoment(0.5, 0.0, 0.3)
     with pytest.raises(ValueError, match="q must exceed 2"):
         PolyMoment(q=2.0, s=1.5)
     with pytest.raises(ValueError, match=r"s must lie in \(2, q\)"):
@@ -240,6 +242,14 @@ def test_gamma_validation():
         sample_size(ExpMoment(k=2.0, r=1.0), 0.0, 0.1, 0.9)
     with pytest.raises(ValueError, match="gamma must lie in"):
         var_sample_size(1.0, 1.0, 0.1)
+
+
+def test_a_size_past_double_precision_is_an_overflow_naming_the_class():
+    # c = 1e-310 puts the inverse -log(gamma) / (c h^2) past the largest double
+    tc = ExpMoment(k=2.0, r=1.0, c=1e-310)
+    with pytest.raises(OverflowError, match=r"ExpMoment\(k=2, r=1, C=1, c=1e-310\) gives no "
+                                            r"finite sample size at gamma=0.05, h=0.001"):
+        sample_size(tc, 0.05, 0.1, 0.99)
 
 
 # -------------------------------------------------------- quantile side

@@ -240,6 +240,11 @@ def test_quantile_cdf_roundtrip(dist):
 
 # --------------------------------------------------------------- shifts
 
+def test_shift_must_be_finite():
+    with pytest.raises(ValueError, match="shift must be finite, got inf"):
+        Pareto(2.1, shift=math.inf)
+
+
 def test_shift_translates_everything():
     base = Pareto(2.1)
     d = base.with_shift(3.0)

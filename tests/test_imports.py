@@ -36,7 +36,13 @@ One Student t deep tail: the package calls ``stdtr`` only in
 step: the names of the Newton solver's removed slope, chord and bisection
 appear nowhere in the package, the demos or the tests but here, and the
 package writes no ``1 - 2 * alpha``, whose weight denominator
-alpha + (1 - 2 alpha) beta cancels near 1.
+alpha + (1 - 2 alpha) beta cancels near 1.  One expectile level range:
+only ``risk_core`` reads ``_ALPHA_CAP`` (as a name, an attribute or an
+import), so the CLI reports the library's own refusal.  Every family
+defines its hooks: each class in ``distributions._FAMILIES`` takes each of
+``_cdf0``, ``_quantile0``, ``_mean0``, ``_es0``, ``_pdf0``, ``_support0``
+and ``mda`` from a class below ``Distribution`` in its MRO, which declares
+none of them.
 """
 
 import ast
@@ -52,6 +58,7 @@ from pathlib import Path
 import pytest
 
 from tailrisk import StudentT
+from tailrisk.distributions import _FAMILIES, Distribution
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "tailrisk").glob("*.py"))
@@ -442,6 +449,68 @@ def test_solver_scans_flag_removed_names_and_cancelling_weights():
 def test_removed_solver_names_are_named_nowhere():
     assert [(p.name, name) for p in MODULES if p != Path(__file__).resolve()
             for name in named(p.read_text(), _REMOVED_SOLVER_NAMES)] == []
+
+
+def cap_reads(source: str) -> list:
+    """The line of each read of ``_ALPHA_CAP`` in ``source``: a name, an
+    attribute or an imported name, in line order."""
+    return sorted(n.lineno for n in ast.walk(ast.parse(source))
+                  if isinstance(n, ast.Name) and n.id == "_ALPHA_CAP"
+                  or isinstance(n, ast.Attribute) and n.attr == "_ALPHA_CAP"
+                  or isinstance(n, ast.ImportFrom) and any(
+                      a.name == "_ALPHA_CAP" for a in n.names))
+
+
+def test_cap_scan_flags_names_attributes_and_imports():
+    source = (
+        "from .risk_core import (\n"
+        "    _ALPHA_CAP,\n"
+        ")\n"
+        "from tailrisk import risk_core\n"
+        "'_ALPHA_CAP in a string is no read'\n"
+        "ok = 0.5 <= a < _ALPHA_CAP or a < risk_core._ALPHA_CAP\n"
+        "_ALPHA_CAP_NOTE = 1\n"
+    )
+    assert cap_reads(source) == [1, 6, 6]
+
+
+def test_expectile_level_range_is_stated_in_risk_core_alone():
+    # cli restates no cap: it prefixes the flag to risk_core's refusal
+    assert [p.stem for p in PACKAGE if cap_reads(p.read_text())] == ["risk_core"]
+
+
+_HOOKS = ("_cdf0", "_quantile0", "_mean0", "_es0", "_pdf0", "_support0", "mda")
+
+
+def inherited_hooks(cls: type, base: type, hooks=_HOOKS) -> list:
+    """The ``hooks`` that no class below ``base`` in ``cls``'s MRO defines."""
+    below = cls.__mro__[:cls.__mro__.index(base)]
+    return [h for h in hooks if not any(h in vars(k) for k in below)]
+
+
+def test_hook_scan_flags_hooks_taken_from_the_base():
+    class Base:
+        def _cdf0(self, x):
+            raise NotImplementedError
+
+    class Law(Base):
+        def _quantile0(self, u, out=None):
+            return u
+
+    class Shifted(Law):
+        def mda(self):
+            return None
+
+    assert inherited_hooks(Shifted, Base, ("_cdf0", "_quantile0", "mda", "_es0")) == [
+        "_cdf0", "_es0"]
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+def test_every_family_defines_its_hooks(family):
+    # Distribution declares no hook; a family missing one fails here, at
+    # test time, rather than on the first call that needs it
+    assert inherited_hooks(_FAMILIES[family], Distribution) == []
+    assert [h for h in _HOOKS if h in vars(Distribution)] == []
 
 
 def test_no_weight_is_written_with_its_cancellation():

@@ -187,6 +187,21 @@ def test_table_validation():
         ratio_table(SimulationConfig(d, (0.9,), (100,), 1, replications=0))
 
 
+def test_a_zero_denominator_is_named_by_law_level_and_measure():
+    # the model's ES is zero: no ratio to compare the draws with
+    with pytest.raises(ZeroDivisionError, match=r"^twopoint:x1=0,x2=0,p=0.5: zero es of the "
+                                                r"model at alpha=0.9$"):
+        ratio_table(SimulationConfig(TwoPoint(0.0, 0.0, 0.5), (0.9,), (10,), 1))
+    # ES_0.5 = 0.02 and VaR_0.995 = 1 for the model, but both are 0 for a
+    # draw of ten zeros, about nine draws in ten
+    for vs, alpha in (("es", 0.5), ("var", 0.995)):
+        cfg = SimulationConfig(TwoPoint(0.0, 1.0, 0.99), (alpha,), (10,), 1, vs=vs)
+        with pytest.raises(ZeroDivisionError, match=rf"^twopoint:x1=0,x2=1,p=0.99: zero {vs} "
+                                                    rf"of the n=10 draw \(replication 0\) "
+                                                    rf"at alpha={alpha}$"):
+            ratio_table(cfg)
+
+
 # ------------------------------------------------------------ rendering
 
 def test_render_csv_formats():

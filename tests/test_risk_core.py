@@ -391,6 +391,26 @@ def test_beta_star_translation_invariant():
         assert abs(b0.upper - b1.upper) < 1e-9
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda d: value_at_risk(d, 1.0), r"value-at-risk level must lie in \(0, 1\), got 1.0"),
+    (lambda d: expected_shortfall(d, 1.0), r"expected-shortfall level must lie in \[0, 1\)"),
+    (lambda d: expectile(d, 1.5), r"expectile level must lie in \[0.5, 1 - 1e-12\), got 1.5$"),
+    (lambda d: expectile_bounds(d, 0.9, 1.0), r"bound level beta must lie in \(0, 1\), got 1.0"),
+    (lambda d: expectile_from_es(d, 0.9, 0.0), "reconstruction level beta must lie in"),
+    (lambda d: MixtureES(2.0, 0.5, 0.5), r"mixture weight must lie in \[0, 1\], got 2.0"),
+    (lambda d: MixtureES(0.5, 1.0, 0.5), "mixture level beta must lie in"),
+], ids=["var", "es", "expectile", "bounds-beta", "from-es-beta", "mixture-weight",
+        "mixture-level"])
+def test_levels_and_weights_out_of_range_are_refused(call, match):
+    with pytest.raises(ValueError, match=match):
+        call(Exponential())
+
+
+def test_distortion_value_refuses_an_unknown_spec():
+    with pytest.raises(TypeError, match="unknown distortion spec"):
+        distortion_value(Exponential(), object())
+
+
 def test_beta_star_rejects_constant():
     with pytest.raises(ValueError):
         beta_star(Sample([2.0, 2.0, 2.0]), 0.9)
