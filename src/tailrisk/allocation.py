@@ -255,9 +255,7 @@ def euler_asymptotic_ratio(
     ES contribution gets an infinite or NaN ratio.
     """
     constant = frechet_first_order_constant(eta)
-    levels = [float(a) for a in alphas]
-    for a in levels:
-        _check_expectile_level(a)
+    levels = [_check_expectile_level(a) for a in alphas]
     rows = []
     for a in levels:
         with np.errstate(divide="ignore", invalid="ignore"):

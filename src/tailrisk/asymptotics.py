@@ -37,7 +37,7 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .distributions import Distribution, Sample
-from .risk_core import beta_star, expected_shortfall, expectile
+from .risk_core import _alpha_grid, _check_expectile_level, beta_star, expected_shortfall, expectile
 
 __all__ = [
     "ExpansionResult",
@@ -112,18 +112,12 @@ def _check_order(order: int) -> int:
 
 
 def _check_alpha(alpha: float) -> float:
+    """alpha as a float in [0.5, 1), the domain of the expansion formulas;
+    the exact values take the expectile's own levels."""
     alpha = float(alpha)
     if not (0.5 <= alpha < 1.0):
         raise ValueError(f"level alpha must lie in [0.5, 1), got {alpha}")
     return alpha
-
-
-def _alpha_grid(alphas: Sequence[float]) -> list:
-    """The levels as floats, each checked to lie in [0.5, 1)."""
-    out = [_check_alpha(a) for a in alphas]
-    if not out:
-        raise ValueError("alpha grid is empty")
-    return out
 
 
 def _frechet_rho(eta: float, rho: float) -> Tuple[float, float]:
@@ -391,7 +385,8 @@ def beta_star_expansion(dist: Distribution, alpha: float, order: int = 2) -> Exp
 
 
 def exact_ratio(dist: Distribution, alpha: float) -> float:
-    """The exact value that ``ratio_expansion`` approximates.
+    """The exact value that ``ratio_expansion`` approximates, at an
+    expectile level alpha (``risk_core._check_expectile_level``).
 
     Frechet class: e_alpha/ES_alpha of the centered law.  Weibull class:
     the endpoint gap ratio (xhat - ES_alpha)/(xhat - e_alpha) of the raw
@@ -400,7 +395,7 @@ def exact_ratio(dist: Distribution, alpha: float) -> float:
     is not positive in double precision: the centered law has collapsed
     (a huge tail index), or the expectile rounds to the endpoint.
     """
-    alpha = _check_alpha(alpha)
+    alpha = _check_expectile_level(alpha)
     cls = _polynomial_class(dist)
     if cls.mda == "frechet":
         centered = dist.centered()
@@ -445,8 +440,9 @@ class ExpansionCurveRow(NamedTuple):
 
 def expansion_curve(dist: Distribution, alphas: Sequence[float]) -> list:
     """``exact_ratio`` and its first- and second-order ``ratio_expansion``
-    along a nonempty level grid.  In the Weibull class the rows hold their
-    reciprocals, (xhat - e)/(xhat - ES), which grow as alpha -> 1."""
+    along a nonempty grid of expectile levels.  In the Weibull class the
+    rows hold their reciprocals, (xhat - e)/(xhat - ES), which grow as
+    alpha -> 1."""
     reciprocal = _polynomial_class(dist).mda == "weibull"
     rows = []
     for a in _alpha_grid(alphas):

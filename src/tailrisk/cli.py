@@ -82,12 +82,10 @@ def _level(value: float, flag: str = "alpha") -> float:
 
 
 def _expectile_level(value: float, flag: str = "alpha") -> float:
-    value = float(value)
     try:
-        _check_expectile_level(value)
+        return _check_expectile_level(value)
     except ValueError as exc:
         raise _ValidationError(f"--{flag}: {exc}") from None
-    return value
 
 
 def _float_list(text: str, flag: str) -> list:
@@ -261,7 +259,7 @@ def _cmd_sample_size(args) -> str:
 
 def _cmd_table(args) -> str:
     dist = _spec(args, "dist")
-    alphas = tuple(_float_list(args.alphas, "alphas"))
+    alphas = tuple(_expectile_level(a, flag="alphas") for a in _float_list(args.alphas, "alphas"))
     ns = tuple(_int_list(args.ns, "ns"))
     cfg = SimulationConfig(dist, alphas, ns, args.seed, args.vs, args.replications)
     try:

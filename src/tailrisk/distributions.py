@@ -14,9 +14,11 @@ Every source of randomness used by the risk computations lives here:
 
 Parametric families and samples are interchangeable for all risk
 operations (same duck-typed interface).  Only :mod:`tailrisk.risk_core`
-branches on the source kind, for exactness: in ``expectile`` (a sample's
-root from its linear segment), ``expected_shortfall(check=True)`` (a
-sample's plug-in form) and ``distortion_value`` (exact step sums).
+branches on the source kind, for exactness: ``expectile`` and
+``expected_shortfall(check=True)`` on a sample (its root from its linear
+segment, its O(log n) plug-in ES), and ``_step_quantile``, the steps of a
+sample's or a two-point law's quantile that ``distortion_value`` and the
+two-point ES check sum exactly.
 
 Sampling is inverse-transform only, driven by numpy's PCG64 generator, so
 a (family, n, seed) triple reproduces bit-identical samples.  A draw holds

@@ -36,9 +36,9 @@ from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .asymptotics import _alpha_grid
 from .distributions import Distribution, Sample
 from .risk_core import (
+    _alpha_grid,
     _select,
     _tail_expectile,
     expected_shortfall,
@@ -127,7 +127,9 @@ def ratio_table(cfg: SimulationConfig) -> list:
     draw without building the ``Sample``: one selection gives VaR_alpha,
     ES_alpha and the expectile's lower bound, and only the draws above the
     bound, about 1.3 (1 - alpha) n of them for heavy tails, are sorted.
-    A zero ES or VaR, of the model or a draw, raises ZeroDivisionError.
+    A zero ES or VaR, of the model or a draw, raises ZeroDivisionError, as
+    does a zero theoretical ratio, relative to which no error percentage is
+    defined.  The levels are expectile levels, all checked before any draw.
     """
     if cfg.vs not in ("es", "var"):
         raise ValueError(f"ratio denominator must be 'es' or 'var', got {cfg.vs!r}")
@@ -151,6 +153,9 @@ def ratio_table(cfg: SimulationConfig) -> list:
         num = expectile(cfg.dist, a)
         den = expected_shortfall(cfg.dist, a) if cfg.vs == "es" else value_at_risk(cfg.dist, a)
         th = ratio(num, den, a, "the model")
+        if th == 0.0:
+            raise ZeroDivisionError(f"{cfg.dist.label}: zero theoretical ratio at alpha={a:g}: "
+                                    "its error percentages are undefined")
         emp_cols = []
         err_cols = []
         for jn, n in enumerate(ns):

@@ -43,6 +43,7 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 
 from .distributions import (
+    _U_FLOOR,
     Distribution,
     Sample,
     TwoPoint,
@@ -97,9 +98,19 @@ def _check_es_level(alpha: float):
         )
 
 
-def _check_expectile_level(alpha: float):
+def _check_expectile_level(alpha: float) -> float:
+    alpha = float(alpha)
     if not (0.5 <= alpha < _ALPHA_CAP):
-        raise ValueError(f"expectile level must lie in [0.5, 1 - 1e-12), got {float(alpha)!r}")
+        raise ValueError(f"expectile level must lie in [0.5, 1 - 1e-12), got {alpha!r}")
+    return alpha
+
+
+def _alpha_grid(alphas) -> list:
+    """The expectile levels as floats, each checked by ``_check_expectile_level``."""
+    out = [_check_expectile_level(a) for a in alphas]
+    if not out:
+        raise ValueError("alpha grid is empty")
+    return out
 
 
 def _is_constant(src: LossSource) -> bool:
@@ -139,7 +150,7 @@ def _quantile_quad(src: Distribution, lo: float, epsabs: float, weight=None):
     from scipy.integrate import IntegrationWarning, quad
 
     def q(u):  # a node next to u = 1 can round to 1.0
-        return src.quantile(u if u < 1.0 else 1.0 - 2.0 ** -53)
+        return src.quantile(u if u < 1.0 else 1.0 - _U_FLOOR)
 
     f = q if weight is None else lambda u: weight(u) * q(u)
 
@@ -176,13 +187,15 @@ def expected_shortfall(src: LossSource, alpha: float, check: bool = False) -> fl
     sums for empirical ones; both equal the tail average
     (1/(1-alpha)) int_alpha^1 q(u) du for every law, atoms included.
     ``check=True`` compares it, through ``_agree``, to 1e-9 of the terms of
-    an independent reference.  For a sample that is the plug-in
+    one of three independent references.  For a sample, the plug-in
     q + E[(L-q)+]/(1-alpha) at ES's order statistic q (``order_stats``), with
-    terms |q| + E[(L-q)+]/(1-alpha); for a model, the quadrature
-    (1/(1-alpha)) int_alpha^1 q(u) du, run to 1e-12 of |ES_alpha|, with
-    terms (1/(1-alpha)) int_alpha^1 |q(u)| du.  A miss raises AssertionError,
-    or RuntimeError where the quadrature's error estimate covers it, as on
-    heavy tails past about alpha = 1 - 1e-4.
+    terms |q| + E[(L-q)+]/(1-alpha), in O(log n); for a two-point law, the
+    exact sum over the steps of its quantile (``_step_quantile``) of each
+    atom times its share of the tail, with terms the same sum over |atoms|;
+    for a continuous family, the quadrature (1/(1-alpha)) int_alpha^1 q(u) du,
+    run to 1e-12 of |ES_alpha|, with terms (1/(1-alpha)) int_alpha^1 |q(u)| du.
+    A miss raises AssertionError, or RuntimeError where the quadrature's
+    error estimate covers it, as on heavy tails past about alpha = 1 - 1e-4.
     """
     _check_es_level(alpha)
     val = float(src.es(alpha))
@@ -192,6 +205,11 @@ def expected_shortfall(src: LossSource, alpha: float, check: bool = False) -> fl
             q = float(src.values[max(order_stats(src.n, alpha)[1], 1) - 1])
             excess = float(src.eplus(q)) / (1.0 - alpha)
             _agree(check_name, val, q + excess, abs(q) + excess, 1e-9)
+        elif (steps := _step_quantile(src)) is not None:
+            levels, atoms = steps
+            tail = MixtureES(0.0, alpha, 0.0)
+            _agree(check_name, val, _distortion_exact_atomic(tail, levels, atoms),
+                   _distortion_exact_atomic(tail, levels, np.abs(atoms)), 1e-9)
         else:
             integral, terms, err = _quantile_quad(src, alpha, 1e-12 * abs(val))
             a = 1.0 - alpha
@@ -544,8 +562,7 @@ class ExpectileDistortion:
     """
 
     def __init__(self, alpha: float):
-        _check_expectile_level(alpha)
-        self.alpha = float(alpha)
+        self.alpha = _check_expectile_level(alpha)
 
     def phi(self, t):
         a = self.alpha
@@ -588,17 +605,27 @@ class MixtureES:
 DistortionSpec = Union[ExpectileDistortion, MixtureES]
 
 
-def _distortion_exact_atomic(d: ExpectileDistortion, levels, atoms) -> float:
+def _step_quantile(src: LossSource):
+    """(levels, atoms) of an atomic source's step quantile, None for a
+    continuous family: q(u) = atoms[i] on (levels[i], levels[i+1]], the
+    levels running from 0 to 1."""
+    if isinstance(src, Sample):
+        return np.arange(src.n + 1) / src.n, src.values
+    if isinstance(src, TwoPoint):
+        return np.array([0.0, src.p, 1.0]), np.array([src.x1 + src.shift, src.x2 + src.shift])
+    return None
+
+
+def _distortion_exact_atomic(d: DistortionSpec, levels: np.ndarray, atoms: np.ndarray) -> float:
     """R_phi for a step quantile: sum of atoms times phi increments.
 
-    ``levels`` are the cumulative probabilities 0 = u_0 < ... < u_k = 1 and
-    ``atoms`` the quantile values on each (u_{i-1}, u_i]; the integral of
-    phi'(1-u) over a piece is phi(1-u_{i-1}) - phi(1-u_i), exactly.
+    ``levels`` and ``atoms`` are those of ``_step_quantile``; the integral
+    of phi'(1-u) over (u_{i-1}, u_i] is phi(1-u_{i-1}) - phi(1-u_i),
+    exactly.  The sum makes no BLAS call: OpenBLAS threads ``ddot`` above
+    1e4 values, and its threads can stall it for milliseconds.
     """
-    levels = np.asarray(levels, dtype=float)
-    atoms = np.asarray(atoms, dtype=float)
     w = d.phi(1.0 - levels[:-1]) - d.phi(1.0 - levels[1:])
-    return float(np.dot(atoms, w))
+    return float(np.sum(atoms * w))
 
 
 def distortion_value(src: LossSource, d: DistortionSpec) -> float:
@@ -616,13 +643,9 @@ def distortion_value(src: LossSource, d: DistortionSpec) -> float:
             + d.lam * expected_shortfall(src, d.delta)
     if not isinstance(d, ExpectileDistortion):
         raise TypeError(f"unknown distortion spec {d!r}")
-    if isinstance(src, Sample):
-        levels = np.arange(src.n + 1) / src.n
-        return _distortion_exact_atomic(d, levels, src.values)
-    if isinstance(src, TwoPoint):
-        levels = [0.0, src.p, 1.0]
-        atoms = [src.x1 + src.shift, src.x2 + src.shift]
-        return _distortion_exact_atomic(d, levels, atoms)
+    steps = _step_quantile(src)
+    if steps is not None:
+        return _distortion_exact_atomic(d, *steps)
     val, terms, err = _quantile_quad(src, 0.0, 0.0, lambda u: d.phi_prime(1.0 - u))
     if err > 1e-7 * terms:
         raise RuntimeError(f"distortion quadrature did not converge: estimated error {err:g} "

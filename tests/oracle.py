@@ -363,6 +363,15 @@ class Student:
         return _solve(self, a)
 
 
+def two_point_es(x1, x2, p, alpha) -> Exact:
+    """ES_alpha of mass p at x1 and 1 - p at x2, for any p: the tail
+    average [(p - alpha)+ x1 + (1 - max(p, alpha)) x2]/(1 - alpha)."""
+    a = Fraction(alpha)
+    w1 = max(Fraction(p) - a, 0) / (1 - a)
+    return Exact(w1 * Fraction(x1) + (1 - w1) * Fraction(x2),
+                 float(w1) * abs(x1) + float(1 - w1) * abs(x2))
+
+
 def of(src):
     """The reference law of an unshifted tailrisk loss source; a two-point
     law with p = k/m becomes m equally likely values."""

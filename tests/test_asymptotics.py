@@ -230,6 +230,10 @@ def test_exact_ratio_matches_inline_formulas():
     assert exact_ratio(d, 0.995) == gap
     with pytest.raises(ValueError, match=r"mda\(\)\.relation"):
         exact_ratio(Exponential(), 0.99)
+    # its levels are the expectile's, refused in the expectile's words
+    for alpha in (0.3, 1 - 1e-13):
+        with pytest.raises(ValueError, match=r"^expectile level must lie in \[0.5, 1 - 1e-12\)"):
+            exact_ratio(Pareto(2.3), alpha)
 
 
 

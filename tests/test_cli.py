@@ -563,6 +563,11 @@ GOLDEN = [
         "es[exp] alpha=0.9 = 3.3026\n",
         "", id="risk-es-check"),
     pytest.param(
+        ["risk", "--dist", "twopoint:x1=0,x2=1,p=0.999", "--alpha", "0.25", "--measure", "es",
+         "--check"], 0,
+        "es[twopoint:x1=0,x2=1,p=0.999] alpha=0.25 = 0.0013\n",
+        "", id="risk-es-check-two-point"),
+    pytest.param(
         ["risk", "--dist", "student:nu=2.3", "--alpha", "0.9999", "--measure", "es", "--check"], 1,
         "",
         "error: expected-shortfall cross-check at alpha=0.9999: the quadrature cannot resolve"
@@ -835,6 +840,16 @@ GOLDEN = [
         ["table", "--dist", "exp", "--alphas", ",", "--ns", "10"], 2,
         "",
         "error: --alphas: empty list\n", id="table-empty-alphas-exit2"),
+    pytest.param(
+        ["table", "--dist", "exp", "--alphas", "0.3", "--ns", "10"], 2,
+        "",
+        "error: --alphas: expectile level must lie in [0.5, 1 - 1e-12), got 0.3\n",
+        id="table-level-exit2"),
+    pytest.param(
+        ["table", "--dist", "twopoint:x1=-1,x2=1,p=0.5", "--alphas", "0.5,0.6", "--ns", "10"], 1,
+        "",
+        "error: twopoint:x1=-1,x2=1,p=0.5: zero theoretical ratio at alpha=0.5: its error"
+        " percentages are undefined\n", id="table-zero-ratio-exit1"),
     pytest.param(
         ["figure", "--kind", "distortion", "--points", "5"], 0,
         "t,phi,phi_mix\n"

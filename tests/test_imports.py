@@ -42,7 +42,12 @@ import), so the CLI reports the library's own refusal.  Every family
 defines its hooks: each class in ``distributions._FAMILIES`` takes each of
 ``_cdf0``, ``_quantile0``, ``_mean0``, ``_es0``, ``_pdf0``, ``_support0``
 and ``mda`` from a class below ``Distribution`` in its MRO, which declares
-none of them.
+none of them.  One owner of the table levels: ``montecarlo`` imports
+nothing from ``asymptotics``, so its levels are checked by ``risk_core``'s
+expectile range, not by the expansion formulas' domain.  One level floor:
+``2 ** -53`` is written once in the package, as ``distributions._U_FLOOR``.
+One step quantile of an atomic law: the package tests a source with
+``isinstance(..., TwoPoint)`` only in ``risk_core._step_quantile``.
 """
 
 import ast
@@ -517,6 +522,99 @@ def test_no_weight_is_written_with_its_cancellation():
     # risk_core._combination forms the weights (2 alpha - 1)(1 - beta) and
     # 1 - alpha, whose sum is the denominator without the difference
     assert [(p.name, line) for p in PACKAGE for line in cancelling_weights(p.read_text())] == []
+
+
+def imports_of(source: str, module: str) -> list:
+    """The line of each import in ``source`` of the package's ``module`` or
+    of a name from it, relative (``from .module``, ``from . import module``)
+    or absolute (``tailrisk.module``)."""
+    full = f"tailrisk.{module}"
+
+    def is_site(node) -> bool:
+        if isinstance(node, ast.Import):
+            return any(a.name == full or a.name.startswith(full + ".") for a in node.names)
+        if not isinstance(node, ast.ImportFrom):
+            return False
+        if node.module == full or node.level and node.module == module:
+            return True
+        package = node.level and node.module is None or node.module == "tailrisk"
+        return package and any(a.name == module for a in node.names)
+    return sorted(n.lineno for n in ast.walk(ast.parse(source)) if is_site(n))
+
+
+def test_import_scan_flags_relative_and_absolute_imports():
+    source = (
+        "from .asymptotics import exact_ratio\n"
+        "from tailrisk.asymptotics import _check_alpha\n"
+        "from . import asymptotics\n"
+        "import tailrisk.asymptotics as asy\n"
+        "from tailrisk import asymptotics, risk_core\n"
+        "from .risk_core import _alpha_grid\n"
+        "import asymptotics_notes\n"
+        "'from .asymptotics import x in a string is no import'\n"
+    )
+    assert imports_of(source, "asymptotics") == [1, 2, 3, 4, 5]
+
+
+def test_montecarlo_takes_its_levels_from_risk_core():
+    # the tables check expectile levels with risk_core's one rule, not the
+    # expansion formulas' own domain
+    assert imports_of((ROOT / "src" / "tailrisk" / "montecarlo.py").read_text(),
+                      "asymptotics") == []
+
+
+def ulp_floors(source: str) -> list:
+    """The line of each ``2 ** -53`` in ``source`` (2 or 2.0, the exponent
+    written -53 or -(53))."""
+    def is_site(node) -> bool:
+        return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) \
+            and isinstance(node.left, ast.Constant) and node.left.value == 2 \
+            and ast.unparse(node.right) == "-53"
+    return sorted(n.lineno for n in ast.walk(ast.parse(source)) if is_site(n))
+
+
+def test_floor_scan_flags_every_spelling_of_two_to_minus_53():
+    source = (
+        "_U_FLOOR = 2.0 ** -53\n"
+        "top = 1.0 - 2 ** -(53)\n"
+        "ulp = 2.0 ** -52 + 3.0 ** -53\n"
+        "'2.0 ** -53 in a string is no expression'\n"
+    )
+    assert ulp_floors(source) == [1, 2]
+
+
+def test_the_level_floor_is_stated_once():
+    # distributions._U_FLOOR: the draws' uniforms and the quadrature's
+    # nodes next to 1 keep the same distance from the ends of (0, 1)
+    assert [p.stem for p in PACKAGE for _ in ulp_floors(p.read_text())] == ["distributions"]
+
+
+def _tests_two_point(call: ast.Call) -> bool:
+    """Whether ``call`` is an ``isinstance`` whose classes name ``TwoPoint``."""
+    if not (isinstance(call.func, ast.Name) and call.func.id == "isinstance"
+            and len(call.args) == 2):
+        return False
+    kinds = call.args[1].elts if isinstance(call.args[1], ast.Tuple) else [call.args[1]]
+    return any(getattr(k, "id", getattr(k, "attr", None)) == "TwoPoint" for k in kinds)
+
+
+def test_two_point_scan_flags_isinstance_tests_of_the_class():
+    source = (
+        "def f(src):\n"
+        "    return isinstance(src, TwoPoint) or isinstance(src, (Sample, dist.TwoPoint))\n"
+        "def g(src):\n"
+        "    return isinstance(src, Sample), 'isinstance(src, TwoPoint)', TwoPoint(0, 1, 0.5)\n"
+    )
+    assert call_sites(source, _tests_two_point) == ["f", "f"]
+
+
+def test_an_atomic_law_gives_its_steps_in_one_function():
+    # distortion_value and the two-point ES check read the steps that
+    # risk_core._step_quantile gives; a second branch on the class would
+    # restate them
+    assert [(p.stem, f) for p in PACKAGE
+            for f in call_sites(p.read_text(), _tests_two_point)] == [
+        ("risk_core", "_step_quantile")]
 
 
 def unused_functions(source: str, readers: list) -> list:

@@ -179,12 +179,24 @@ def test_table_validation():
         ratio_table(SimulationConfig(d, (), (100,), 1))
     with pytest.raises(ValueError, match="size grid is empty"):
         ratio_table(SimulationConfig(d, (0.9,), (), 1))
-    with pytest.raises(ValueError, match=r"\[0.5, 1\)"):
+    with pytest.raises(ValueError, match=r"^expectile level must lie in \[0.5, 1 - 1e-12\), "
+                                         r"got 0.4$"):
         ratio_table(SimulationConfig(d, (0.4,), (100,), 1))
     with pytest.raises(ValueError, match="sample size"):
         ratio_table(SimulationConfig(d, (0.9,), (0,), 1))
     with pytest.raises(ValueError, match="replications"):
         ratio_table(SimulationConfig(d, (0.9,), (100,), 1, replications=0))
+
+
+def test_levels_are_refused_before_any_draw(monkeypatch):
+    # the rows run in level order, so a check made row by row would draw
+    # the 0.9 row before it reached the level past the expectile's cap
+    def drawn(self, n, seed):
+        raise AssertionError("a cell was drawn before every level was checked")
+
+    monkeypatch.setattr(Exponential, "_draw", drawn)
+    with pytest.raises(ValueError, match=r"^expectile level must lie in \[0.5, 1 - 1e-12\)"):
+        ratio_table(SimulationConfig(Exponential(), (0.9, 1 - 1e-13), (10,), 1))
 
 
 def test_a_zero_denominator_is_named_by_law_level_and_measure():
@@ -200,6 +212,12 @@ def test_a_zero_denominator_is_named_by_law_level_and_measure():
                                                     rf"of the n=10 draw \(replication 0\) "
                                                     rf"at alpha={alpha}$"):
             ratio_table(cfg)
+    # the model's expectile at 0.5 is its mean 0: the error percentages,
+    # relative to the theoretical ratio, are undefined
+    with pytest.raises(ZeroDivisionError, match=r"^twopoint:x1=-1,x2=1,p=0.5: zero theoretical "
+                                                r"ratio at alpha=0.5: its error percentages "
+                                                r"are undefined$"):
+        ratio_table(SimulationConfig(TwoPoint(-1.0, 1.0, 0.5), (0.5, 0.6), (10,), 1))
 
 
 # ------------------------------------------------------------ rendering
@@ -475,7 +493,8 @@ def test_distortion_series_takes_every_expectile_level():
 def test_figure_data_validation():
     with pytest.raises(ValueError, match="at least 2"):
         distortion_curves(0.94, 1)
-    with pytest.raises(ValueError, match=r"\[0.5, 1\)"):
+    with pytest.raises(ValueError, match=r"^expectile level must lie in \[0.5, 1 - 1e-12\), "
+                                         r"got 0.3$"):
         expansion_curve(Pareto(2.1), (0.3,))
     with pytest.raises(ValueError, match="alpha grid is empty"):
         expansion_curve(PowerBeta(2.0), ())

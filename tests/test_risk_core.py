@@ -214,6 +214,35 @@ def test_es_check_is_relative_to_its_terms(monkeypatch, src, shift):
             expected_shortfall(src, a, check=True)
 
 
+_TWO_POINT_P = (1e-6, 0.01, 0.3, 0.5, 0.9, 0.999, 0.999999, 1 - 1e-12)
+
+
+def _two_point_levels(p):
+    """The ES levels in [0, 1) that probe an atom at level p: both sides of
+    it, halfway to either end, and fixed levels out to 1 - 1e-10."""
+    near = (p, np.nextafter(p, 0.0), np.nextafter(p, 1.0), p / 2, (1 + p) / 2)
+    return sorted({float(a) for a in (0.0, 0.25, 0.5, 0.9, 0.99, 0.999999, *near, 1 - 1e-10)})
+
+
+@pytest.mark.parametrize("x1, x2", [(0.0, 1.0), (-1.0, 1.0), (1e15, 1e15 + 3), (-5e-14, 1e-13),
+                                    (3.0, 3.0000001), (-1e6, -1e6 + 1), (0.0, 1e300)])
+def test_two_point_es_check_sums_the_steps_exactly(monkeypatch, x1, x2):
+    # a quadrature of the step quantile misses the atom at p; the exact
+    # step sum passes every level, and still fails an ES off by 1e-8 of
+    # itself wherever that is over 1e-9 of the terms
+    cases = [(TwoPoint(x1, x2, p), a, oracle.two_point_es(x1, x2, p, a))
+             for p in _TWO_POINT_P for a in _two_point_levels(p)]
+    assert len(cases) == 92
+    for src, a, want in cases:
+        assert want.ulps(expected_shortfall(src, a, check=True)) <= 4, (src, a)
+    es = TwoPoint.es
+    monkeypatch.setattr(TwoPoint, "es", lambda self, beta: es(self, beta) * (1.0 + 1e-8))
+    for src, a, want in cases:
+        if abs(float(want.value)) >= 0.2 * want.terms:
+            with pytest.raises(AssertionError, match="expected-shortfall cross-check"):
+                expected_shortfall(src, a, check=True)
+
+
 @pytest.mark.parametrize("src", [Sample(Pareto(2.1).sample(1000, seed=5).values), Pareto(2.1)],
                          ids=["sample", "pareto"])
 def test_es_check_at_level_zero_has_its_own_reference(monkeypatch, src):
