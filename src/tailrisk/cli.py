@@ -341,7 +341,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--measure", choices=("expectile", "es"), default="expectile")
     p.add_argument("--no-check", action="store_true",
-                   help="skip the full-allocation and combination cross-checks")
+                   help="skip the full-allocation cross-check")
     p.set_defaults(func=_cmd_allocate)
 
     p = sub.add_parser("asympt", help="tail expansion vs the exact value")

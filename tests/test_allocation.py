@@ -1,5 +1,7 @@
 """Euler risk contributions for scenario portfolios."""
 
+import os
+
 import numpy as np
 import oracle
 import pytest
@@ -138,8 +140,8 @@ def test_expectile_full_allocation_near_level_one_on_many_rows(heavy_million_row
 
 
 def test_expectile_check_asserts_full_allocation(monkeypatch):
-    # both forms the cross-check compares share the body/tail split, so only
-    # the sum against the portfolio expectile sees a root that is off
+    # a root that is off reaches the contributions only through the body/tail
+    # split, so the sum against the portfolio expectile sees it
     comp = np.random.default_rng(0).pareto(2.1, size=(200, 2))
     p = Portfolio(comp)
     expectile_euler(p, 0.9, check=True)
@@ -149,22 +151,6 @@ def test_expectile_check_asserts_full_allocation(monkeypatch):
     with pytest.raises(AssertionError, match="full allocation"):
         expectile_euler(p, 0.9, check=True)
     expectile_euler(p, 0.9, check=False)
-
-
-@pytest.mark.parametrize("scale", [1e-15, 1.0, 1e15])
-def test_expectile_combination_check_is_relative_to_its_terms(monkeypatch, scale):
-    # a contribution off by 1e-6 of itself reaches the ES-combination check
-    # and fails it at every scale; unplanted, nothing fires
-    p = Portfolio(np.random.default_rng(8).pareto(2.1, size=(2000, 3)) * scale)
-    agree = allocation._agree
-    for a in (0.6, 0.9, 0.99):
-        expectile_euler(p, a, check=True)
-    for plant in (1.0 + 1e-6, np.nan):
-        monkeypatch.setattr(allocation, "_agree", lambda check, value, *args: agree(
-            check, value * plant if "ES-combination" in check else value, *args))
-        for a in (0.6, 0.9, 0.99):
-            with pytest.raises(AssertionError, match="ES-combination"):
-                expectile_euler(p, a, check=True)
 
 
 def test_expectile_full_allocation_is_relative_to_its_terms(monkeypatch):
@@ -178,6 +164,16 @@ def test_expectile_full_allocation_is_relative_to_its_terms(monkeypatch):
     monkeypatch.setattr(risk_core, "_segment_root", lambda *args: np.nan)
     with pytest.raises(AssertionError, match="full allocation"):
         expectile_euler(p, 0.9, check=True)
+
+
+@pytest.mark.parametrize("alpha", [0.5000000000000001, 0.5000000000000002])
+def test_expectile_check_holds_next_to_one_half(alpha):
+    # a check that formed 1 - w, w = (1 - alpha) / den about 1 here, rounded
+    # by as much as its own value and refused e = (2 alpha - 1) / (2 - alpha)
+    p = Portfolio([[0.0], [1.0], [-1.0]])
+    contrib, e = expectile_euler(p, alpha, check=True, full_output=True)
+    assert contrib[0] == e
+    assert oracle.of(Sample(p.total)).expectile(alpha).ulps(e) <= 8
 
 
 def test_single_component_self_allocation():
@@ -453,6 +449,21 @@ def test_asymptotic_ratio_approaches_constant_iid_pareto():
 
 # ------------------------------------------------------------------ csv
 
+@pytest.fixture
+def parses(monkeypatch):
+    """Grows by one on each ``np.loadtxt`` call, from an empty memo."""
+    monkeypatch.setattr(Portfolio, "_last_csv", None)
+    seen = []
+    loadtxt = np.loadtxt
+
+    def counted(*args, **kwargs):
+        seen.append(1)
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counted)
+    return seen
+
+
 def test_from_csv_roundtrip(tmp_path):
     path = tmp_path / "port.csv"
     path.write_text("c1,c2\n0,0\n0,1\n1,0\n3,3\n")
@@ -488,12 +499,15 @@ def test_from_csv_reports_offending_line(tmp_path):
     ("\ufeff1,2\n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
     ("\ufeffc1,c2\n1,2\n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
 ])
-def test_from_csv_accepted_layouts(tmp_path, text, want):
+def test_from_csv_accepted_layouts(tmp_path, text, want, parses):
+    # the first read parses; the second finds the text and copies its matrix
     path = tmp_path / "port.csv"
     path.write_bytes(text.encode())
     got = Portfolio.from_csv(path).components
     assert got.shape == np.shape(want)
     np.testing.assert_array_equal(got, want)
+    again = Portfolio.from_csv(path).components
+    assert len(parses) == 1 and again.tobytes() == got.tobytes()
 
 
 @pytest.mark.parametrize("text, match", [
@@ -509,3 +523,60 @@ def test_from_csv_rejects(tmp_path, text, match):
     path.write_text(text)
     with pytest.raises(ValueError, match=match):
         Portfolio.from_csv(path)
+
+
+def test_from_csv_keys_on_the_content_not_the_path_or_mtime(tmp_path, parses):
+    path = tmp_path / "port.csv"
+    path.write_text("1,2\n3,4\n")
+    stamp = path.stat()
+    Portfolio.from_csv(path)
+    # other bytes of the same length, at the same modification time
+    path.write_text("5,6\n7,8\n")
+    os.utime(path, ns=(stamp.st_atime_ns, stamp.st_mtime_ns))
+    assert (path.stat().st_size, path.stat().st_mtime_ns) == (stamp.st_size, stamp.st_mtime_ns)
+    np.testing.assert_array_equal(Portfolio.from_csv(path).components, [[5.0, 6.0], [7.0, 8.0]])
+    # the same text under another name needs no parse
+    copy = tmp_path / "copy.csv"
+    copy.write_text("5,6\n7,8\n")
+    np.testing.assert_array_equal(Portfolio.from_csv(copy).components, [[5.0, 6.0], [7.0, 8.0]])
+    assert len(parses) == 2
+
+
+def test_from_csv_gives_each_portfolio_its_own_writable_matrix(tmp_path, parses):
+    path = tmp_path / "port.csv"
+    path.write_text("1,2\n3,4\n")
+    for p in (Portfolio.from_csv(path), Portfolio.from_csv(path)):
+        assert p.components.flags.writeable and p.components.flags.owndata
+        p.components[0, 0] = 99.0
+    np.testing.assert_array_equal(Portfolio.from_csv(path).components, [[1.0, 2.0], [3.0, 4.0]])
+    assert len(parses) == 1
+
+
+def test_from_csv_remembers_no_file_above_the_bound(tmp_path, parses, monkeypatch):
+    # a longer text is parsed on every read and leaves the last short one
+    # remembered
+    monkeypatch.setattr(allocation, "_CSV_MEMO_CHARS", len("1,2\n3,4\n"))
+    short, long = tmp_path / "short.csv", tmp_path / "long.csv"
+    short.write_text("1,2\n3,4\n")
+    long.write_text("1,2\n3,4\n5,6\n")
+    for path, parsed in ((short, 1), (long, 2), (long, 3), (short, 3)):
+        Portfolio.from_csv(path)
+        assert len(parses) == parsed
+
+
+@pytest.mark.parametrize("bad, match", [
+    ("1,2\n3,x\n", "line 2"),
+    ("1,2\n3,inf\n", "must be finite"),
+])
+def test_from_csv_remembers_no_failed_parse(tmp_path, parses, bad, match):
+    # good, bad, good, bad: each bad file is parsed and refused again, and
+    # the good one keeps its matrix
+    good, wrong = tmp_path / "good.csv", tmp_path / "bad.csv"
+    good.write_text("1,2\n3,4\n")
+    wrong.write_text(bad)
+    for _ in range(2):
+        np.testing.assert_array_equal(Portfolio.from_csv(good).components,
+                                      [[1.0, 2.0], [3.0, 4.0]])
+        with pytest.raises(ValueError, match=match):
+            Portfolio.from_csv(wrong)
+    assert len(parses) == 3

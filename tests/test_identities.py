@@ -10,7 +10,7 @@ of the identity's own terms (``oracle.ulps``).
 
 import numpy as np
 import oracle
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tailrisk.allocation import Portfolio, es_euler, expectile_euler
 from tailrisk.distributions import Pareto, Sample, TwoPoint
@@ -159,6 +159,9 @@ def test_translation_and_scale_equivariance(src, alpha, level, scale, shift):
 @settings(deadline=None, max_examples=100)
 @given(st.lists(tied_values, min_size=1, max_size=4), scales,
        st.floats(0.0, 1.0 - 1e-10, exclude_min=True), expectile_levels)
+# next to alpha = 1/2, where a check that formed 1 - w = 1 - (1 - alpha)/den
+# cancelled, the allocation still passes
+@example([np.array([0.0, 1.0, -1.0])], 1.0, 0.5, 0.5000000000000001)
 def test_full_allocation(columns, scale, es_level, alpha):
     # the contributions are the oracle's, the expectile's split at the
     # library's root, and add up to the portfolio's ES and exact expectile.

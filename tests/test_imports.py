@@ -47,7 +47,13 @@ nothing from ``asymptotics``, so its levels are checked by ``risk_core``'s
 expectile range, not by the expansion formulas' domain.  One level floor:
 ``2 ** -53`` is written once in the package, as ``distributions._U_FLOOR``.
 One step quantile of an atomic law: the package tests a source with
-``isinstance(..., TwoPoint)`` only in ``risk_core._step_quantile``.
+``isinstance(..., TwoPoint)`` only in ``risk_core._step_quantile``.  One
+scenario parser: the package calls ``loadtxt`` once, in
+``Portfolio.from_csv``, whose memo spares repeated reads of one file the
+parse, and ``cli.py`` opens no file for reading and calls no other reader
+(``genfromtxt``, ``fromfile``, ``read_csv``, ``csv.reader``,
+``read_text``, ``read_bytes``), so it reads scenarios only through
+``from_csv`` and keeps no memo of its own.
 """
 
 import ast
@@ -615,6 +621,52 @@ def test_an_atomic_law_gives_its_steps_in_one_function():
     assert [(p.stem, f) for p in PACKAGE
             for f in call_sites(p.read_text(), _tests_two_point)] == [
         ("risk_core", "_step_quantile")]
+
+
+# calls that read a file's contents other than ``open``
+_FILE_READERS = ("loadtxt", "genfromtxt", "fromfile", "read_csv", "reader", "read_text",
+                 "read_bytes")
+
+
+def _reads_a_file(call: ast.Call) -> bool:
+    """Whether ``call`` is one of ``_FILE_READERS`` or an ``open`` whose
+    mode (absent or not a literal, it may read) does not only write."""
+    if any(_calls(name)(call) for name in _FILE_READERS):
+        return True
+    if not _calls("open")(call):
+        return False
+    modes = call.args[1:2] + [k.value for k in call.keywords if k.arg == "mode"]
+    mode = getattr(modes[0], "value", None) if modes else "r"
+    return not (isinstance(mode, str) and set(mode) & set("wax") and "+" not in mode)
+
+
+def scenario_reads(source: str) -> list:
+    """``line: what`` for each file read in ``source``, in line order."""
+    found = [(node.lineno, ast.unparse(node.func)) for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Call) and _reads_a_file(node)]
+    return [f"{line}: {what}" for line, what in sorted(found)]
+
+
+def test_scenario_read_scan_flags_parsers_and_reading_opens():
+    source = (
+        "import csv\n"
+        "with open(path, encoding='utf-8-sig') as fh, open(out, 'w') as out_fh:\n"
+        "    rows = list(csv.reader(fh)) + [np.loadtxt(fh), Path(p).read_text()]\n"
+        "open(out, mode='a'), open(log, 'r+'), open(p, mode), open(p, 'rb')\n"
+        "p = Portfolio.from_csv(path)\n"
+        "'np.loadtxt(path) in a string is no call'\n"
+    )
+    assert scenario_reads(source) == [
+        "2: open", "3: Path(p).read_text", "3: csv.reader", "3: np.loadtxt",
+        "4: open", "4: open", "4: open"]
+
+
+def test_scenario_files_are_parsed_in_one_place():
+    # from_csv's memo holds the one parse; a second parser, or a read in the
+    # CLI, would be a second path past it
+    assert [(p.stem, f) for p in PACKAGE for f in call_sites(p.read_text(), _calls("loadtxt"))] \
+        == [("allocation", "from_csv")]
+    assert scenario_reads((ROOT / "src" / "tailrisk" / "cli.py").read_text()) == []
 
 
 def unused_functions(source: str, readers: list) -> list:
