@@ -5,9 +5,11 @@ ratios against their empirical counterparts on freshly drawn samples,
 one draw per (alpha, n) cell.  Empirical error percentages depend on the
 draw by nature; theoretical columns never do.  A cell costs its draw, one
 selection and a sort of the values above the paper's ES lower bound on the
-expectile, not a sort of all n.  From 32768 draws on, the selection
-partitions a strided sample of about 4096 draws and then only the draws
-above the threshold it gives, about (1 - alpha) n of them, not all n.
+expectile, not a sort of all n.  The draw runs on the usable CPUs once it
+holds two chunks of its family's ``_min_chunk``, with the same bits on
+any CPU count.  From 32768 draws on, the selection partitions a strided
+sample of about 4096 draws and then only the draws above the threshold it
+gives, about (1 - alpha) n of them, not all n.
 Cell seeds are derived from the master seed by a documented SplitMix64
 chain so any cell can be reproduced in isolation and adding replications
 never reshuffles earlier draws.

@@ -2,6 +2,8 @@
 
 import math
 import re
+import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -9,6 +11,7 @@ import numpy as np
 import oracle
 import pytest
 
+from tailrisk import distributions
 from tailrisk.distributions import (
     _FAMILIES,
     _U_FLOOR,
@@ -455,7 +458,10 @@ DRAW_BUDGETS = {"pareto": 1, "exp": 1, "power": 1, "uniform": 1, "student": 4, "
 
 
 @pytest.mark.parametrize("dist", PARITY_FAMILIES, ids=lambda d: d.label)
-def test_draw_peak_memory_stays_in_budget(dist):
+def test_draw_peak_memory_stays_in_budget(dist, monkeypatch):
+    # two CPUs, so the trace covers a split draw on any machine: tracemalloc
+    # counts the helper thread's temporaries too
+    monkeypatch.setattr(distributions, "_usable_cpus", lambda: 2)
     n = 300_000
     dist._draw(10, 0)  # loads scipy.special for the Student t outside the trace
     tracemalloc.start()
@@ -465,6 +471,131 @@ def test_draw_peak_memory_stays_in_budget(dist):
     finally:
         tracemalloc.stop()
     assert peak <= DRAW_BUDGETS[dist.family] * 8 * n + 64 * 1024, peak / (8 * n)
+
+
+def _one_chunk_draw(dist, n, seed):
+    """The draw as one chunk of seed's PCG64 stream: the reference every
+    split draw matches bit for bit."""
+    u = np.random.Generator(np.random.PCG64(seed)).random(n)
+    np.maximum(u, _U_FLOOR, out=u)
+    x = dist._quantile0(u, out=u)
+    x += dist.shift
+    return x
+
+
+def _spy_on_chunks(monkeypatch, dist):
+    """What ``dist``'s quantile formula sees from now on, a tuple per chunk
+    in call order: its length, whether the calling thread runs it, and the
+    errstate it runs under."""
+    seen = []
+    formula = dist._quantile0
+    caller = threading.get_ident()
+
+    def spy(u, out=None):
+        seen.append((len(u), threading.get_ident() == caller, np.geterr()))
+        return formula(u, out=out)
+    monkeypatch.setattr(dist, "_quantile0", spy)
+    return seen
+
+
+@pytest.mark.parametrize("dist", PARITY_FAMILIES, ids=lambda d: d.label)
+def test_draw_bits_do_not_depend_on_the_chunks(dist, monkeypatch):
+    # sizes around each k * _min_chunk, where the number of chunks k =
+    # min(cpus, n // _min_chunk) steps, and odd sizes; the all-ones seed
+    # 2^64 - 1 too.  The chunks are contiguous, in order, of near-equal size
+    m = dist._min_chunk
+    sizes = sorted({1, 3, 999, *(k * m + d for k in (1, 2, 3, 7) for d in (-1, 0, 1))})
+    seen = _spy_on_chunks(monkeypatch, dist)
+    for n in sizes:
+        for seed in (0, 1, 2**64 - 1):
+            want = _one_chunk_draw(dist, n, seed)
+            for cpus in (1, 2, 3, 7):
+                monkeypatch.setattr(distributions, "_usable_cpus", lambda cpus=cpus: cpus)
+                seen.clear()
+                got = dist._draw(n, seed)
+                k = max(1, min(cpus, n // m))
+                assert sorted(c[0] for c in seen) == sorted(np.diff([n * c // k for c in range(k + 1)]))
+                assert [c[1] for c in seen].count(True) == 1
+                np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64),
+                                              err_msg=f"n={n} seed={seed} cpus={cpus}")
+
+
+def test_an_error_in_a_helper_chunk_is_raised_by_the_draw(monkeypatch):
+    monkeypatch.setattr(distributions, "_usable_cpus", lambda: 3)
+    dist = Pareto(2.1)
+    caller = threading.get_ident()
+    err = FloatingPointError("raised in a helper chunk")
+
+    def formula(u, out=None):
+        if threading.get_ident() != caller:
+            raise err
+        return Pareto._quantile0(dist, u, out=out)
+    monkeypatch.setattr(dist, "_quantile0", formula)
+    baseline = threading.active_count()
+    with pytest.raises(FloatingPointError) as info:
+        dist._draw(3 * dist._min_chunk, 0)
+    assert info.value is err
+    assert threading.active_count() == baseline
+
+
+def test_a_helper_that_cannot_start_fails_the_draw_after_joining_the_others(monkeypatch):
+    monkeypatch.setattr(distributions, "_usable_cpus", lambda: 3)
+    start, started = threading.Thread.start, []
+
+    def start_once(thread):
+        if started:
+            raise RuntimeError("can't start new thread")
+        started.append(thread)
+        start(thread)
+    monkeypatch.setattr(threading.Thread, "start", start_once)
+    baseline = threading.active_count()
+    dist = StudentT(2.3)
+    with pytest.raises(RuntimeError, match="can't start new thread"):
+        dist._draw(3 * dist._min_chunk, 0)
+    assert len(started) == 1 and not started[0].is_alive()
+    assert threading.active_count() == baseline
+
+
+def test_helper_chunks_see_the_callers_errstate(monkeypatch):
+    monkeypatch.setattr(distributions, "_usable_cpus", lambda: 2)
+    dist = StudentT(2.3)
+    seen = _spy_on_chunks(monkeypatch, dist)
+    with np.errstate(divide="raise", over="raise", under="warn", invalid="ignore"):
+        want = np.geterr()
+        dist._draw(2 * dist._min_chunk, 0)
+    assert want != np.geterr()
+    assert sorted(c[1] for c in seen) == [False, True]
+    assert [c[2] for c in seen] == [want, want]
+
+
+def test_concurrent_split_draws_keep_their_bits(monkeypatch):
+    # callers on more threads than cores, each draw split again, with the
+    # interpreter switching threads every 10 us: no chunk may read another
+    # draw's stream or write another draw's buffer
+    monkeypatch.setattr(distributions, "_usable_cpus", lambda: 3)
+    laws = [StudentT(2.3), Pareto(2.1), TwoPoint(-1.0, 2.5, 0.3).with_shift(0.5)]
+    checked = []
+
+    def caller(w):
+        for r in range(6):
+            dist = laws[(w + r) % 3]
+            n, seed = 3 * dist._min_chunk + 7 * w + r, 31 * r + w
+            got = dist._draw(n, seed)
+            same = np.array_equal(got.view(np.int64), _one_chunk_draw(dist, n, seed).view(np.int64))
+            checked.append(same or (dist.label, n, seed))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=caller, args=(w,)) for w in range(4)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert checked == [True] * 24
 
 
 def _parity_points(dist):

@@ -53,7 +53,13 @@ scenario parser: the package calls ``loadtxt`` once, in
 parse, and ``cli.py`` opens no file for reading and calls no other reader
 (``genfromtxt``, ``fromfile``, ``read_csv``, ``csv.reader``,
 ``read_text``, ``read_bytes``), so it reads scenarios only through
-``from_csv`` and keeps no memo of its own.
+``from_csv`` and keeps no memo of its own.  Threads only inside a draw:
+the package constructs a ``threading.Thread`` only in
+``Distribution._draw``, which joins every one before it returns, and
+imports neither ``concurrent.futures`` (which loads ``logging``) nor
+``multiprocessing``, so no pool or worker outlives a call, and
+``import tailrisk`` loads no module beyond numpy's but its own and
+``csv``.
 """
 
 import ast
@@ -669,6 +675,47 @@ def test_scenario_files_are_parsed_in_one_place():
     assert scenario_reads((ROOT / "src" / "tailrisk" / "cli.py").read_text()) == []
 
 
+def pool_imports(source: str) -> list:
+    """The line of each import in ``source`` of ``concurrent.futures`` or
+    ``multiprocessing``, or of a name from either."""
+    def is_site(node) -> bool:
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            return False
+        return any(name.split(".")[0] in ("concurrent", "multiprocessing") for name in names)
+    return sorted(n.lineno for n in ast.walk(ast.parse(source)) if is_site(n))
+
+
+def test_thread_scans_flag_thread_constructions_and_pool_imports():
+    source = (
+        "import threading, concurrent.futures\n"
+        "from multiprocessing import Pool\n"
+        "from concurrent import futures as cf\n"
+        "import multiprocessing.pool as mp\n"
+        "from threading import Thread\n"
+        "from .concurrency import helpers\n"
+        "def _draw(n):\n"
+        "    return [threading.Thread(target=f) for _ in range(n)]\n"
+        "def f():\n"
+        "    Thread(target=f).start(), threading.Timer(1.0, f), threading.active_count()\n"
+        "'import multiprocessing in a string is no import'\n"
+    )
+    assert call_sites(source, _calls("Thread")) == ["_draw", "f"]
+    assert pool_imports(source) == [1, 2, 3, 4]
+
+
+def test_threads_are_started_only_by_the_draw():
+    # Distribution._draw (defined once, there) runs each helper chunk on a
+    # thread of its own and joins it before returning; a pool would keep
+    # workers, and state, between calls
+    assert [(p.stem, f) for p in PACKAGE for f in call_sites(p.read_text(), _calls("Thread"))] \
+        == [("distributions", "_draw")]
+    assert [(p.name, line) for p in PACKAGE for line in pool_imports(p.read_text())] == []
+
+
 def unused_functions(source: str, readers: list) -> list:
     """Public functions of ``source``, and public methods of its classes,
     that no module in ``readers`` reads as a name or attribute."""
@@ -716,6 +763,19 @@ def test_import_loads_neither_optimize_nor_integrate():
         "print(sorted(m for m in heavy if m in sys.modules))\n"
     )
     assert _fresh(code) == "[]\n[]\n"
+
+
+def test_import_tailrisk_loads_numpy_and_its_own_modules_only():
+    # beyond numpy's modules (threading and contextvars, which the draws
+    # use, among them) only the annotations import of each module and the
+    # csv of Portfolio.from_csv; a pool's import would bring logging
+    code = (
+        "import sys, numpy\n"
+        "before = set(sys.modules)\n"
+        "import tailrisk\n"
+        "print(sorted(m for m in set(sys.modules) - before if m.split('.')[0] != 'tailrisk'))\n"
+    )
+    assert _fresh(code) == "['__future__', '_csv', 'csv']\n"
 
 
 # Every Student t result, as the hex of its bits, from a fresh interpreter.
